@@ -45,11 +45,13 @@ int main() {
   for (const auto& [env_label, dynamism] : environments) {
     const load::OnOffModel model(load::OnOffParams::dynamism(dynamism));
     strat::NoneStrategy none;
-    const auto base = core::run_trials(cfg, model, none, 6);
+    const auto base =
+        core::reduce_trials(core::run_trials_results(cfg, model, none, 6));
     std::printf("%-20s %12.0f", env_label, base.mean);
     for (const Entry& e : policies) {
       strat::SwapStrategy s{e.policy};
-      const auto stats = core::run_trials(cfg, model, s, 6);
+      const auto stats =
+          core::reduce_trials(core::run_trials_results(cfg, model, s, 6));
       std::printf(" %11.0f", stats.mean);
     }
     std::printf("\n");

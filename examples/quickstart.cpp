@@ -38,16 +38,18 @@ int main() {
   strat::SwapStrategy safe{simsweep::swap::safe_policy()};
 
   std::printf("strategy        makespan[s]   vs NONE   swaps\n");
-  const auto baseline = core::run_trials(cfg, environment, none, 5);
+  const auto baseline =
+      core::reduce_trials(core::run_trials_results(cfg, environment, none, 5));
   std::printf("%-14s %12.1f %8.2fx %7.1f\n", "NONE", baseline.mean, 1.0, 0.0);
   for (auto* s : {static_cast<strat::Strategy*>(&greedy),
                   static_cast<strat::Strategy*>(&safe)}) {
-    const auto stats = core::run_trials(cfg, environment, *s, 5);
+    const auto stats =
+        core::reduce_trials(core::run_trials_results(cfg, environment, *s, 5));
     std::printf("%-14s %12.1f %8.2fx %7.1f\n", s->name().c_str(), stats.mean,
                 baseline.mean / stats.mean, stats.mean_adaptations);
   }
   std::puts(
       "\nSwapping moves work off loaded processors at iteration boundaries;\n"
-      "see DESIGN.md and the bench/ binaries for the paper's full figures.");
+      "see DESIGN.md and `simsweep bench` for the paper's full figures.");
   return 0;
 }

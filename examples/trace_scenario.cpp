@@ -58,16 +58,19 @@ int main() {
               "moves");
 
   strat::NoneStrategy none;
-  const auto base = core::run_trials(cfg, model, none, 6);
+  const auto base =
+      core::reduce_trials(core::run_trials_results(cfg, model, none, 6));
   std::printf("%-12s %14.0f %13.2fx %10.1f\n", "NONE", base.mean, 1.0, 0.0);
 
   strat::DlbStrategy dlb;
-  const auto dlb_stats = core::run_trials(cfg, model, dlb, 6);
+  const auto dlb_stats =
+      core::reduce_trials(core::run_trials_results(cfg, model, dlb, 6));
   std::printf("%-12s %14.0f %13.2fx %10.1f\n", "DLB", dlb_stats.mean,
               base.mean / dlb_stats.mean, dlb_stats.mean_adaptations);
 
   strat::SwapStrategy safe{simsweep::swap::safe_policy()};
-  const auto swap_stats = core::run_trials(cfg, model, safe, 6);
+  const auto swap_stats =
+      core::reduce_trials(core::run_trials_results(cfg, model, safe, 6));
   std::printf("%-12s %14.0f %13.2fx %10.1f\n", "SWAP(safe)", swap_stats.mean,
               base.mean / swap_stats.mean, swap_stats.mean_adaptations);
 

@@ -1,6 +1,7 @@
 #include "cli/args.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
@@ -81,26 +82,53 @@ std::string Args::get_string(const std::string& flag,
   return v ? *v : fallback;
 }
 
+namespace {
+
+/// Whole-string finite double; `what` names the flag's expectation in the
+/// error ("a number", "numbers").  strtod accepts "nan" and "inf", which no
+/// flag means, so they are rejected like any other non-number.
+double parse_finite(const std::string& flag, const std::string& text,
+                    const char* what) {
+  char* end = nullptr;
+  const double parsed = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0')
+    throw std::invalid_argument("Args: --" + flag + " expects " + what +
+                                ", got '" + text + "'");
+  if (!std::isfinite(parsed))
+    throw std::invalid_argument("Args: --" + flag + " must be finite, got '" +
+                                text + "'");
+  return parsed;
+}
+
+long parse_long(const std::string& flag, const std::string& text) {
+  char* end = nullptr;
+  const long parsed = std::strtol(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0')
+    throw std::invalid_argument("Args: --" + flag +
+                                " expects an integer, got '" + text + "'");
+  return parsed;
+}
+
+}  // namespace
+
 double Args::get_double(const std::string& flag, double fallback) {
   const auto v = raw(flag);
-  if (!v) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v->c_str(), &end);
-  if (end == v->c_str() || *end != '\0')
-    throw std::invalid_argument("Args: --" + flag + " expects a number, got '" +
-                                *v + "'");
-  return parsed;
+  return v ? parse_finite(flag, *v, "a number") : fallback;
 }
 
 long Args::get_int(const std::string& flag, long fallback) {
   const auto v = raw(flag);
+  return v ? parse_long(flag, *v) : fallback;
+}
+
+std::uint64_t Args::get_count(const std::string& flag, std::uint64_t fallback) {
+  const auto v = raw(flag);
   if (!v) return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(v->c_str(), &end, 10);
-  if (end == v->c_str() || *end != '\0')
-    throw std::invalid_argument("Args: --" + flag +
-                                " expects an integer, got '" + *v + "'");
-  return parsed;
+  const long parsed = parse_long(flag, *v);
+  if (parsed < 0)
+    throw std::invalid_argument("--" + flag + " must be >= 0, got " +
+                                std::to_string(parsed));
+  return static_cast<std::uint64_t>(parsed);
 }
 
 bool Args::get_bool(const std::string& flag) {
@@ -125,12 +153,7 @@ std::vector<double> Args::get_double_list(const std::string& flag,
                                                     : comma - start);
     if (item.empty())
       throw std::invalid_argument("Args: --" + flag + " has an empty element");
-    char* end = nullptr;
-    const double parsed = std::strtod(item.c_str(), &end);
-    if (end == item.c_str() || *end != '\0')
-      throw std::invalid_argument("Args: --" + flag +
-                                  " expects numbers, got '" + item + "'");
-    out.push_back(parsed);
+    out.push_back(parse_finite(flag, item, "numbers"));
     if (comma == std::string::npos) break;
     start = comma + 1;
   }

@@ -5,6 +5,7 @@
 // unused_flags(), so each subcommand can own its flag set.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
@@ -52,13 +53,19 @@ class Args {
   [[nodiscard]] bool has(const std::string& flag) const;
 
   /// Typed getters; throw std::invalid_argument on malformed values.
+  /// Doubles must be finite: "nan" and "inf" are rejected.
   [[nodiscard]] std::string get_string(const std::string& flag,
                                        const std::string& fallback);
   [[nodiscard]] double get_double(const std::string& flag, double fallback);
   [[nodiscard]] long get_int(const std::string& flag, long fallback);
   [[nodiscard]] bool get_bool(const std::string& flag);
 
-  /// Comma-separated list of doubles (e.g. --points=0,0.1,0.5).
+  /// Non-negative integer (counts, sizes, seeds): a negative value throws
+  /// before the unsigned cast can wrap it into an absurd count or seed.
+  [[nodiscard]] std::uint64_t get_count(const std::string& flag,
+                                        std::uint64_t fallback);
+
+  /// Comma-separated list of finite doubles (e.g. --points=0,0.1,0.5).
   [[nodiscard]] std::vector<double> get_double_list(
       const std::string& flag, const std::vector<double>& fallback);
 

@@ -14,11 +14,10 @@
 #include <string_view>
 #include <vector>
 
-#include "cli/config_build.hpp"
 #include "load/hyperexp.hpp"
 #include "load/onoff.hpp"
+#include "load/trace_io.hpp"
 #include "obs/atomic_write.hpp"
-#include "obs/profiler.hpp"
 #include "obs/status.hpp"
 #include "platform/host.hpp"
 #include "resilience/quarantine.hpp"
@@ -86,73 +85,22 @@ double env_trial_timeout() {
 }
 
 /// Flag > SIMSWEEP_TRIALS env > scenario.
-std::size_t resolve_trials(const BenchOptions& opts,
-                           const scenario::ScenarioSpec& spec) {
-  if (opts.trials != 0) return opts.trials;
+std::size_t resolve_trials(const SweepPlan& plan) {
+  if (plan.trials != 0) return plan.trials;
   if (const std::size_t env = env_trials(); env != 0) return env;
-  return spec.trials;
+  return plan.spec.trials;
 }
 
 // ---------------------------------------------------------------------------
-// Kind::kGrid — through the sweep runner.
+// Kind::kGrid — through the shared grid path.
 
-int run_grid(const scenario::ScenarioSpec& spec, const BenchOptions& opts,
-             std::ostream& out) {
-  SweepPlan plan;
-  plan.spec = spec;
-  plan.trials = resolve_trials(opts, spec);
-  plan.jobs = opts.jobs;
-  plan.audit = opts.audit;
-  plan.metrics = !opts.metrics_path.empty();
-  plan.timeline = !opts.timeline_path.empty();
-  plan.trial_timeout_s =
-      opts.trial_timeout_s > 0.0 ? opts.trial_timeout_s : env_trial_timeout();
-  plan.trial_retries = opts.trial_retries;
-  plan.retry_backoff_s = opts.retry_backoff_s;
-  plan.journal_path = opts.journal_path;
-  plan.resume_path = opts.resume_path;
-  plan.profiler = opts.profiler;
-  plan.status = opts.status;
-  plan.hooks = opts.hooks;
-
-  const SweepResult result = run_sweep(plan);
-
-  if (result.cells_reused > 0)
-    std::fprintf(stderr, "bench: resumed %zu of %zu cell(s) from '%s'\n",
-                 result.cells_reused, result.cells_total,
-                 plan.resume_path.c_str());
-  for (const auto& record : result.quarantined)
-    std::fprintf(stderr,
-                 "bench: quarantined cell %zu (%s): %s after %zu attempt(s): "
-                 "%s\n",
-                 record.index, record.label.c_str(),
-                 std::string(resilience::to_string(record.outcome)).c_str(),
-                 record.attempts, record.error.c_str());
-  if (!opts.quarantine_path.empty()) {
-    std::ostringstream qos;
-    resilience::write_quarantine_json(qos, result.quarantined,
-                                      &result.provenance);
-    obs::atomic_write_file(opts.quarantine_path, qos.str());
-  }
-  if (plan.metrics)
-    obs::atomic_write_file(opts.metrics_path, result.metrics_json);
-  if (plan.timeline)
-    obs::atomic_write_file(opts.timeline_path, result.timeline_json);
-  if (!opts.profile_json_path.empty() && opts.profiler != nullptr) {
-    std::ostringstream pos;
-    opts.profiler->write_json(pos, &result.provenance);
-    pos << '\n';
-    obs::atomic_write_file(opts.profile_json_path, pos.str());
-  }
-  if (result.partial)
-    std::fprintf(stderr,
-                 "bench: interrupted — %zu cell(s) not run; artifacts are "
-                 "partial (provenance carries \"partial\":true), resume with "
-                 "--resume=%s\n",
-                 result.cells_skipped,
-                 plan.journal_path.empty() ? "JOURNAL"
-                                           : plan.journal_path.c_str());
-
+int run_bench_grid(GridFlags flags, std::ostream& out) {
+  flags.plan.trials = resolve_trials(flags.plan);
+  // Same convention the standalone benches used: a zero budget defers to
+  // SIMSWEEP_TRIAL_TIMEOUT.
+  if (flags.plan.trial_timeout_s <= 0.0)
+    flags.plan.trial_timeout_s = env_trial_timeout();
+  const SweepResult result = run_grid("bench", std::move(flags));
   for (std::size_t i = 0; i < result.reports.size(); ++i) {
     const core::SeriesReport& report = result.reports[i];
     out << "==== " << report.title << " ====\n";
@@ -220,34 +168,13 @@ int run_load_trace(const scenario::ScenarioSpec& spec, std::ostream& out) {
 
   // The concrete model type matters here: the trailer quotes model-specific
   // analytics (stationary ON fraction / offered load).
-  std::shared_ptr<const load::OnOffModel> onoff;
-  std::shared_ptr<const load::HyperExpModel> hyperexp;
-  const load::LoadModel* model = nullptr;
-  switch (spec.load.kind) {
-    case scenario::LoadKind::kOnOff: {
-      load::OnOffParams params;
-      params.p = spec.load.p;
-      params.q = spec.load.q;
-      params.step_s = spec.load.step_s;
-      params.stationary_start = spec.load.stationary_start;
-      onoff = std::make_shared<load::OnOffModel>(params);
-      model = onoff.get();
-      break;
-    }
-    case scenario::LoadKind::kHyperExp: {
-      load::HyperExpParams params;
-      params.mean_lifetime_s = spec.load.mean_lifetime_s;
-      params.long_prob = spec.load.long_prob;
-      params.mean_interarrival_s = spec.load.mean_interarrival_s;
-      hyperexp = std::make_shared<load::HyperExpModel>(params);
-      model = hyperexp.get();
-      break;
-    }
-    case scenario::LoadKind::kReclaim:
-      throw scenario::ScenarioError(
-          "scenario '" + spec.name +
-          "': load_trace supports onoff and hyperexp models");
-  }
+  const auto model = scenario::make_load_model(spec.load);
+  const auto* onoff = dynamic_cast<const load::OnOffModel*>(model.get());
+  const auto* hyperexp = dynamic_cast<const load::HyperExpModel*>(model.get());
+  if (onoff == nullptr && hyperexp == nullptr)
+    throw scenario::ScenarioError(
+        "scenario '" + spec.name +
+        "': load_trace supports onoff and hyperexp models");
 
   sim::Simulator simulator;
   platform::Host host(simulator, 0, 300.0e6, "traced");
@@ -256,34 +183,27 @@ int run_load_trace(const scenario::ScenarioSpec& spec, std::ostream& out) {
   simulator.run_until(horizon);
 
   out << "==== " << spec.title << " ====\n";
-  if (hyperexp)
+  if (hyperexp != nullptr)
     oprintf(out, "# offered load %.2f, lifetime CV^2 %.1f\n",
             hyperexp->offered_load(), hyperexp->lifetime_cv2());
   write_expectation(out, spec.expectation);
 
-  int max_load = 0;
-  double area = 0.0, last_t = 0.0, last_v = 0.0;
+  const std::vector<sim::Sample>& history = host.load_history();
   out << "-- csv --\n";
-  out << "time,cpu_load\n";
-  for (const sim::Sample& s : host.load_history()) {
-    if (s.time > horizon) break;
-    area += last_v * (s.time - last_t);
-    // Emit step edges so the plot is rectangular.
-    oprintf(out, "%.1f,%.0f\n", s.time, last_v);
-    oprintf(out, "%.1f,%.0f\n", s.time, s.value);
-    last_t = s.time;
-    last_v = s.value;
-    max_load = std::max(max_load, static_cast<int>(s.value));
-  }
-  area += last_v * (horizon - last_t);
-  oprintf(out, "%.1f,%.0f\n", horizon, last_v);
+  load::write_step_trace_csv(out, history, horizon);
 
-  if (onoff) {
+  const double mean_load = sim::mean_step_series(history, 0.0, horizon);
+  if (onoff != nullptr) {
     oprintf(out, "\nempirical ON fraction %.3f vs stationary %.3f\n",
-            area / horizon, onoff->stationary_on_fraction());
+            mean_load, onoff->stationary_on_fraction());
   } else {
+    int peak = 0;
+    for (const sim::Sample& s : history) {
+      if (s.time > horizon) break;
+      peak = std::max(peak, static_cast<int>(s.value));
+    }
     oprintf(out, "\nmean load %.3f (offered %.3f), peak simultaneous %d\n",
-            area / horizon, hyperexp->offered_load(), max_load);
+            mean_load, hyperexp->offered_load(), peak);
   }
   return 0;
 }
@@ -322,12 +242,12 @@ Histogram fold(const std::vector<strategy::RunResult>& results) {
   return h;
 }
 
-int run_decision_histogram(const scenario::ScenarioSpec& spec,
-                           const BenchOptions& opts, std::ostream& out) {
+int run_decision_histogram(const SweepPlan& plan, std::ostream& out) {
+  const scenario::ScenarioSpec& spec = plan.spec;
   core::ExperimentConfig cfg = scenario::base_config(spec);
   cfg.trace_decisions = true;
-  cfg.audit = opts.audit;
-  const std::size_t trials = resolve_trials(opts, spec);
+  cfg.audit = plan.audit;
+  const std::size_t trials = resolve_trials(plan);
 
   struct Cell {
     std::string policy;
@@ -342,7 +262,7 @@ int run_decision_histogram(const scenario::ScenarioSpec& spec,
       strategy::SwapStrategy strategy{scenario::make_policy(policy_spec)};
       const load::OnOffModel model(load::OnOffParams::dynamism(d));
       const auto results =
-          core::run_trials_results(cfg, model, strategy, trials, opts.jobs);
+          core::run_trials_results(cfg, model, strategy, trials, plan.jobs);
       cells.push_back({policy, d, fold(results)});
     }
   }
@@ -383,28 +303,79 @@ int run_decision_histogram(const scenario::ScenarioSpec& spec,
   return 0;
 }
 
-/// Non-negative integer flag (mirrors main.cpp's get_count).
-std::size_t get_count(Args& args, const std::string& flag, long fallback) {
-  const long v = args.get_int(flag, fallback);
-  if (v < 0)
-    throw std::invalid_argument("--" + flag + " must be >= 0, got " +
-                                std::to_string(v));
-  return static_cast<std::size_t>(v);
-}
-
 }  // namespace
 
-int run_bench_scenario(const scenario::ScenarioSpec& spec,
-                       const BenchOptions& opts, std::ostream& out) {
+void publish_artifacts(const ObsOptions& opts, const obs::Provenance& prov,
+                       const std::string& metrics_json,
+                       const std::string& timeline_json,
+                       const obs::TrialProfiler* profiler) {
+  if (!opts.metrics_path.empty())
+    obs::atomic_write_file(opts.metrics_path, metrics_json);
+  if (!opts.timeline_path.empty())
+    obs::atomic_write_file(opts.timeline_path, timeline_json);
+  if (!opts.profile_path.empty() && profiler != nullptr) {
+    std::ostringstream os;
+    profiler->write_json(os, &prov);
+    os << '\n';
+    obs::atomic_write_file(opts.profile_path, os.str());
+  }
+}
+
+SweepResult run_grid(const char* command, GridFlags flags) {
+  const SweepPlan& plan = flags.plan;
+  std::unique_ptr<obs::StatusBoard> status;
+  if (flags.status.enabled()) {
+    obs::StatusBoard::Options board_opts;
+    board_opts.path = flags.status.path;
+    board_opts.heartbeat_s = flags.status.heartbeat_s;
+    board_opts.progress = flags.status.progress;
+    status = std::make_unique<obs::StatusBoard>(board_opts);
+    flags.plan.status = status.get();
+  }
+
+  SweepResult result = run_sweep(plan);
+
+  if (result.cells_reused > 0)
+    std::fprintf(stderr, "%s: resumed %zu of %zu cell(s) from '%s'\n",
+                 command, result.cells_reused, result.cells_total,
+                 plan.resume_path.c_str());
+  for (const auto& record : result.quarantined)
+    std::fprintf(stderr,
+                 "%s: quarantined cell %zu (%s): %s after %zu attempt(s): "
+                 "%s\n",
+                 command, record.index, record.label.c_str(),
+                 std::string(resilience::to_string(record.outcome)).c_str(),
+                 record.attempts, record.error.c_str());
+  if (!flags.quarantine_path.empty()) {
+    std::ostringstream os;
+    resilience::write_quarantine_json(os, result.quarantined,
+                                      &result.provenance);
+    obs::atomic_write_file(flags.quarantine_path, os.str());
+  }
+  publish_artifacts(flags.obs, result.provenance, result.metrics_json,
+                    result.timeline_json, plan.profiler);
+  if (result.partial)
+    std::fprintf(stderr,
+                 "%s: interrupted — %zu cell(s) not run; artifacts are "
+                 "partial (provenance carries \"partial\":true), resume with "
+                 "--resume=%s\n",
+                 command, result.cells_skipped,
+                 plan.journal_path.empty() ? "JOURNAL"
+                                           : plan.journal_path.c_str());
+  return result;
+}
+
+int run_bench_scenario(const GridFlags& flags, std::ostream& out) {
+  const scenario::ScenarioSpec& spec = flags.plan.spec;
   switch (spec.kind) {
     case scenario::Kind::kGrid:
-      return run_grid(spec, opts, out);
+      return run_bench_grid(flags, out);
     case scenario::Kind::kPayback:
       return run_payback(spec, out);
     case scenario::Kind::kLoadTrace:
       return run_load_trace(spec, out);
     case scenario::Kind::kDecisionHistogram:
-      return run_decision_histogram(spec, opts, out);
+      return run_decision_histogram(flags.plan, out);
   }
   throw scenario::ScenarioError("scenario: unhandled kind");
 }
@@ -422,45 +393,18 @@ int cmd_bench(Args& args) {
   }
 
   resilience::arm_interrupt_handlers();
-  BenchOptions opts;
-  opts.trials = get_count(args, "trials", 0);
-  opts.jobs = get_count(args, "jobs", 0);
-  opts.audit = parse_audit_flag(args);
-  const ObsOptions obs_opts = parse_obs_options(args);
-  const StatusOptions status_opts = parse_status_options(args);
-  opts.metrics_path = obs_opts.metrics_path;
-  opts.timeline_path = obs_opts.timeline_path;
-  opts.profile_json_path = obs_opts.profile_path;
-  opts.trial_timeout_s = args.get_double("trial-timeout", 0.0);
-  opts.trial_retries = get_count(args, "trial-retries", 1);
-  opts.resume_path = args.get_string("resume", "");
-  // --resume without --journal keeps journaling into the resumed file, so
-  // a twice-interrupted bench still resumes from its full history.
-  opts.journal_path = args.get_string("journal", opts.resume_path);
-  opts.quarantine_path = args.get_string("quarantine", "");
-  opts.hooks.stop_after_cells = get_count(args, "stop-after-cells", 0);
-
+  GridFlags flags = parse_grid_flags(args, /*default_trials=*/0);
   if (args.positional().empty())
     throw std::invalid_argument(
         "bench: missing scenario name or file (try `simsweep bench --list`)");
-  const scenario::ScenarioSpec spec =
-      scenario::find_scenario(args.positional().front(), dir);
+  flags.plan.spec = scenario::find_scenario(args.positional().front(), dir);
   reject_unused(args);
 
   obs::TrialProfiler profiler;
-  if (obs_opts.want_profiler()) opts.profiler = &profiler;
-  std::unique_ptr<obs::StatusBoard> status;
-  if (status_opts.enabled()) {
-    obs::StatusBoard::Options board_opts;
-    board_opts.path = status_opts.path;
-    board_opts.heartbeat_s = status_opts.heartbeat_s;
-    board_opts.progress = status_opts.progress;
-    status = std::make_unique<obs::StatusBoard>(board_opts);
-    opts.status = status.get();
-  }
-  const int code = run_bench_scenario(spec, opts, std::cout);
+  if (flags.obs.want_profiler()) flags.plan.profiler = &profiler;
+  const int code = run_bench_scenario(flags, std::cout);
   // The profile goes to stderr so stdout stays the byte-exact report.
-  if (obs_opts.profile) profiler.print(std::cerr);
+  if (flags.obs.profile) profiler.print(std::cerr);
   return code;
 }
 

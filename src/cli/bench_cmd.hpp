@@ -1,66 +1,52 @@
 // `simsweep bench <name|file>` — run one declarative scenario and print its
-// report(s) in the classic bench format.
+// report(s) in the classic bench format — and the grid path it shares with
+// `simsweep sweep`.
 //
-// Grid scenarios route through cli::run_sweep, so every figure inherits the
-// resilience surface (journal/--resume, watchdog, retry/quarantine) and the
-// observability surface (--metrics/--timeline/--profile).  The illustrative
-// kinds (payback, load_trace, decision_histogram) have dedicated emitters
-// that reproduce the retired standalone bench binaries byte-for-byte.
+// Grid scenarios route through run_grid (cli::run_sweep plus the artifact
+// epilogue), so every figure inherits the resilience surface
+// (journal/--resume, watchdog, retry/quarantine) and the observability
+// surface (--metrics/--timeline/--profile).  `sweep` is the built-in sweep
+// scenario on the same path.  The illustrative kinds (payback, load_trace,
+// decision_histogram) have dedicated emitters that reproduce the retired
+// standalone bench binaries byte-for-byte.
 //
 // run_bench_scenario is the testable core: tests drive it with an
 // ostringstream and compare bytes against the recorded pre-refactor output.
 #pragma once
 
-#include <cstddef>
 #include <iosfwd>
 #include <string>
 
 #include "cli/args.hpp"
+#include "cli/config_build.hpp"
 #include "cli/sweep_runner.hpp"
-#include "scenario/scenario.hpp"
+#include "obs/profiler.hpp"
+#include "obs/provenance.hpp"
 
 namespace simsweep::cli {
 
-struct BenchOptions {
-  /// Trials per cell; 0 = SIMSWEEP_TRIALS env var, else the spec's count.
-  std::size_t trials = 0;
-  std::size_t jobs = 0;  ///< cell-level parallelism; 0 = default
+/// The artifact epilogue of run/sweep/bench: writes the metrics and timeline
+/// bodies to the paths `opts` names, and `profiler`'s report under `prov`
+/// to --profile-json (when both are set).  Every write is atomic.
+void publish_artifacts(const ObsOptions& opts, const obs::Provenance& prov,
+                       const std::string& metrics_json,
+                       const std::string& timeline_json,
+                       const obs::TrialProfiler* profiler);
 
-  audit::AuditMode audit = audit::AuditMode::kOff;
+/// The grid path `sweep` and `bench` share: runs `flags.plan` (with a status
+/// board when flags.status asks for one), then the epilogue.  Diagnostics go
+/// to stderr prefixed with `command`: cells resumed, cells quarantined and
+/// the interrupted notice.  Publishes the quarantine report and every
+/// artifact publish_artifacts writes.  The caller prints the reports.
+[[nodiscard]] SweepResult run_grid(const char* command, GridFlags flags);
 
-  std::string metrics_path;   ///< write merged metrics JSON; "" = off
-  std::string timeline_path;  ///< write Chrome trace JSON; "" = off
-
-  /// Wall-clock budget per cell; 0 = the SIMSWEEP_TRIAL_TIMEOUT env var
-  /// (same convention the standalone benches used), else no watchdog.
-  double trial_timeout_s = 0.0;
-  std::size_t trial_retries = 1;
-  double retry_backoff_s = 0.1;
-
-  std::string journal_path;     ///< grid kinds only
-  std::string resume_path;      ///< grid kinds only
-  std::string quarantine_path;  ///< grid kinds only
-
-  SweepHooks hooks;  ///< test hooks, forwarded to the sweep runner
-
-  obs::TrialProfiler* profiler = nullptr;  ///< grid kinds only; may be null
-
-  /// Trial-engine profile as a JSON artifact (grid kinds only); "" = off.
-  /// Requires `profiler`.
-  std::string profile_json_path;
-
-  /// Live-telemetry board (grid kinds only); null = telemetry off.  Must
-  /// outlive run_bench_scenario.
-  obs::StatusBoard* status = nullptr;
-};
-
-/// Runs `spec` and writes its report(s) to `out` (the byte-exact bench
-/// format).  Diagnostics (resume/quarantine/partial messages) go to stderr;
-/// artifact files named in `opts` are written as side effects.  Returns the
-/// process exit code (130 when interrupted, 0 otherwise); throws on
-/// malformed specs and I/O failures.
-int run_bench_scenario(const scenario::ScenarioSpec& spec,
-                       const BenchOptions& opts, std::ostream& out);
+/// Runs `flags.plan.spec` and writes its report(s) to `out` (the byte-exact
+/// bench format).  plan.trials == 0 means the SIMSWEEP_TRIALS env var, else
+/// the spec's count; a zero plan.trial_timeout_s falls back to
+/// SIMSWEEP_TRIAL_TIMEOUT.  Only grid scenarios journal, resume or publish
+/// artifacts.  Returns the process exit code (130 when interrupted, 0
+/// otherwise); throws on malformed specs and I/O failures.
+int run_bench_scenario(const GridFlags& flags, std::ostream& out);
 
 /// `simsweep bench` entry point: `--list`, or a positional scenario name /
 /// file path plus the resilience and observability flags.  Unknown names

@@ -11,31 +11,28 @@
 namespace simsweep::cli {
 
 void apply_config_flags(Args& args, scenario::ScenarioSpec& spec) {
-  spec.hosts = static_cast<std::size_t>(
-      args.get_int("hosts", static_cast<long>(spec.hosts)));
-  spec.active = static_cast<std::size_t>(
-      args.get_int("active", static_cast<long>(spec.active)));
-  spec.iterations = static_cast<std::size_t>(
-      args.get_int("iters", static_cast<long>(spec.iterations)));
+  spec.hosts = args.get_count("hosts", spec.hosts);
+  spec.active = args.get_count("active", spec.active);
+  spec.iterations = args.get_count("iters", spec.iterations);
   spec.iter_minutes = args.get_double("iter-minutes", spec.iter_minutes);
   spec.state_mb = args.get_double("state-mb", spec.state_mb);
   spec.comm_kb = args.get_double("comm-kb", spec.comm_kb);
-  spec.spares = static_cast<std::size_t>(args.get_int(
-      "spares", static_cast<long>(spec.hosts - spec.active)));
-  spec.seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<long>(spec.seed)));
+  // Every host not active is a spare.  With more active processes than
+  // hosts there is nothing to spare, and base_config rejects the shape
+  // instead of hosts - active wrapping into an absurd pool.
+  spec.spares = args.get_count(
+      "spares", spec.hosts >= spec.active ? spec.hosts - spec.active : 0);
+  spec.seed = args.get_count("seed", spec.seed);
   spec.horizon_hours = args.get_double("horizon-hours", spec.horizon_hours);
   // Fault injection (all off by default).
   spec.mtbf_hours = args.get_double("mtbf-hours", spec.mtbf_hours);
   spec.swap_fail_prob = args.get_double("swap-fail-prob", spec.swap_fail_prob);
   spec.checkpoint_fail_prob =
       args.get_double("ckpt-fail-prob", spec.checkpoint_fail_prob);
-  spec.max_transfer_retries = static_cast<std::size_t>(args.get_int(
-      "fault-retries", static_cast<long>(spec.max_transfer_retries)));
-  spec.blacklist_after = static_cast<std::size_t>(args.get_int(
-      "blacklist-after", static_cast<long>(spec.blacklist_after)));
-  spec.max_events = static_cast<std::uint64_t>(
-      args.get_int("max-events", static_cast<long>(spec.max_events)));
+  spec.max_transfer_retries =
+      args.get_count("fault-retries", spec.max_transfer_retries);
+  spec.blacklist_after = args.get_count("blacklist-after", spec.blacklist_after);
+  spec.max_events = args.get_count("max-events", spec.max_events);
 }
 
 audit::AuditMode parse_audit_flag(Args& args) {
@@ -133,7 +130,7 @@ scenario::EstimatorSpec build_estimator(Args& args) {
     spec.tau_s = args.get_double("ewma-tau", 120.0);
   } else if (predictor == "median") {
     spec.kind = scenario::EstimatorKind::kMedian;
-    spec.k = static_cast<std::size_t>(args.get_int("median-k", 5));
+    spec.k = args.get_count("median-k", 5);
   } else {
     throw std::invalid_argument("unknown --predictor '" + predictor +
                                 "' (window|nws|ewma|median)");
@@ -207,6 +204,27 @@ StatusOptions parse_status_options(Args& args, const char* status_env) {
 
 StatusOptions parse_status_options(Args& args) {
   return parse_status_options(args, std::getenv("SIMSWEEP_STATUS"));
+}
+
+GridFlags parse_grid_flags(Args& args, std::size_t default_trials) {
+  GridFlags flags;
+  SweepPlan& plan = flags.plan;
+  plan.trials = args.get_count("trials", default_trials);
+  plan.jobs = args.get_count("jobs", 0);
+  plan.audit = parse_audit_flag(args);
+  flags.obs = parse_obs_options(args);
+  flags.status = parse_status_options(args);
+  plan.metrics = !flags.obs.metrics_path.empty();
+  plan.timeline = !flags.obs.timeline_path.empty();
+  plan.trial_timeout_s = args.get_double("trial-timeout", 0.0);
+  plan.trial_retries = args.get_count("trial-retries", 1);
+  plan.resume_path = args.get_string("resume", "");
+  // --resume without --journal keeps journaling into the resumed file, so
+  // a twice-interrupted run still resumes from its full history.
+  plan.journal_path = args.get_string("journal", plan.resume_path);
+  flags.quarantine_path = args.get_string("quarantine", "");
+  plan.hooks.stop_after_cells = args.get_count("stop-after-cells", 0);
+  return flags;
 }
 
 void reject_unused(const Args& args) {

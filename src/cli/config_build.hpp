@@ -13,6 +13,7 @@
 #include <string>
 
 #include "cli/args.hpp"
+#include "cli/sweep_runner.hpp"
 #include "core/experiment.hpp"
 #include "load/load_model.hpp"
 #include "scenario/scenario.hpp"
@@ -53,11 +54,6 @@ struct ObsOptions {
   std::string profile_path;   ///< trial-engine profile as JSON; empty = off
   bool profile = false;       ///< print the trial-engine profile
 
-  [[nodiscard]] bool any() const noexcept {
-    return !metrics_path.empty() || !timeline_path.empty() ||
-           !profile_path.empty() || profile;
-  }
-
   /// The wall-clock profiler is needed for either profile output.
   [[nodiscard]] bool want_profiler() const noexcept {
     return profile || !profile_path.empty();
@@ -92,6 +88,22 @@ struct StatusOptions {
 [[nodiscard]] StatusOptions parse_status_options(Args& args,
                                                  const char* status_env);
 [[nodiscard]] StatusOptions parse_status_options(Args& args);
+
+/// What a grid run (`sweep`, `bench`) takes from the command line: the
+/// plan, plus where the epilogue publishes its artifacts.
+struct GridFlags {
+  SweepPlan plan;
+  ObsOptions obs;
+  StatusOptions status;
+  std::string quarantine_path;  ///< quarantine report; empty = stderr only
+};
+
+/// The flags `sweep` and `bench` share, parsed once: --trials (absent =
+/// `default_trials`) --jobs --audit --trial-timeout --trial-retries
+/// --journal --resume --quarantine --stop-after-cells, plus the
+/// observability and status flags.  The plan's spec is left to the caller.
+[[nodiscard]] GridFlags parse_grid_flags(Args& args,
+                                         std::size_t default_trials);
 
 /// Throws std::invalid_argument listing any unconsumed flags.
 void reject_unused(const Args& args);

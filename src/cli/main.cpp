@@ -14,6 +14,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/bench_cmd.hpp"
@@ -21,20 +22,16 @@
 #include "cli/report_cmd.hpp"
 #include "cli/sweep_runner.hpp"
 #include "core/trial_runner.hpp"
-#include "load/onoff.hpp"
-#include "obs/atomic_write.hpp"
+#include "load/trace_io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/status.hpp"
 #include "obs/timeline.hpp"
 #include "platform/host.hpp"
-#include "resilience/quarantine.hpp"
 #include "resilience/signal.hpp"
 #include "resilience/watchdog.hpp"
 #include "scenario/scenario.hpp"
 #include "simcore/simulator.hpp"
 #include "strategy/decision_trace.hpp"
-#include "swap/policy.hpp"
 
 namespace cli = simsweep::cli;
 namespace core = simsweep::core;
@@ -182,17 +179,6 @@ examples:
   simsweep trace --model=hyperexp --lifetime=150 --duration=2000
 )";
 
-/// Non-negative integer flag; rejects negatives before the size_t cast can
-/// wrap into an absurd thread/trial count.
-std::size_t get_count(cli::Args& args, const std::string& flag,
-                      long fallback) {
-  const long v = args.get_int(flag, fallback);
-  if (v < 0)
-    throw std::invalid_argument("--" + flag + " must be >= 0, got " +
-                                std::to_string(v));
-  return static_cast<std::size_t>(v);
-}
-
 /// Opens `path` for writing or throws with the flag name that asked for it.
 std::ofstream open_output(const std::string& path, const char* flag) {
   std::ofstream out(path);
@@ -203,8 +189,8 @@ std::ofstream open_output(const std::string& path, const char* flag) {
 }
 
 int cmd_run(cli::Args& args) {
-  const auto trials = get_count(args, "trials", 8);
-  const auto jobs = get_count(args, "jobs", 0);
+  const auto trials = args.get_count("trials", 8);
+  const auto jobs = args.get_count("jobs", 0);
   const bool json = args.get_bool("json");
   const double trial_timeout = args.get_double("trial-timeout", 0.0);
   const std::string trace_path = args.get_string("trace-decisions", "");
@@ -233,73 +219,62 @@ int cmd_run(cli::Args& args) {
     strategy = cli::build_strategy(args);
   }
   cli::reject_unused(args);
+  // Tracing and observability never touch the simulation, so the stats are
+  // the same with them on or off; the per-trial results additionally carry
+  // the decision traces / metrics registries / timeline tracers.
+  cfg.trace_decisions = !trace_path.empty();
   cfg.obs.metrics = !obs_opts.metrics_path.empty();
   cfg.obs.timeline = !obs_opts.timeline_path.empty();
   const simsweep::obs::Provenance prov = core::make_run_provenance(
       cfg, model->describe() + ";" + strategy->name());
 
-  core::TrialStats stats;
   simsweep::obs::TrialProfiler profiler;
-  const bool need_results = !trace_path.empty() || cfg.obs.any();
-  if (!need_results && !obs_opts.want_profiler() && trial_timeout <= 0.0) {
-    stats = core::run_trials_parallel(cfg, *model, *strategy, trials, jobs);
-  } else {
-    // Tracing and observability never touch the simulation, so stats match
-    // the plain path bitwise; the per-trial results additionally carry the
-    // decision traces / metrics registries / timeline tracers.
-    cfg.trace_decisions = !trace_path.empty();
-    std::vector<strat::RunResult> results;
-    if (trial_timeout > 0.0) {
-      // Watchdog outlives the runner, whose destructor joins the workers.
-      simsweep::resilience::Watchdog watchdog(trial_timeout);
-      core::TrialRunner runner(jobs);
-      runner.set_trial_guard(&watchdog);
-      try {
-        results = core::run_trials_results(
-            cfg, *model, *strategy, trials, runner,
-            obs_opts.want_profiler() ? &profiler : nullptr);
-      } catch (const simsweep::sim::RunCancelled&) {
-        throw std::runtime_error(
-            "trial hung: exceeded --trial-timeout after " +
-            std::to_string(trial_timeout) + " s of wall-clock time");
-      }
-    } else {
+  std::vector<strat::RunResult> results;
+  {
+    // The watchdog outlives the runner, whose destructor joins the workers.
+    std::unique_ptr<simsweep::resilience::Watchdog> watchdog;
+    if (trial_timeout > 0.0)
+      watchdog =
+          std::make_unique<simsweep::resilience::Watchdog>(trial_timeout);
+    core::TrialRunner runner(jobs);
+    if (watchdog) runner.set_trial_guard(watchdog.get());
+    try {
       results = core::run_trials_results(
-          cfg, *model, *strategy, trials, jobs,
+          cfg, *model, *strategy, trials, runner,
           obs_opts.want_profiler() ? &profiler : nullptr);
+    } catch (const simsweep::sim::RunCancelled&) {
+      throw std::runtime_error(
+          "trial hung: exceeded --trial-timeout after " +
+          std::to_string(trial_timeout) + " s of wall-clock time");
     }
-    if (!trace_path.empty()) {
-      auto out = open_output(trace_path, "trace-decisions");
-      for (std::size_t t = 0; t < results.size(); ++t)
-        strat::write_trace_jsonl(out, strategy->name(), cfg.seed + t, t,
-                                 results[t].decision_trace);
-    }
-    if (cfg.obs.metrics) {
-      const auto merged = core::merge_trial_metrics(results);
-      std::ostringstream os;
-      merged->write_json(os, &prov);
-      os << '\n';
-      simsweep::obs::atomic_write_file(obs_opts.metrics_path, os.str());
-    }
-    if (cfg.obs.timeline) {
-      std::vector<simsweep::obs::TimelineTracer::Process> processes;
-      for (std::size_t t = 0; t < results.size(); ++t)
-        if (results[t].timeline)
-          processes.push_back(
-              {"trial " + std::to_string(t), results[t].timeline.get()});
-      std::ostringstream os;
-      simsweep::obs::TimelineTracer::write_chrome_json(os, processes, &prov);
-      os << '\n';
-      simsweep::obs::atomic_write_file(obs_opts.timeline_path, os.str());
-    }
-    stats = core::reduce_trials(results);
   }
-  if (!obs_opts.profile_path.empty()) {
+  if (!trace_path.empty()) {
+    auto out = open_output(trace_path, "trace-decisions");
+    for (std::size_t t = 0; t < results.size(); ++t)
+      strat::write_trace_jsonl(out, strategy->name(), cfg.seed + t, t,
+                               results[t].decision_trace);
+  }
+  std::string metrics_json;
+  if (cfg.obs.metrics) {
     std::ostringstream os;
-    profiler.write_json(os, &prov);
+    core::merge_trial_metrics(results)->write_json(os, &prov);
     os << '\n';
-    simsweep::obs::atomic_write_file(obs_opts.profile_path, os.str());
+    metrics_json = os.str();
   }
+  std::string timeline_json;
+  if (cfg.obs.timeline) {
+    std::vector<simsweep::obs::TimelineTracer::Process> processes;
+    for (std::size_t t = 0; t < results.size(); ++t)
+      processes.push_back(
+          {"trial " + std::to_string(t), results[t].timeline.get()});
+    std::ostringstream os;
+    simsweep::obs::TimelineTracer::write_chrome_json(os, processes, &prov);
+    os << '\n';
+    timeline_json = os.str();
+  }
+  cli::publish_artifacts(obs_opts, prov, metrics_json, timeline_json,
+                         &profiler);
+  const core::TrialStats stats = core::reduce_trials(results);
   if (json) {
     stats.print_json(std::cout, &prov);
     std::cout << '\n';
@@ -354,106 +329,45 @@ std::vector<std::size_t> get_index_list(cli::Args& args,
 }
 
 int cmd_sweep(cli::Args& args) {
-  namespace res = simsweep::resilience;
-  res::arm_interrupt_handlers();
+  simsweep::resilience::arm_interrupt_handlers();
 
-  // The classic sweep is just the built-in "sweep" scenario with the
-  // platform/app flags layered on top.
-  cli::SweepPlan plan;
-  plan.spec = scenario::sweep_scenario();
-  plan.trials = get_count(args, "trials", 8);
-  if (plan.trials == 0) throw std::invalid_argument("sweep: zero --trials");
-  plan.jobs = get_count(args, "jobs", 0);
+  // The classic sweep is the built-in "sweep" scenario with the
+  // platform/app flags layered on top, run through bench's grid path.
+  cli::GridFlags flags = cli::parse_grid_flags(args, /*default_trials=*/8);
+  if (flags.plan.trials == 0)
+    throw std::invalid_argument("sweep: zero --trials");
   const bool json = args.get_bool("json");
-  const auto obs_opts = cli::parse_obs_options(args);
-  const auto status_opts = cli::parse_status_options(args);
-  plan.metrics = !obs_opts.metrics_path.empty();
-  plan.timeline = !obs_opts.timeline_path.empty();
-  plan.trial_timeout_s = args.get_double("trial-timeout", 0.0);
-  plan.trial_retries = get_count(args, "trial-retries", 1);
-  plan.resume_path = args.get_string("resume", "");
-  // --resume without --journal keeps journaling into the resumed file, so
-  // a twice-interrupted sweep still resumes from its full history.
-  plan.journal_path = args.get_string("journal", plan.resume_path);
-  const std::string quarantine_path = args.get_string("quarantine", "");
-  plan.hooks.stop_after_cells = get_count(args, "stop-after-cells", 0);
-  plan.hooks.inject_fail = get_index_list(args, "inject-fail");
-  plan.hooks.inject_hang = get_index_list(args, "inject-hang");
-  cli::apply_config_flags(args, plan.spec);
-  plan.audit = cli::parse_audit_flag(args);
-  plan.spec.axis.x = args.get_double_list(
+  flags.plan.hooks.inject_fail = get_index_list(args, "inject-fail");
+  flags.plan.hooks.inject_hang = get_index_list(args, "inject-hang");
+  flags.plan.spec = scenario::sweep_scenario();
+  cli::apply_config_flags(args, flags.plan.spec);
+  flags.plan.spec.axis.x = args.get_double_list(
       "points", {0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0});
   cli::reject_unused(args);
 
   simsweep::obs::TrialProfiler profiler;
-  if (obs_opts.want_profiler()) plan.profiler = &profiler;
-  std::unique_ptr<simsweep::obs::StatusBoard> status;
-  if (status_opts.enabled()) {
-    simsweep::obs::StatusBoard::Options board_opts;
-    board_opts.path = status_opts.path;
-    board_opts.heartbeat_s = status_opts.heartbeat_s;
-    board_opts.progress = status_opts.progress;
-    status = std::make_unique<simsweep::obs::StatusBoard>(board_opts);
-    plan.status = status.get();
-  }
-
-  const cli::SweepResult result = cli::run_sweep(plan);
-
-  if (result.cells_reused > 0)
-    std::fprintf(stderr, "sweep: resumed %zu of %zu cell(s) from '%s'\n",
-                 result.cells_reused, result.cells_total,
-                 plan.resume_path.c_str());
-  for (const auto& record : result.quarantined)
-    std::fprintf(stderr,
-                 "sweep: quarantined cell %zu (%s): %s after %zu attempt(s): "
-                 "%s\n",
-                 record.index, record.label.c_str(),
-                 std::string(res::to_string(record.outcome)).c_str(),
-                 record.attempts, record.error.c_str());
-  if (!quarantine_path.empty()) {
-    std::ostringstream os;
-    res::write_quarantine_json(os, result.quarantined, &result.provenance);
-    simsweep::obs::atomic_write_file(quarantine_path, os.str());
-  }
-  if (plan.metrics)
-    simsweep::obs::atomic_write_file(obs_opts.metrics_path,
-                                     result.metrics_json);
-  if (plan.timeline)
-    simsweep::obs::atomic_write_file(obs_opts.timeline_path,
-                                     result.timeline_json);
-  if (!obs_opts.profile_path.empty()) {
-    std::ostringstream os;
-    profiler.write_json(os, &result.provenance);
-    os << '\n';
-    simsweep::obs::atomic_write_file(obs_opts.profile_path, os.str());
-  }
-  if (result.partial)
-    std::fprintf(stderr,
-                 "sweep: interrupted — %zu cell(s) not run; artifacts are "
-                 "partial (provenance carries \"partial\":true), resume with "
-                 "--resume=%s\n",
-                 result.cells_skipped,
-                 plan.journal_path.empty() ? "JOURNAL"
-                                           : plan.journal_path.c_str());
+  if (flags.obs.want_profiler()) flags.plan.profiler = &profiler;
+  const bool profile = flags.obs.profile;
+  const cli::SweepResult result = cli::run_grid("sweep", std::move(flags));
 
   const core::SeriesReport& report = result.reports.front();
   if (json) {
     report.print_json(std::cout, &result.provenance);
     std::cout << '\n';
-    if (obs_opts.profile) profiler.print(std::cerr);
+    if (profile) profiler.print(std::cerr);
   } else {
     report.print_table(std::cout);
     std::cout << "\n";
     report.print_csv(std::cout);
-    if (obs_opts.profile) profiler.print(std::cout);
+    if (profile) profiler.print(std::cout);
   }
-  return res::interrupted() ? 130 : 0;
+  return simsweep::resilience::interrupted() ? 130 : 0;
 }
 
 int cmd_trace(cli::Args& args) {
   const double duration = args.get_double("duration", 2000.0);
   const auto model = cli::build_load_model(args);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const auto seed = args.get_count("seed", 1);
   cli::reject_unused(args);
 
   simsweep::sim::Simulator simulator;
@@ -461,16 +375,8 @@ int cmd_trace(cli::Args& args) {
   auto source = model->make_source(simsweep::sim::Rng(seed));
   source->start(simulator, host);
   simulator.run_until(duration);
-
-  std::printf("time,cpu_load\n");
-  double last = 0.0;
-  for (const auto& sample : host.load_history()) {
-    if (sample.time > duration) break;
-    std::printf("%.1f,%.0f\n%.1f,%.0f\n", sample.time, last, sample.time,
-                sample.value);
-    last = sample.value;
-  }
-  std::printf("%.1f,%.0f\n", duration, last);
+  simsweep::load::write_step_trace_csv(std::cout, host.load_history(),
+                                       duration);
   return 0;
 }
 

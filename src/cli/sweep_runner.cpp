@@ -18,6 +18,7 @@
 #include "obs/metrics.hpp"
 #include "obs/status.hpp"
 #include "obs/timeline.hpp"
+#include "report/artifact.hpp"
 #include "resilience/journal.hpp"
 #include "resilience/json_read.hpp"
 #include "resilience/signal.hpp"
@@ -36,63 +37,6 @@ using resilience::TrialOutcomeKind;
 /// serialization), and cell keys come from the per-cell key extra.  v1
 /// journals (hard-coded onoff × technique grids) cannot resume into v2.
 constexpr std::uint64_t kJournalVersion = 2;
-
-void write_stats_json(std::ostream& os, const core::TrialStats& s) {
-  os << "{\"mean\":";
-  obs::write_json_number(os, s.mean);
-  os << ",\"stddev\":";
-  obs::write_json_number(os, s.stddev);
-  os << ",\"min\":";
-  obs::write_json_number(os, s.min);
-  os << ",\"max\":";
-  obs::write_json_number(os, s.max);
-  os << ",\"trials\":";
-  obs::write_json_number(os, static_cast<std::uint64_t>(s.trials));
-  os << ",\"unfinished\":";
-  obs::write_json_number(os, static_cast<std::uint64_t>(s.unfinished));
-  os << ",\"stalled\":";
-  obs::write_json_number(os, static_cast<std::uint64_t>(s.stalled));
-  os << ",\"resource_exhausted\":";
-  obs::write_json_number(os,
-                         static_cast<std::uint64_t>(s.resource_exhausted));
-  os << ",\"mean_adaptations\":";
-  obs::write_json_number(os, s.mean_adaptations);
-  os << ",\"mean_crashes\":";
-  obs::write_json_number(os, s.mean_crashes);
-  os << ",\"mean_transfer_failures\":";
-  obs::write_json_number(os, s.mean_transfer_failures);
-  os << ",\"mean_recoveries\":";
-  obs::write_json_number(os, s.mean_recoveries);
-  os << ",\"mean_checkpoint_failures\":";
-  obs::write_json_number(os, s.mean_checkpoint_failures);
-  os << ",\"mean_time_lost_s\":";
-  obs::write_json_number(os, s.mean_time_lost_s);
-  os << ",\"audit_violations\":";
-  obs::write_json_number(os, static_cast<std::uint64_t>(s.audit_violations));
-  os << '}';
-}
-
-/// Inverse of write_stats_json.  Exact: every double was emitted shortest
-/// round-trip and is re-read with from_chars.
-core::TrialStats parse_stats(const JsonValue& v) {
-  core::TrialStats s;
-  s.mean = v.at("mean").as_double();
-  s.stddev = v.at("stddev").as_double();
-  s.min = v.at("min").as_double();
-  s.max = v.at("max").as_double();
-  s.trials = v.at("trials").as_size();
-  s.unfinished = v.at("unfinished").as_size();
-  s.stalled = v.at("stalled").as_size();
-  s.resource_exhausted = v.at("resource_exhausted").as_size();
-  s.mean_adaptations = v.at("mean_adaptations").as_double();
-  s.mean_crashes = v.at("mean_crashes").as_double();
-  s.mean_transfer_failures = v.at("mean_transfer_failures").as_double();
-  s.mean_recoveries = v.at("mean_recoveries").as_double();
-  s.mean_checkpoint_failures = v.at("mean_checkpoint_failures").as_double();
-  s.mean_time_lost_s = v.at("mean_time_lost_s").as_double();
-  s.audit_violations = v.at("audit_violations").as_size();
-  return s;
-}
 
 /// Rebuilds a registry from its own write_json output.  Merge-into-empty
 /// adopts snapshot values verbatim (counters add, gauges/histograms copy
@@ -173,7 +117,7 @@ std::string cell_record_line(std::size_t index, const std::string& key,
   os << ",\"label\":";
   obs::write_json_string(os, label);
   os << ",\"outcome\":\"ok\",\"stats\":";
-  write_stats_json(os, data.stats);
+  data.stats.print_json(os);
   if (with_metrics) {
     os << ",\"metrics\":";
     obs::write_json_string(os, data.metrics_json);
@@ -295,7 +239,7 @@ SweepResult run_sweep(const SweepPlan& plan) {
         if (plan.metrics && metrics == nullptr) continue;
         if (plan.timeline && timeline == nullptr) continue;
         CellData& cell = cells[index];
-        cell.stats = parse_stats(v.at("stats"));
+        cell.stats = report::parse_stats(v.at("stats"));
         if (metrics != nullptr) cell.metrics_json = metrics->as_string();
         if (timeline != nullptr) cell.timeline_json = timeline->as_string();
         cell.raw_line = line->raw;

@@ -13,6 +13,7 @@
 
 #include "core/trial_runner.hpp"
 #include "net/shared_link.hpp"
+#include "obs/json.hpp"
 #include "obs/timeline.hpp"
 #include "simcore/simulator.hpp"
 
@@ -310,64 +311,33 @@ class ProfilerAttachment {
   TrialRunner* runner_;
 };
 
-/// Serial or pooled trial fan-out; results land in trial-index order so the
-/// reduction (and therefore the returned stats) is identical either way.
-std::vector<strategy::RunResult> run_trials_results_impl(
-    ExperimentConfig config, const load::LoadModel& model,
-    strategy::Strategy& strategy, std::size_t trials, TrialRunner* runner,
-    obs::TrialProfiler* profiler = nullptr) {
-  if (trials == 0) throw std::invalid_argument("run_trials: zero trials");
-  const std::uint64_t base_seed = config.seed;
-  std::vector<strategy::RunResult> results(trials);
-  if (runner == nullptr) {
-    for (std::size_t t = 0; t < trials; ++t) {
-      config.seed = base_seed + t;
-      if (profiler != nullptr) {
-        // Serial path: no queue, so submit == begin and the wait is zero.
-        const double begin_s = profiler->now();
-        results[t] = run_single(config, model, strategy);
-        profiler->record(t, /*worker=*/0, begin_s, begin_s,
-                         profiler->now());
-      } else {
-        results[t] = run_single(config, model, strategy);
-      }
-    }
-  } else {
-    const ProfilerAttachment attachment(runner, profiler);
-    runner->parallel_for(trials, [&](std::size_t t) {
-      ExperimentConfig trial_config = config;
-      trial_config.seed = base_seed + t;
-      results[t] = run_single(trial_config, model, strategy);
-    });
-  }
-  return results;
-}
-
 }  // namespace
 
 std::vector<strategy::RunResult> run_trials_results(
     ExperimentConfig config, const load::LoadModel& model,
     strategy::Strategy& strategy, std::size_t trials, TrialRunner& runner,
     obs::TrialProfiler* profiler) {
-  return run_trials_results_impl(std::move(config), model, strategy, trials,
-                                 &runner, profiler);
+  if (trials == 0) throw std::invalid_argument("run_trials: zero trials");
+  const ProfilerAttachment attachment(&runner, profiler);
+  std::vector<strategy::RunResult> results(trials);
+  runner.parallel_for(trials, [&](std::size_t t) {
+    ExperimentConfig trial_config = config;
+    trial_config.seed = config.seed + t;
+    results[t] = run_single(trial_config, model, strategy);
+  });
+  return results;
 }
 
 std::vector<strategy::RunResult> run_trials_results(
     ExperimentConfig config, const load::LoadModel& model,
     strategy::Strategy& strategy, std::size_t trials, std::size_t jobs,
     obs::TrialProfiler* profiler) {
-  if (jobs == 1) {
-    return run_trials_results_impl(std::move(config), model, strategy, trials,
-                                   /*runner=*/nullptr, profiler);
-  }
-  if (jobs == 0) {
-    return run_trials_results_impl(std::move(config), model, strategy, trials,
-                                   &TrialRunner::shared(), profiler);
-  }
+  if (jobs == 0)
+    return run_trials_results(std::move(config), model, strategy, trials,
+                              TrialRunner::shared(), profiler);
   TrialRunner runner(jobs);
-  return run_trials_results_impl(std::move(config), model, strategy, trials,
-                                 &runner, profiler);
+  return run_trials_results(std::move(config), model, strategy, trials,
+                            runner, profiler);
 }
 
 std::unique_ptr<obs::MetricsRegistry> merge_trial_metrics(
@@ -378,42 +348,6 @@ std::unique_ptr<obs::MetricsRegistry> merge_trial_metrics(
   return merged;
 }
 
-TrialStats run_trials(ExperimentConfig config, const load::LoadModel& model,
-                      strategy::Strategy& strategy, std::size_t trials) {
-  return reduce_trials(run_trials_results_impl(std::move(config), model,
-                                               strategy, trials,
-                                               /*runner=*/nullptr));
-}
-
-TrialStats run_trials_parallel(ExperimentConfig config,
-                               const load::LoadModel& model,
-                               strategy::Strategy& strategy,
-                               std::size_t trials, std::size_t jobs) {
-  if (jobs == 0) {
-    return reduce_trials(run_trials_results_impl(
-        std::move(config), model, strategy, trials, &TrialRunner::shared()));
-  }
-  TrialRunner runner(jobs);
-  return reduce_trials(run_trials_results_impl(std::move(config), model,
-                                               strategy, trials, &runner));
-}
-
-namespace {
-
-/// Shortest decimal form that round-trips to the same double (via
-/// std::to_chars); NaN / infinity become null, which JSON requires.
-void json_number(std::ostream& os, double value) {
-  if (!std::isfinite(value)) {
-    os << "null";
-    return;
-  }
-  char buffer[32];
-  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
-  os.write(buffer, result.ptr - buffer);
-}
-
-}  // namespace
-
 void TrialStats::print_json(std::ostream& os,
                             const obs::Provenance* meta) const {
   os << '{';
@@ -423,29 +357,36 @@ void TrialStats::print_json(std::ostream& os,
     os << ',';
   }
   os << "\"mean\":";
-  json_number(os, mean);
+  obs::write_json_number(os, mean);
   os << ",\"stddev\":";
-  json_number(os, stddev);
+  obs::write_json_number(os, stddev);
   os << ",\"min\":";
-  json_number(os, min);
+  obs::write_json_number(os, min);
   os << ",\"max\":";
-  json_number(os, max);
-  os << ",\"trials\":" << trials << ",\"unfinished\":" << unfinished
-     << ",\"stalled\":" << stalled
-     << ",\"resource_exhausted\":" << resource_exhausted
-     << ",\"mean_adaptations\":";
-  json_number(os, mean_adaptations);
+  obs::write_json_number(os, max);
+  os << ",\"trials\":";
+  obs::write_json_number(os, std::uint64_t{trials});
+  os << ",\"unfinished\":";
+  obs::write_json_number(os, std::uint64_t{unfinished});
+  os << ",\"stalled\":";
+  obs::write_json_number(os, std::uint64_t{stalled});
+  os << ",\"resource_exhausted\":";
+  obs::write_json_number(os, std::uint64_t{resource_exhausted});
+  os << ",\"mean_adaptations\":";
+  obs::write_json_number(os, mean_adaptations);
   os << ",\"mean_crashes\":";
-  json_number(os, mean_crashes);
+  obs::write_json_number(os, mean_crashes);
   os << ",\"mean_transfer_failures\":";
-  json_number(os, mean_transfer_failures);
+  obs::write_json_number(os, mean_transfer_failures);
   os << ",\"mean_recoveries\":";
-  json_number(os, mean_recoveries);
+  obs::write_json_number(os, mean_recoveries);
   os << ",\"mean_checkpoint_failures\":";
-  json_number(os, mean_checkpoint_failures);
+  obs::write_json_number(os, mean_checkpoint_failures);
   os << ",\"mean_time_lost_s\":";
-  json_number(os, mean_time_lost_s);
-  os << ",\"audit_violations\":" << audit_violations << "}";
+  obs::write_json_number(os, mean_time_lost_s);
+  os << ",\"audit_violations\":";
+  obs::write_json_number(os, std::uint64_t{audit_violations});
+  os << '}';
 }
 
 void SeriesReport::print_table(std::ostream& os) const {
@@ -477,42 +418,6 @@ void SeriesReport::print_csv(std::ostream& os) const {
   }
 }
 
-namespace {
-
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-void json_string(std::ostream& os, const std::string& text) {
-  os << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: {
-        const auto uc = static_cast<unsigned char>(c);
-        if (uc < 0x20) {
-          const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[uc >> 4] << hex[uc & 0xF];
-        } else {
-          os << c;
-        }
-      }
-    }
-  }
-  os << '"';
-}
-
-void json_array(std::ostream& os, const std::vector<double>& values) {
-  os << '[';
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) os << ',';
-    json_number(os, values[i]);
-  }
-  os << ']';
-}
-
-}  // namespace
-
 void SeriesReport::print_json(std::ostream& os,
                               const obs::Provenance* meta) const {
   os << '{';
@@ -522,20 +427,20 @@ void SeriesReport::print_json(std::ostream& os,
     os << ',';
   }
   os << "\"title\":";
-  json_string(os, title);
+  obs::write_json_string(os, title);
   os << ",\"x_label\":";
-  json_string(os, x_label);
+  obs::write_json_string(os, x_label);
   os << ",\"x\":";
-  json_array(os, x);
+  obs::write_json_array(os, x);
   os << ",\"series\":[";
   for (std::size_t i = 0; i < series.size(); ++i) {
     if (i > 0) os << ',';
     os << "{\"name\":";
-    json_string(os, series[i].name);
+    obs::write_json_string(os, series[i].name);
     os << ",\"mean_makespan_s\":";
-    json_array(os, series[i].y);
+    obs::write_json_array(os, series[i].y);
     os << ",\"mean_adaptations\":";
-    json_array(os, series[i].adaptations);
+    obs::write_json_array(os, series[i].adaptations);
     os << '}';
   }
   os << "]}";

@@ -32,8 +32,6 @@ struct ObsConfig {
 
   /// Attach a per-trial obs::TimelineTracer (RunResult::timeline).
   bool timeline = false;
-
-  [[nodiscard]] bool any() const noexcept { return metrics || timeline; }
 };
 
 struct ExperimentConfig {
@@ -133,8 +131,9 @@ struct TrialStats {
   /// only; fail mode throws before reaching the reduction).
   std::size_t audit_violations = 0;
 
-  /// One-line JSON object with every field above.  When `meta` is non-null
-  /// the object leads with a "meta" provenance block.
+  /// One-line JSON object with every field above — the form `--json`
+  /// prints and sweep journals store.  When `meta` is non-null the object
+  /// leads with a "meta" provenance block.
   void print_json(std::ostream& os, const obs::Provenance* meta) const;
   void print_json(std::ostream& os) const { print_json(os, nullptr); }
 };
@@ -142,44 +141,27 @@ struct TrialStats {
 /// Folds per-trial results, in trial order, into summary statistics.
 /// Variance uses Welford's online algorithm, so makespans around 1e9 s do
 /// not suffer the catastrophic cancellation of the naive sum-of-squares
-/// form.  Both run_trials and run_trials_parallel reduce through this, in
-/// the same order, so their outputs are bitwise identical.
+/// form.  Results arrive in trial order at any parallelism, so the stats
+/// are bitwise identical at any `jobs`.
 [[nodiscard]] TrialStats reduce_trials(
     const std::vector<strategy::RunResult>& results);
 
-[[nodiscard]] TrialStats run_trials(ExperimentConfig config,
-                                    const load::LoadModel& model,
-                                    strategy::Strategy& strategy,
-                                    std::size_t trials);
-
-/// run_trials with the independent trials fanned out over a worker pool.
-/// Each trial still derives its seed as config.seed + t and results are
-/// reduced in trial order, so the returned TrialStats is bitwise identical
-/// to the serial path.  `jobs` == 0 uses the process-wide shared pool
-/// (sized by SIMSWEEP_JOBS or hardware concurrency); any other value runs
-/// on a dedicated pool of exactly that many executors.  Requires
-/// `strategy.launch` to be safe to call concurrently, which holds for all
-/// in-tree strategies (launch only reads configuration and builds
+/// Runs `trials` independent trials (trial t with seed config.seed + t) on
+/// a worker pool and returns their results in trial order; summary
+/// statistics are reduce_trials() of the vector.  `jobs` == 0 uses the
+/// process-wide shared pool (sized by SIMSWEEP_JOBS or hardware
+/// concurrency); any other value runs on a dedicated pool of exactly that
+/// many executors, so `jobs` == 1 runs every trial on the calling thread.
+/// Requires `strategy.launch` to be safe to call concurrently, which holds
+/// for all in-tree strategies (launch only reads configuration and builds
 /// per-run state).
-[[nodiscard]] TrialStats run_trials_parallel(ExperimentConfig config,
-                                             const load::LoadModel& model,
-                                             strategy::Strategy& strategy,
-                                             std::size_t trials,
-                                             std::size_t jobs = 0);
-
-/// The per-trial results behind run_trials/run_trials_parallel, in trial
-/// order (trial t ran with seed config.seed + t).  Callers that need more
-/// than summary statistics — decision traces, per-trial makespans — use
-/// this and reduce_trials() the vector themselves.  `jobs` as in
-/// run_trials_parallel; `jobs` == 1 runs the trials serially.
 [[nodiscard]] std::vector<strategy::RunResult> run_trials_results(
     ExperimentConfig config, const load::LoadModel& model,
     strategy::Strategy& strategy, std::size_t trials, std::size_t jobs = 1,
     obs::TrialProfiler* profiler = nullptr);
 
 /// run_trials_results on a caller-owned runner, so the caller can attach a
-/// profiler and/or a trial guard (wall-clock watchdog) of its own before
-/// fanning out.  Trials are still seeded and reduced in trial order.
+/// trial guard (wall-clock watchdog) of its own before fanning out.
 [[nodiscard]] std::vector<strategy::RunResult> run_trials_results(
     ExperimentConfig config, const load::LoadModel& model,
     strategy::Strategy& strategy, std::size_t trials, TrialRunner& runner,

@@ -6,7 +6,7 @@
 // experiment layer needs: run `body(i)` for every index of a range across
 // a fixed set of workers.  Determinism is the caller's job and is easy:
 // write results into slot `i` of a preallocated vector and reduce in index
-// order afterwards — see core::run_trials_parallel.
+// order afterwards — see core::run_trials_results.
 //
 // The calling thread participates in its own batch, so a TrialRunner with
 // parallelism 1 spawns no threads at all, and nested parallel_for calls

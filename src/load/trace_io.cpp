@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 
@@ -84,6 +85,27 @@ void write_trace_csv(std::ostream& out,
   buffer.precision(10);
   for (const sim::Sample& s : trace)
     buffer << s.time << ',' << s.value << '\n';
+  out << buffer.str();
+}
+
+void write_step_trace_csv(std::ostream& out,
+                          const std::vector<sim::Sample>& history,
+                          double horizon) {
+  // std::fixed at precision p formats exactly as printf's %.<p>f.
+  std::ostringstream buffer;
+  buffer << std::fixed << "time,cpu_load\n";
+  const auto row = [&buffer](double time, double load) {
+    buffer << std::setprecision(1) << time << ',' << std::setprecision(0)
+           << load << '\n';
+  };
+  double last = 0.0;
+  for (const sim::Sample& s : history) {
+    if (s.time > horizon) break;
+    row(s.time, last);
+    row(s.time, s.value);
+    last = s.value;
+  }
+  row(horizon, last);
   out << buffer.str();
 }
 

@@ -27,4 +27,12 @@ namespace simsweep::load {
 /// Writes `time,cpu_load` rows with a header.
 void write_trace_csv(std::ostream& out, const std::vector<sim::Sample>& trace);
 
+/// Writes a host's load history over [0, horizon] for plotting: a
+/// `time,cpu_load` header, two rows per change (old value, then new value)
+/// so the plot is rectangular, and a closing row at `horizon`.  Times print
+/// with one decimal, loads as whole counts.
+void write_step_trace_csv(std::ostream& out,
+                          const std::vector<sim::Sample>& history,
+                          double horizon);
+
 }  // namespace simsweep::load

@@ -9,11 +9,13 @@
 #pragma once
 
 #include <charconv>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <ostream>
 #include <string_view>
+#include <vector>
 
 namespace simsweep::obs {
 
@@ -40,6 +42,17 @@ inline void write_json_number(std::ostream& os, std::uint64_t value) {
     return;
   }
   os.write(buf, end - buf);
+}
+
+/// `[v0,v1,...]`, each element through write_json_number.
+template <typename T>
+void write_json_array(std::ostream& os, const std::vector<T>& values) {
+  os << '[';
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i != 0) os << ',';
+    write_json_number(os, values[i]);
+  }
+  os << ']';
 }
 
 /// Minimal JSON string escaping: quotes, backslashes, and control bytes.

@@ -225,17 +225,11 @@ void MetricsRegistry::write_json(std::ostream& os,
     write_json_number(os, snap.min);
     os << ",\"max\":";
     write_json_number(os, snap.max);
-    os << ",\"bounds\":[";
-    for (std::size_t i = 0; i < snap.bounds.size(); ++i) {
-      if (i != 0) os << ',';
-      write_json_number(os, snap.bounds[i]);
-    }
-    os << "],\"counts\":[";
-    for (std::size_t i = 0; i < snap.counts.size(); ++i) {
-      if (i != 0) os << ',';
-      write_json_number(os, snap.counts[i]);
-    }
-    os << "]}";
+    os << ",\"bounds\":";
+    write_json_array(os, snap.bounds);
+    os << ",\"counts\":";
+    write_json_array(os, snap.counts);
+    os << '}';
   }
   os << "}}";
 }

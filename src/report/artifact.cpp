@@ -37,27 +37,6 @@ Meta parse_meta(const JsonValue& doc) {
   return meta;
 }
 
-core::TrialStats parse_stats(const JsonValue& v) {
-  core::TrialStats s;
-  s.mean = as_double_or_nan(v.at("mean"));
-  s.stddev = as_double_or_nan(v.at("stddev"));
-  s.min = as_double_or_nan(v.at("min"));
-  s.max = as_double_or_nan(v.at("max"));
-  s.trials = v.at("trials").as_size();
-  s.unfinished = v.at("unfinished").as_size();
-  s.stalled = v.at("stalled").as_size();
-  s.resource_exhausted = v.at("resource_exhausted").as_size();
-  s.mean_adaptations = as_double_or_nan(v.at("mean_adaptations"));
-  s.mean_crashes = as_double_or_nan(v.at("mean_crashes"));
-  s.mean_transfer_failures = as_double_or_nan(v.at("mean_transfer_failures"));
-  s.mean_recoveries = as_double_or_nan(v.at("mean_recoveries"));
-  s.mean_checkpoint_failures =
-      as_double_or_nan(v.at("mean_checkpoint_failures"));
-  s.mean_time_lost_s = as_double_or_nan(v.at("mean_time_lost_s"));
-  s.audit_violations = v.at("audit_violations").as_size();
-  return s;
-}
-
 MetricsModel parse_metrics(const JsonValue& doc) {
   MetricsModel model;
   for (const auto& [name, value] : doc.at("counters").object)
@@ -240,6 +219,27 @@ JournalModel parse_journal(const std::string& path) {
 }
 
 }  // namespace
+
+core::TrialStats parse_stats(const JsonValue& v) {
+  core::TrialStats s;
+  s.mean = as_double_or_nan(v.at("mean"));
+  s.stddev = as_double_or_nan(v.at("stddev"));
+  s.min = as_double_or_nan(v.at("min"));
+  s.max = as_double_or_nan(v.at("max"));
+  s.trials = v.at("trials").as_size();
+  s.unfinished = v.at("unfinished").as_size();
+  s.stalled = v.at("stalled").as_size();
+  s.resource_exhausted = v.at("resource_exhausted").as_size();
+  s.mean_adaptations = as_double_or_nan(v.at("mean_adaptations"));
+  s.mean_crashes = as_double_or_nan(v.at("mean_crashes"));
+  s.mean_transfer_failures = as_double_or_nan(v.at("mean_transfer_failures"));
+  s.mean_recoveries = as_double_or_nan(v.at("mean_recoveries"));
+  s.mean_checkpoint_failures =
+      as_double_or_nan(v.at("mean_checkpoint_failures"));
+  s.mean_time_lost_s = as_double_or_nan(v.at("mean_time_lost_s"));
+  s.audit_violations = v.at("audit_violations").as_size();
+  return s;
+}
 
 std::string_view to_string(ArtifactKind kind) noexcept {
   switch (kind) {

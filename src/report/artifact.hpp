@@ -22,6 +22,10 @@
 
 #include "core/experiment.hpp"
 
+namespace simsweep::resilience {
+class JsonValue;
+}
+
 namespace simsweep::report {
 
 enum class ArtifactKind : std::uint8_t {
@@ -152,6 +156,11 @@ struct Artifact {
   StatusModel status;
   SeriesModel series;
 };
+
+/// Reads back a TrialStats::print_json object (its fields, not the meta
+/// block).  Null-tolerant: doubles written as null (non-finite) read as
+/// NaN; every finite double reads back bitwise-equal.
+[[nodiscard]] core::TrialStats parse_stats(const resilience::JsonValue& v);
 
 /// Loads `path`, sniffs the artifact kind from the document structure (a
 /// "kind" member, or the emitter's distinctive top-level keys), and parses

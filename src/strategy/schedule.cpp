@@ -48,41 +48,6 @@ std::vector<swap::ActiveProcess> make_active_estimates(
     const platform::Cluster& cluster,
     const std::vector<platform::HostId>& placement,
     const std::vector<double>& chunk_flops, sim::SimTime now,
-    double window_s) {
-  if (placement.size() != chunk_flops.size())
-    throw std::invalid_argument("make_active_estimates: size mismatch");
-  std::vector<swap::ActiveProcess> out;
-  out.reserve(placement.size());
-  for (std::size_t slot = 0; slot < placement.size(); ++slot) {
-    out.push_back(swap::ActiveProcess{
-        .slot = slot,
-        .host = placement[slot],
-        .est_speed = estimate_speed(cluster.host(placement[slot]), now, window_s),
-        .chunk_flops = chunk_flops[slot],
-    });
-  }
-  return out;
-}
-
-std::vector<swap::HostEstimate> make_spare_estimates(
-    const platform::Cluster& cluster,
-    const std::vector<platform::HostId>& spares, sim::SimTime now,
-    double window_s) {
-  std::vector<swap::HostEstimate> out;
-  out.reserve(spares.size());
-  for (platform::HostId h : spares) {
-    out.push_back(swap::HostEstimate{
-        .host = h,
-        .est_speed = estimate_speed(cluster.host(h), now, window_s),
-    });
-  }
-  return out;
-}
-
-std::vector<swap::ActiveProcess> make_active_estimates(
-    const platform::Cluster& cluster,
-    const std::vector<platform::HostId>& placement,
-    const std::vector<double>& chunk_flops, sim::SimTime now,
     SpeedEstimator& estimator) {
   if (placement.size() != chunk_flops.size())
     throw std::invalid_argument("make_active_estimates: size mismatch");

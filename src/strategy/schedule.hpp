@@ -48,27 +48,17 @@ enum class InitialSchedule {
 [[nodiscard]] double estimate_speed(const platform::Host& host,
                                     sim::SimTime now, double window_s);
 
-/// Builds planner inputs for the current placement.
-[[nodiscard]] std::vector<swap::ActiveProcess> make_active_estimates(
-    const platform::Cluster& cluster,
-    const std::vector<platform::HostId>& placement,
-    const std::vector<double>& chunk_flops, sim::SimTime now, double window_s);
-
-/// Builds planner inputs for the spare pool.
-[[nodiscard]] std::vector<swap::HostEstimate> make_spare_estimates(
-    const platform::Cluster& cluster,
-    const std::vector<platform::HostId>& spares, sim::SimTime now,
-    double window_s);
-
 class SpeedEstimator;  // strategy/estimator.hpp
 
-/// Estimator-driven variants (used when a strategy plugs in a forecaster).
+/// Builds planner inputs for the current placement, each speed predicted by
+/// `estimator`.
 [[nodiscard]] std::vector<swap::ActiveProcess> make_active_estimates(
     const platform::Cluster& cluster,
     const std::vector<platform::HostId>& placement,
     const std::vector<double>& chunk_flops, sim::SimTime now,
     SpeedEstimator& estimator);
 
+/// Builds planner inputs for the spare pool.
 [[nodiscard]] std::vector<swap::HostEstimate> make_spare_estimates(
     const platform::Cluster& cluster,
     const std::vector<platform::HostId>& spares, sim::SimTime now,

@@ -1,6 +1,10 @@
 // Tests for the CLI flag parser and config builders.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "cli/args.hpp"
 #include "cli/config_build.hpp"
 #include "load/hyperexp.hpp"
@@ -41,6 +45,20 @@ TEST(Args, MalformedValuesThrow) {
   EXPECT_THROW((void)c.get_bool("b"), std::invalid_argument);
   cli::Args d({"--xs=1,,2"});
   EXPECT_THROW((void)d.get_double_list("xs", {}), std::invalid_argument);
+  // strtod parses these, but no flag means a non-finite number.
+  for (const char* text : {"nan", "inf", "-inf", "infinity"}) {
+    cli::Args e({std::string("--x=") + text});
+    EXPECT_THROW((void)e.get_double("x", 0.0), std::invalid_argument) << text;
+    cli::Args f({std::string("--xs=0,") + text});
+    EXPECT_THROW((void)f.get_double_list("xs", {}), std::invalid_argument)
+        << text;
+  }
+  // Counts reject negatives instead of wrapping; the fallback is not checked.
+  cli::Args g({"--n=-1"});
+  EXPECT_THROW((void)g.get_count("n", 0), std::invalid_argument);
+  cli::Args h({"--n=7"});
+  EXPECT_EQ(h.get_count("n", 0), 7u);
+  EXPECT_EQ(h.get_count("absent", ~std::uint64_t{0}), ~std::uint64_t{0});
 }
 
 TEST(Args, DoubleListParses) {
@@ -132,6 +150,26 @@ TEST(ConfigBuild, FlagsOverrideAndValidate) {
 
   cli::Args bad({"--hosts=4", "--active=4", "--spares=1"});
   EXPECT_THROW((void)cli::build_config(bad), std::invalid_argument);
+
+  // Inputs that used to wrap size_t / uint64_t or run silently.
+  for (const std::vector<std::string>& flags :
+       std::vector<std::vector<std::string>>{
+           {"--hosts=4", "--active=8"},  // default spares = hosts - active
+           {"--spares=-1"},
+           {"--seed=-1"},
+           {"--hosts=-32"},
+           {"--iters=-1"},
+           {"--fault-retries=-1"},
+           {"--blacklist-after=-1"},
+           {"--max-events=-1"},
+           {"--iter-minutes=nan"},
+       }) {
+    cli::Args args_bad(flags);
+    EXPECT_THROW((void)cli::build_config(args_bad), std::invalid_argument)
+        << flags.front();
+  }
+  cli::Args nan_load({"--dynamism=nan"});
+  EXPECT_THROW((void)cli::build_load_model(nan_load), std::invalid_argument);
 }
 
 TEST(ConfigBuild, AuditFlagSelectsMode) {

@@ -54,6 +54,15 @@ class StallingStrategy final : public strat::Strategy {
   }
 };
 
+/// Summary statistics of `trials` trials fanned out over `jobs` executors.
+core::TrialStats trial_stats(const core::ExperimentConfig& cfg,
+                            const load::LoadModel& model,
+                            strat::Strategy& strategy, std::size_t trials,
+                            std::size_t jobs = 1) {
+  return core::reduce_trials(
+      core::run_trials_results(cfg, model, strategy, trials, jobs));
+}
+
 }  // namespace
 
 TEST(RunSingle, DeterministicForSameSeed) {
@@ -115,7 +124,7 @@ TEST(RunTrials, StatisticsAreConsistent) {
   auto cfg = small_config();
   load::OnOffModel model(load::OnOffParams::dynamism(0.4));
   strat::NoneStrategy none;
-  const auto stats = core::run_trials(cfg, model, none, 5);
+  const auto stats = trial_stats(cfg, model, none, 5);
   EXPECT_EQ(stats.trials, 5u);
   EXPECT_LE(stats.min, stats.mean);
   EXPECT_LE(stats.mean, stats.max);
@@ -128,7 +137,7 @@ TEST(RunTrials, MeanOfConstantRunsHasZeroStddev) {
   cfg.cluster.explicit_speeds.assign(8, 300.0e6);
   load::ConstantModel quiet(0);
   strat::NoneStrategy none;
-  const auto stats = core::run_trials(cfg, quiet, none, 3);
+  const auto stats = trial_stats(cfg, quiet, none, 3);
   EXPECT_NEAR(stats.stddev, 0.0, 1e-9);
   EXPECT_DOUBLE_EQ(stats.min, stats.max);
 }
@@ -137,7 +146,15 @@ TEST(RunTrials, RejectsZeroTrials) {
   auto cfg = small_config();
   load::ConstantModel quiet(0);
   strat::NoneStrategy none;
-  EXPECT_THROW((void)core::run_trials(cfg, quiet, none, 0),
+  EXPECT_THROW((void)trial_stats(cfg, quiet, none, 0),
+               std::invalid_argument);
+}
+
+TEST(RunTrialsParallel, RejectsZeroTrials) {
+  auto cfg = small_config();
+  load::ConstantModel quiet(0);
+  strat::NoneStrategy none;
+  EXPECT_THROW((void)trial_stats(cfg, quiet, none, 0, /*jobs=*/2),
                std::invalid_argument);
 }
 
@@ -162,7 +179,7 @@ TEST(RunTrials, CountsStalledRuns) {
   auto cfg = small_config();
   load::ConstantModel quiet(0);
   StallingStrategy stall;
-  const auto stats = core::run_trials(cfg, quiet, stall, 3);
+  const auto stats = trial_stats(cfg, quiet, stall, 3);
   EXPECT_EQ(stats.stalled, 3u);
   EXPECT_EQ(stats.unfinished, 3u);
 }
@@ -188,13 +205,12 @@ TEST(ReduceTrials, RejectsEmptyInput) {
   EXPECT_THROW((void)core::reduce_trials({}), std::invalid_argument);
 }
 
-TEST(RunTrialsParallel, BitwiseIdenticalToSerial) {
+TEST(RunTrials, ParallelBitwiseIdenticalToSerial) {
   auto cfg = small_config();
   load::OnOffModel model(load::OnOffParams::dynamism(0.4));
   strat::SwapStrategy swap{simsweep::swap::greedy_policy()};
-  const auto serial = core::run_trials(cfg, model, swap, 6);
-  const auto parallel = core::run_trials_parallel(cfg, model, swap, 6,
-                                                  /*jobs=*/4);
+  const auto serial = trial_stats(cfg, model, swap, 6);
+  const auto parallel = trial_stats(cfg, model, swap, 6, /*jobs=*/4);
   // EXPECT_EQ on doubles is exact comparison: bitwise-identical results.
   EXPECT_EQ(serial.mean, parallel.mean);
   EXPECT_EQ(serial.stddev, parallel.stddev);
@@ -206,22 +222,14 @@ TEST(RunTrialsParallel, BitwiseIdenticalToSerial) {
   EXPECT_EQ(serial.mean_adaptations, parallel.mean_adaptations);
 }
 
-TEST(RunTrialsParallel, SharedPoolPathMatchesSerial) {
+TEST(RunTrials, SharedPoolPathMatchesSerial) {
   auto cfg = small_config();
   load::OnOffModel model(load::OnOffParams::dynamism(0.3));
   strat::NoneStrategy none;
-  const auto serial = core::run_trials(cfg, model, none, 4);
-  const auto pooled = core::run_trials_parallel(cfg, model, none, 4);
+  const auto serial = trial_stats(cfg, model, none, 4);
+  const auto pooled = trial_stats(cfg, model, none, 4, /*jobs=*/0);
   EXPECT_EQ(serial.mean, pooled.mean);
   EXPECT_EQ(serial.stddev, pooled.stddev);
-}
-
-TEST(RunTrialsParallel, RejectsZeroTrials) {
-  auto cfg = small_config();
-  load::ConstantModel quiet(0);
-  strat::NoneStrategy none;
-  EXPECT_THROW((void)core::run_trials_parallel(cfg, quiet, none, 0, 2),
-               std::invalid_argument);
 }
 
 TEST(TrialRunner, CoversEveryIndexExactlyOnce) {

@@ -364,11 +364,12 @@ TEST(FaultRuns, SerialAndParallelTrialsIdentical) {
   load::OnOffModel model(load::OnOffParams::dynamism(0.3));
   auto techniques = all_techniques();
   for (auto& technique : techniques) {
-    const auto serial = core::run_trials(cfg, model, *technique, 6);
+    const auto serial = core::reduce_trials(
+        core::run_trials_results(cfg, model, *technique, 6));
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{2},
                                    std::size_t{4}}) {
-      const auto parallel =
-          core::run_trials_parallel(cfg, model, *technique, 6, jobs);
+      const auto parallel = core::reduce_trials(
+          core::run_trials_results(cfg, model, *technique, 6, jobs));
       EXPECT_DOUBLE_EQ(serial.mean, parallel.mean)
           << technique->name() << " jobs=" << jobs;
       EXPECT_DOUBLE_EQ(serial.stddev, parallel.stddev)

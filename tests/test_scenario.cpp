@@ -3,7 +3,8 @@
 // provenance digest folding in load model and strategy lineup, the registry
 // with did-you-mean support, and the headline bench guarantee — `simsweep
 // bench <name>` is byte-identical to the retired standalone figure binaries
-// whose outputs are recorded under tests/golden_bench/.
+// whose outputs are recorded under tests/golden_bench/.  `run`, `sweep` (and
+// its journal) and `trace` are likewise pinned under tests/golden_cli/.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -26,6 +27,9 @@
 #endif
 #ifndef SIMSWEEP_GOLDEN_BENCH_DIR
 #define SIMSWEEP_GOLDEN_BENCH_DIR "golden_bench"
+#endif
+#ifndef SIMSWEEP_GOLDEN_CLI_DIR
+#define SIMSWEEP_GOLDEN_CLI_DIR "golden_cli"
 #endif
 #ifndef SIMSWEEP_SCENARIO_SRC_DIR
 #define SIMSWEEP_SCENARIO_SRC_DIR "scenarios"
@@ -206,11 +210,12 @@ class BenchGolden : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(BenchGolden, MatchesRecordedOutput) {
   const std::string name = GetParam();
-  const scn::ScenarioSpec spec = scn::find_scenario(name, scenario_dir());
-  cli::BenchOptions opts;
-  opts.trials = 2;  // the recorded outputs were captured at SIMSWEEP_TRIALS=2
+  cli::GridFlags flags;
+  flags.plan.spec = scn::find_scenario(name, scenario_dir());
+  // The recorded outputs were captured at SIMSWEEP_TRIALS=2.
+  flags.plan.trials = 2;
   std::ostringstream out;
-  ASSERT_EQ(cli::run_bench_scenario(spec, opts, out), 0);
+  ASSERT_EQ(cli::run_bench_scenario(flags, out), 0);
   EXPECT_EQ(out.str(), read_file(std::string(SIMSWEEP_GOLDEN_BENCH_DIR) +
                                  "/" + name + ".txt"));
 }
@@ -263,51 +268,50 @@ scn::ScenarioSpec small_grid() {
 }
 
 TEST(BenchResume, InterruptedThenResumedIsByteIdentical) {
-  const scn::ScenarioSpec spec = small_grid();
-  cli::BenchOptions opts;
-  opts.jobs = 1;
-  opts.hooks.interrupted = [] { return false; };
+  cli::GridFlags flags;
+  flags.plan.spec = small_grid();
+  flags.plan.jobs = 1;
+  flags.plan.hooks.interrupted = [] { return false; };
 
   std::ostringstream full;
-  ASSERT_EQ(cli::run_bench_scenario(spec, opts, full), 0);
+  ASSERT_EQ(cli::run_bench_scenario(flags, full), 0);
 
   TempPath journal("bench_resume");
-  cli::BenchOptions stopped = opts;
-  stopped.journal_path = journal.str();
-  stopped.hooks.stop_after_cells = 3;
+  cli::GridFlags stopped = flags;
+  stopped.plan.journal_path = journal.str();
+  stopped.plan.hooks.stop_after_cells = 3;
   // The bench report format carries no provenance block (byte parity with
   // the retired binaries), so "partial" shows only in the stderr diagnostic
   // and the missing cells' NaN entries.
   std::ostringstream partial;
-  (void)cli::run_bench_scenario(spec, stopped, partial);
+  (void)cli::run_bench_scenario(stopped, partial);
   EXPECT_NE(partial.str(), full.str());
 
-  cli::BenchOptions resumed = opts;
-  resumed.journal_path = journal.str();
-  resumed.resume_path = journal.str();
+  cli::GridFlags resumed = flags;
+  resumed.plan.journal_path = journal.str();
+  resumed.plan.resume_path = journal.str();
   std::ostringstream second;
-  ASSERT_EQ(cli::run_bench_scenario(spec, resumed, second), 0);
+  ASSERT_EQ(cli::run_bench_scenario(resumed, second), 0);
   EXPECT_EQ(full.str(), second.str());
 }
 
 TEST(BenchResume, EditedScenarioIsRejectedAgainstOldJournal) {
-  const scn::ScenarioSpec spec = small_grid();
-  cli::BenchOptions opts;
-  opts.jobs = 1;
-  opts.hooks.interrupted = [] { return false; };
+  cli::GridFlags flags;
+  flags.plan.spec = small_grid();
+  flags.plan.jobs = 1;
+  flags.plan.hooks.interrupted = [] { return false; };
 
   TempPath journal("bench_resume_edited");
-  cli::BenchOptions first = opts;
-  first.journal_path = journal.str();
+  cli::GridFlags first = flags;
+  first.plan.journal_path = journal.str();
   std::ostringstream out;
-  ASSERT_EQ(cli::run_bench_scenario(spec, first, out), 0);
+  ASSERT_EQ(cli::run_bench_scenario(first, out), 0);
 
-  scn::ScenarioSpec edited = spec;
-  edited.load.p = 0.9;  // a different experiment entirely
-  cli::BenchOptions resume = opts;
-  resume.resume_path = journal.str();
+  cli::GridFlags resume = flags;
+  resume.plan.spec.load.p = 0.9;  // a different experiment entirely
+  resume.plan.resume_path = journal.str();
   std::ostringstream ignored;
-  EXPECT_THROW((void)cli::run_bench_scenario(edited, resume, ignored),
+  EXPECT_THROW((void)cli::run_bench_scenario(resume, ignored),
                std::runtime_error);
 }
 
@@ -355,6 +359,63 @@ TEST(BenchCli, MissingNameIsAnError) {
   EXPECT_EQ(exit_code, 1);
   EXPECT_NE(output.find("missing scenario name"), std::string::npos)
       << output;
+}
+
+// ---------------------------------------------------------------------------
+// run / sweep / trace through the binary, pinned to recorded outputs
+
+std::string golden_cli(const std::string& name) {
+  return read_file(std::string(SIMSWEEP_GOLDEN_CLI_DIR) + "/" + name);
+}
+
+TEST(CliGolden, RunMatchesRecordedOutput) {
+  int exit_code = -1;
+  const std::string output = run_command(
+      binary_invocation() + " run --hosts=8 --active=4 --iters=10 --trials=3",
+      exit_code);
+  EXPECT_EQ(exit_code, 0);
+  EXPECT_EQ(output, golden_cli("run.txt"));
+}
+
+TEST(CliGolden, SweepAndItsJournalMatchRecordedOutput) {
+  TempPath journal("cli_golden_sweep");
+  int exit_code = -1;
+  const std::string output = run_command(
+      binary_invocation() +
+          " sweep --points=0,0.2 --trials=2 --hosts=8 --active=4 --iters=10"
+          " --jobs=1 --journal=" +
+          journal.str(),
+      exit_code);
+  EXPECT_EQ(exit_code, 0);
+  EXPECT_EQ(output, golden_cli("sweep.txt"));
+  // The journal carries no build stamp, so it pins the per-cell stats JSON
+  // byte for byte.
+  EXPECT_EQ(read_file(journal.str()), golden_cli("sweep.journal"));
+}
+
+TEST(CliGolden, TraceMatchesRecordedOutput) {
+  int exit_code = -1;
+  const std::string output = run_command(
+      binary_invocation() +
+          " trace --model=hyperexp --lifetime=150 --duration=500",
+      exit_code);
+  EXPECT_EQ(exit_code, 0);
+  EXPECT_EQ(output, golden_cli("trace.txt"));
+}
+
+TEST(CliGolden, SweepWithMoreActiveThanHostsFailsBeforeAnyCell) {
+  TempPath journal("cli_bad_shape");
+  int exit_code = -1;
+  const std::string output = run_command(
+      binary_invocation() + " sweep --hosts=4 --active=8 --journal=" +
+          journal.str(),
+      exit_code);
+  EXPECT_EQ(exit_code, 1);
+  EXPECT_NE(output.find("--hosts"), std::string::npos) << output;
+  EXPECT_EQ(output.find("quarantined"), std::string::npos) << output;
+  // The journal is published before the first cell runs; no file means the
+  // sweep stopped at validation.
+  EXPECT_FALSE(std::filesystem::exists(journal.str()));
 }
 
 }  // namespace
