@@ -1,10 +1,12 @@
 #include "cli/args.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <numeric>
+#include <sstream>
 #include <stdexcept>
+
+#include "core/parse.hpp"
 
 namespace simsweep::cli {
 
@@ -84,22 +86,6 @@ std::string Args::get_string(const std::string& flag,
 
 namespace {
 
-/// Whole-string finite double; `what` names the flag's expectation in the
-/// error ("a number", "numbers").  strtod accepts "nan" and "inf", which no
-/// flag means, so they are rejected like any other non-number.
-double parse_finite(const std::string& flag, const std::string& text,
-                    const char* what) {
-  char* end = nullptr;
-  const double parsed = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0')
-    throw std::invalid_argument("Args: --" + flag + " expects " + what +
-                                ", got '" + text + "'");
-  if (!std::isfinite(parsed))
-    throw std::invalid_argument("Args: --" + flag + " must be finite, got '" +
-                                text + "'");
-  return parsed;
-}
-
 long parse_long(const std::string& flag, const std::string& text) {
   char* end = nullptr;
   const long parsed = std::strtol(text.c_str(), &end, 10);
@@ -113,7 +99,7 @@ long parse_long(const std::string& flag, const std::string& text) {
 
 double Args::get_double(const std::string& flag, double fallback) {
   const auto v = raw(flag);
-  return v ? parse_finite(flag, *v, "a number") : fallback;
+  return v ? core::parse_finite(*v, "--" + flag) : fallback;
 }
 
 long Args::get_int(const std::string& flag, long fallback) {
@@ -123,12 +109,7 @@ long Args::get_int(const std::string& flag, long fallback) {
 
 std::uint64_t Args::get_count(const std::string& flag, std::uint64_t fallback) {
   const auto v = raw(flag);
-  if (!v) return fallback;
-  const long parsed = parse_long(flag, *v);
-  if (parsed < 0)
-    throw std::invalid_argument("--" + flag + " must be >= 0, got " +
-                                std::to_string(parsed));
-  return static_cast<std::uint64_t>(parsed);
+  return v ? core::parse_count(*v, "--" + flag) : fallback;
 }
 
 bool Args::get_bool(const std::string& flag) {
@@ -140,23 +121,34 @@ bool Args::get_bool(const std::string& flag) {
                               *v + "'");
 }
 
-std::vector<double> Args::get_double_list(const std::string& flag,
-                                          const std::vector<double>& fallback) {
+std::vector<std::string> Args::get_list(const std::string& flag) {
+  std::vector<std::string> out;
   const auto v = raw(flag);
-  if (!v) return fallback;
-  std::vector<double> out;
-  std::size_t start = 0;
-  while (start <= v->size()) {
-    const std::size_t comma = v->find(',', start);
-    const std::string item =
-        v->substr(start, comma == std::string::npos ? std::string::npos
-                                                    : comma - start);
+  if (!v) return out;
+  // The sentinel comma makes a trailing (or lone) empty element visible.
+  std::istringstream in(*v + ",");
+  for (std::string item; std::getline(in, item, ',');) {
     if (item.empty())
       throw std::invalid_argument("Args: --" + flag + " has an empty element");
-    out.push_back(parse_finite(flag, item, "numbers"));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+    out.push_back(item);
   }
+  return out;
+}
+
+std::vector<double> Args::get_double_list(const std::string& flag,
+                                          const std::vector<double>& fallback) {
+  if (!has(flag)) return fallback;
+  std::vector<double> out;
+  for (const std::string& item : get_list(flag))
+    out.push_back(core::parse_finite(item, "--" + flag));
+  return out;
+}
+
+std::vector<std::size_t> Args::get_count_list(const std::string& flag) {
+  std::vector<std::size_t> out;
+  for (const std::string& item : get_list(flag))
+    out.push_back(
+        static_cast<std::size_t>(core::parse_count(item, "--" + flag)));
   return out;
 }
 

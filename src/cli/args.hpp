@@ -69,6 +69,11 @@ class Args {
   [[nodiscard]] std::vector<double> get_double_list(
       const std::string& flag, const std::vector<double>& fallback);
 
+  /// Comma-separated list of non-negative integers (e.g. cell indices);
+  /// empty when the flag is absent.
+  [[nodiscard]] std::vector<std::size_t> get_count_list(
+      const std::string& flag);
+
   /// Flags that were supplied but never read; nonempty means a typo.
   [[nodiscard]] std::vector<std::string> unused_flags() const;
 
@@ -78,6 +83,8 @@ class Args {
 
  private:
   [[nodiscard]] std::optional<std::string> raw(const std::string& flag);
+  /// Comma-separated elements, none empty; empty when the flag is absent.
+  [[nodiscard]] std::vector<std::string> get_list(const std::string& flag);
 
   std::map<std::string, std::string> flags_;
   std::map<std::string, bool> consumed_;

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <ostream>
@@ -14,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/parse.hpp"
 #include "load/hyperexp.hpp"
 #include "load/onoff.hpp"
 #include "load/trace_io.hpp"
@@ -68,20 +68,21 @@ void write_expectation(std::ostream& os, const std::string& expectation) {
   }
 }
 
+/// 0 when unset: the scenario's own trial count applies.
 std::size_t env_trials() {
-  if (const char* env = std::getenv("SIMSWEEP_TRIALS")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
-  return 0;
+  const char* env = core::env_value("SIMSWEEP_TRIALS");
+  return env != nullptr ? core::parse_count(env, "SIMSWEEP_TRIALS") : 0;
 }
 
+/// 0 when unset: no watchdog.
 double env_trial_timeout() {
-  if (const char* env = std::getenv("SIMSWEEP_TRIAL_TIMEOUT")) {
-    const double v = std::atof(env);
-    if (v > 0.0) return v;
-  }
-  return 0.0;
+  const char* env = core::env_value("SIMSWEEP_TRIAL_TIMEOUT");
+  if (env == nullptr) return 0.0;
+  const double v = core::parse_finite(env, "SIMSWEEP_TRIAL_TIMEOUT");
+  if (v < 0.0)
+    throw std::invalid_argument("SIMSWEEP_TRIAL_TIMEOUT must be >= 0, got '" +
+                                std::string(env) + "'");
+  return v;
 }
 
 /// Flag > SIMSWEEP_TRIALS env > scenario.

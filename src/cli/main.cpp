@@ -51,6 +51,7 @@ commands:
   trace   emit a CPU-load trace as CSV
   status  pretty-print a live --status snapshot (exit 4 when stale)
   report  analyze artifacts: summary | diff A B (exit 3 on regression) | top
+          | validate (exit 1 when an artifact breaks its schema)
   help    this text
 
 scenario flags (run, bench):
@@ -121,6 +122,10 @@ artifact analysis (report, status):
              gate on it
   report top FILE [--limit=N] slowest cells of a profile / hottest
              histogram buckets of a metrics snapshot
+  report validate FILE...     check each artifact (metrics, timeline,
+             profile, journal, quarantine, status, series, stats) against
+             its schema: one "ok <kind> <path>" or "FAIL <path>: <rule>"
+             line per file; exits 1 when any file fails
   status FILE [--stale-after=SECONDS]  pretty-print a --status snapshot;
              exits 4 when the run claims to be live but the heartbeat is
              older than --stale-after (default 30)
@@ -305,27 +310,17 @@ int cmd_run(cli::Args& args) {
   if (stats.resource_exhausted > 0)
     std::printf("WARNING: %zu run(s) exhausted the spare pool and stopped\n",
                 stats.resource_exhausted);
-  if (stats.stalled > 0)
+  // Runs that exhausted the spare pool count as stalled too, but they gave
+  // up cleanly; only the rest deadlocked.
+  if (stats.stalled > stats.resource_exhausted)
     std::printf("WARNING: %zu run(s) stalled before the horizon "
                 "(strategy deadlock)\n",
-                stats.stalled);
+                stats.stalled - stats.resource_exhausted);
   if (stats.unfinished > stats.stalled)
     std::printf("WARNING: %zu run(s) hit the simulation horizon\n",
                 stats.unfinished - stats.stalled);
   if (obs_opts.profile) profiler.print(std::cout);
   return 0;
-}
-
-/// Comma-separated list of non-negative cell indices (test/CI hooks).
-std::vector<std::size_t> get_index_list(cli::Args& args,
-                                        const std::string& flag) {
-  std::vector<std::size_t> out;
-  for (const double v : args.get_double_list(flag, {})) {
-    if (v < 0.0)
-      throw std::invalid_argument("--" + flag + " indices must be >= 0");
-    out.push_back(static_cast<std::size_t>(v));
-  }
-  return out;
 }
 
 int cmd_sweep(cli::Args& args) {
@@ -337,8 +332,8 @@ int cmd_sweep(cli::Args& args) {
   if (flags.plan.trials == 0)
     throw std::invalid_argument("sweep: zero --trials");
   const bool json = args.get_bool("json");
-  flags.plan.hooks.inject_fail = get_index_list(args, "inject-fail");
-  flags.plan.hooks.inject_hang = get_index_list(args, "inject-hang");
+  flags.plan.hooks.inject_fail = args.get_count_list("inject-fail");
+  flags.plan.hooks.inject_hang = args.get_count_list("inject-hang");
   flags.plan.spec = scenario::sweep_scenario();
   cli::apply_config_flags(args, flags.plan.spec);
   flags.plan.spec.axis.x = args.get_double_list(

@@ -18,7 +18,8 @@ namespace {
 constexpr const char* kReportUsage =
     "usage: simsweep report summary FILE... [--json]\n"
     "       simsweep report diff A B [--abs-tol=X] [--rel-tol=X]\n"
-    "       simsweep report top FILE [--limit=N]\n";
+    "       simsweep report top FILE [--limit=N]\n"
+    "       simsweep report validate FILE...\n";
 
 int usage_error(const char* message) {
   std::fprintf(stderr, "simsweep report: %s\n%s", message, kReportUsage);
@@ -61,6 +62,23 @@ int report_top(const std::string& file, std::size_t limit) {
   return 0;
 }
 
+/// One "ok <kind> <path>" or "FAIL <path>: <rule>" line per file; exit 1
+/// when any file breaks its schema.
+int report_validate(const std::vector<std::string>& files) {
+  int code = 0;
+  for (const std::string& file : files) {
+    try {
+      const report::Artifact artifact = report::load_artifact(file);
+      std::cout << "ok " << report::to_string(artifact.kind) << ' ' << file
+                << '\n';
+    } catch (const report::ArtifactError& e) {
+      std::cout << "FAIL " << e.path() << ": " << e.rule() << '\n';
+      code = 1;
+    }
+  }
+  return code;
+}
+
 }  // namespace
 
 int cmd_report(Args& args) {
@@ -90,6 +108,10 @@ int cmd_report(Args& args) {
   if (sub == "top") {
     if (files.size() != 1) return usage_error("top needs exactly one FILE");
     return report_top(files[0], static_cast<std::size_t>(limit));
+  }
+  if (sub == "validate") {
+    if (files.empty()) return usage_error("validate needs at least one FILE");
+    return report_validate(files);
   }
   return usage_error(("unknown subcommand '" + sub + "'").c_str());
 }

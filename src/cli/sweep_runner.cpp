@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -20,7 +21,6 @@
 #include "obs/timeline.hpp"
 #include "report/artifact.hpp"
 #include "resilience/journal.hpp"
-#include "resilience/json_read.hpp"
 #include "resilience/signal.hpp"
 #include "resilience/watchdog.hpp"
 #include "simcore/simulator.hpp"
@@ -29,7 +29,6 @@ namespace simsweep::cli {
 
 namespace {
 
-using resilience::JsonValue;
 using resilience::TrialOutcomeKind;
 
 /// Version 2: the sweep is a declarative scenario; the header carries the
@@ -38,43 +37,14 @@ using resilience::TrialOutcomeKind;
 /// journals (hard-coded onoff × technique grids) cannot resume into v2.
 constexpr std::uint64_t kJournalVersion = 2;
 
-/// Rebuilds a registry from its own write_json output.  Merge-into-empty
-/// adopts snapshot values verbatim (counters add, gauges/histograms copy
-/// min/max/sum exactly), so the rebuilt registry's snapshot is bitwise the
-/// original — the salvage path cannot drift from the live path.
-std::unique_ptr<obs::MetricsRegistry> registry_from_json(const JsonValue& v) {
-  auto registry = std::make_unique<obs::MetricsRegistry>();
-  for (const auto& [name, value] : v.at("counters").object)
-    registry->counter(name).add(value.as_uint64());
-  for (const auto& [name, value] : v.at("gauges").object) {
-    obs::Gauge::Snapshot snap;
-    snap.last = value.at("last").as_double();
-    snap.min = value.at("min").as_double();
-    snap.max = value.at("max").as_double();
-    registry->gauge(name).merge(snap);
-  }
-  for (const auto& [name, value] : v.at("histograms").object) {
-    obs::Histogram::Snapshot snap;
-    for (const JsonValue& b : value.at("bounds").as_array())
-      snap.bounds.push_back(b.as_double());
-    for (const JsonValue& c : value.at("counts").as_array())
-      snap.counts.push_back(c.as_uint64());
-    snap.count = value.at("count").as_uint64();
-    snap.sum = value.at("sum").as_double();
-    snap.min = value.at("min").as_double();
-    snap.max = value.at("max").as_double();
-    registry->histogram(name, snap.bounds).merge(snap);
-  }
-  return registry;
-}
-
 /// Per-cell state, filled either by simulation or by journal replay; the
 /// final artifacts read only this, in index order, so both sources are
-/// interchangeable byte-for-byte.
+/// interchangeable byte-for-byte (a metrics snapshot read back from the
+/// journal is bitwise the registry that wrote it).
 struct CellData {
   bool done = false;
   core::TrialStats stats;
-  std::string metrics_json;   ///< registry snapshot (no meta)
+  obs::MetricsSnapshot metrics;
   std::string timeline_json;  ///< traceEvents fragment (pids pre-assigned)
   std::string raw_line;       ///< journal record, adopted verbatim on resume
 };
@@ -101,10 +71,13 @@ std::string header_line(const std::string& scenario_name,
   return os.str();
 }
 
+/// `metrics_json` / `timeline_json` are stored only when non-empty.
 std::string cell_record_line(std::size_t index, const std::string& key,
                              const obs::Provenance& prov, std::size_t trials,
-                             const std::string& label, const CellData& data,
-                             bool with_metrics, bool with_timeline) {
+                             const std::string& label,
+                             const core::TrialStats& stats,
+                             const std::string& metrics_json,
+                             const std::string& timeline_json) {
   std::ostringstream os;
   os << "{\"kind\":\"cell\",\"index\":";
   obs::write_json_number(os, static_cast<std::uint64_t>(index));
@@ -117,14 +90,14 @@ std::string cell_record_line(std::size_t index, const std::string& key,
   os << ",\"label\":";
   obs::write_json_string(os, label);
   os << ",\"outcome\":\"ok\",\"stats\":";
-  data.stats.print_json(os);
-  if (with_metrics) {
+  stats.print_json(os);
+  if (!metrics_json.empty()) {
     os << ",\"metrics\":";
-    obs::write_json_string(os, data.metrics_json);
+    obs::write_json_string(os, metrics_json);
   }
-  if (with_timeline) {
+  if (!timeline_json.empty()) {
     os << ",\"timeline\":";
-    obs::write_json_string(os, data.timeline_json);
+    obs::write_json_string(os, timeline_json);
   }
   os << '}';
   return os.str();
@@ -136,27 +109,20 @@ std::string cell_record_line(std::size_t index, const std::string& key,
       "); delete the journal or rerun the original command line");
 }
 
-void validate_header(const JsonValue& header, const std::string& scenario_name,
+void validate_header(const report::JournalModel& journal,
+                     const std::string& scenario_name,
                      const obs::Provenance& prov, std::size_t trials,
                      std::size_t cells) {
-  const JsonValue* kind = header.find("kind");
-  if (kind == nullptr || kind->as_string() != "sweep-journal")
-    resume_mismatch("not a sweep journal");
-  if (header.at("version").as_uint64() != kJournalVersion)
-    resume_mismatch("journal version " +
-                    std::to_string(header.at("version").as_uint64()));
-  if (header.at("scenario").as_string() != scenario_name)
-    resume_mismatch("scenario " + header.at("scenario").as_string() + " vs " +
-                    scenario_name);
-  if (header.at("sweep").as_string() != prov.config_digest)
-    resume_mismatch("config digest " + header.at("sweep").as_string() +
-                    " vs " + prov.config_digest);
-  if (header.at("seed").as_uint64() != prov.seed)
-    resume_mismatch("seed mismatch");
-  if (header.at("trials").as_size() != trials)
-    resume_mismatch("trials mismatch");
-  if (header.at("cells").as_size() != cells)
-    resume_mismatch("cell count mismatch");
+  if (journal.version != kJournalVersion)
+    resume_mismatch("journal version " + std::to_string(journal.version));
+  if (journal.scenario != scenario_name)
+    resume_mismatch("scenario " + journal.scenario + " vs " + scenario_name);
+  if (journal.sweep_digest != prov.config_digest)
+    resume_mismatch("config digest " + journal.sweep_digest + " vs " +
+                    prov.config_digest);
+  if (journal.seed != prov.seed) resume_mismatch("seed mismatch");
+  if (journal.trials != trials) resume_mismatch("trials mismatch");
+  if (journal.cells_total != cells) resume_mismatch("cell count mismatch");
 }
 
 /// Metric extraction for one report series at one cell (completed cells
@@ -205,47 +171,33 @@ SweepResult run_sweep(const SweepPlan& plan) {
   std::vector<CellData> cells(total);
   std::size_t reused = 0;
 
-  if (!plan.resume_path.empty()) {
-    const auto records = resilience::read_journal(plan.resume_path);
-    if (!records.empty()) {
-      validate_header(records.front().value, plan.spec.name, base_prov,
-                      trials, total);
-      // Last record per index wins: a cell that was re-executed (e.g. a
-      // previous resume needed metrics the old record lacked) appends a
-      // fresh, complete record after the stale one.
-      std::vector<const resilience::JournalLine*> by_index(total, nullptr);
-      for (std::size_t r = 1; r < records.size(); ++r) {
-        const JsonValue& v = records[r].value;
-        const JsonValue* kind = v.find("kind");
-        if (kind == nullptr || kind->as_string() != "cell") continue;
-        const std::size_t index = v.at("index").as_size();
-        if (index >= total)
-          resume_mismatch("cell index " + std::to_string(index) +
-                          " out of range");
-        by_index[index] = &records[r];
-      }
-      for (std::size_t index = 0; index < total; ++index) {
-        const resilience::JournalLine* line = by_index[index];
-        if (line == nullptr) continue;
-        const JsonValue& v = line->value;
-        if (v.at("key").as_string() != keys[index])
-          resume_mismatch("cell " + std::to_string(index) +
-                          " key mismatch despite matching header");
-        if (v.at("outcome").as_string() != "ok") continue;
-        const JsonValue* metrics = v.find("metrics");
-        const JsonValue* timeline = v.find("timeline");
-        // A record is only reusable when it stored everything this run
-        // needs; otherwise the cell silently re-executes.
-        if (plan.metrics && metrics == nullptr) continue;
-        if (plan.timeline && timeline == nullptr) continue;
-        CellData& cell = cells[index];
-        cell.stats = report::parse_stats(v.at("stats"));
-        if (metrics != nullptr) cell.metrics_json = metrics->as_string();
-        if (timeline != nullptr) cell.timeline_json = timeline->as_string();
-        cell.raw_line = line->raw;
-        cell.done = true;
-        ++reused;
-      }
+  // A resume journal that was never written (missing, unreadable or empty:
+  // peek() finds no byte) is a fresh start; any other is read through the
+  // strict journal loader, which also checks every embedded metrics
+  // snapshot before it is merged.
+  if (!plan.resume_path.empty() &&
+      std::ifstream(plan.resume_path).peek() != std::char_traits<char>::eof()) {
+    const report::Artifact artifact = report::load_artifact(plan.resume_path);
+    if (artifact.kind != report::ArtifactKind::kJournal)
+      resume_mismatch("not a sweep journal");
+    validate_header(artifact.journal, plan.spec.name, base_prov, trials,
+                    total);
+    for (const report::JournalModel::Cell& record : artifact.journal.cells) {
+      if (record.key != keys[record.index])
+        resume_mismatch("cell " + std::to_string(record.index) +
+                        " key mismatch despite matching header");
+      // A record is only reusable when it stored everything this run
+      // needs; otherwise the cell silently re-executes.
+      if (record.outcome != "ok") continue;
+      if (plan.metrics && !record.metrics) continue;
+      if (plan.timeline && !record.timeline) continue;
+      CellData& cell = cells[record.index];
+      cell.stats = record.stats;
+      if (record.metrics) cell.metrics = *record.metrics;
+      if (record.timeline) cell.timeline_json = *record.timeline;
+      cell.raw_line = record.raw;
+      cell.done = true;
+      ++reused;
     }
   }
 
@@ -342,11 +294,13 @@ SweepResult run_sweep(const SweepPlan& plan) {
             cfg, *cell.model, *cell.strategy, trials, /*jobs=*/1);
         CellData data;
         data.stats = core::reduce_trials(results);
+        std::string metrics_json;
         if (plan.metrics) {
           const auto merged = core::merge_trial_metrics(results);
+          data.metrics = merged->snapshot();
           std::ostringstream os;
           merged->write_json(os);
-          data.metrics_json = os.str();
+          metrics_json = os.str();
         }
         if (plan.timeline) {
           std::vector<obs::TimelineTracer::Process> processes;
@@ -359,9 +313,9 @@ SweepResult run_sweep(const SweepPlan& plan) {
               static_cast<std::uint32_t>(index * trials + 1));
           data.timeline_json = os.str();
         }
-        data.raw_line =
-            cell_record_line(index, keys[index], base_prov, trials,
-                             cell.label, data, plan.metrics, plan.timeline);
+        data.raw_line = cell_record_line(index, keys[index], base_prov,
+                                         trials, cell.label, data.stats,
+                                         metrics_json, data.timeline_json);
         data.done = true;
         cells[index] = std::move(data);
         executed.fetch_add(1, std::memory_order_relaxed);
@@ -405,14 +359,17 @@ SweepResult run_sweep(const SweepPlan& plan) {
     if (status != nullptr) status->cell_quarantined(index);
   });
 
-  // A stalled (deadlocked) run must fail the whole sweep when the scenario
-  // says so: its "makespan" would silently pollute the figure as an
-  // ordinary slow point.
+  // A deadlocked run must fail the whole sweep when the scenario says so:
+  // its "makespan" would silently pollute the figure as an ordinary slow
+  // point.  Runs that exhausted the spare pool also count as stalled, but
+  // they gave up cleanly and are reported as such.
   if (grid.forbid_stalls) {
     for (std::size_t index = 0; index < total; ++index) {
-      if (cells[index].done && cells[index].stats.stalled > 0)
+      const core::TrialStats& stats = cells[index].stats;
+      const std::size_t deadlocked = stats.stalled - stats.resource_exhausted;
+      if (cells[index].done && deadlocked > 0)
         throw std::runtime_error(
-            "sweep: " + std::to_string(cells[index].stats.stalled) +
+            "sweep: " + std::to_string(deadlocked) +
             " stalled run(s) in cell '" + grid.cells[index].label +
             "' — a strategy deadlocked instead of timing out");
     }
@@ -467,9 +424,7 @@ SweepResult run_sweep(const SweepPlan& plan) {
   if (plan.metrics) {
     obs::MetricsRegistry merged;
     for (const CellData& cell : cells)
-      if (cell.done && !cell.metrics_json.empty())
-        merged.merge_from(
-            *registry_from_json(resilience::parse_json(cell.metrics_json)));
+      if (cell.done) merged.merge(cell.metrics);
     std::ostringstream os;
     merged.write_json(os, &result.provenance);
     os << '\n';

@@ -126,11 +126,12 @@ struct SweepResult {
 };
 
 /// Runs (or resumes) the sweep described by `plan`.  Throws
-/// std::runtime_error when the resume journal belongs to a different sweep
-/// or is internally inconsistent, scenario::ScenarioError when the spec is
-/// not a runnable grid, std::invalid_argument on a malformed plan (empty
-/// axis, zero trials, hang injection without a watchdog), and
-/// std::runtime_error when the scenario forbids stalls and a cell stalled.
+/// report::ArtifactError when the resume journal breaks the journal schema,
+/// std::runtime_error when it belongs to a different sweep,
+/// scenario::ScenarioError when the spec is not a runnable grid,
+/// std::invalid_argument on a malformed plan (empty axis, zero trials, hang
+/// injection without a watchdog), and std::runtime_error when the scenario
+/// forbids stalls and a cell deadlocked.
 [[nodiscard]] SweepResult run_sweep(const SweepPlan& plan);
 
 }  // namespace simsweep::cli

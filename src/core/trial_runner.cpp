@@ -1,7 +1,8 @@
 #include "core/trial_runner.hpp"
 
-#include <cstdlib>
 #include <exception>
+
+#include "core/parse.hpp"
 
 namespace simsweep::core {
 
@@ -35,8 +36,8 @@ TrialRunner::~TrialRunner() {
 }
 
 std::size_t TrialRunner::default_parallelism() {
-  if (const char* env = std::getenv("SIMSWEEP_JOBS")) {
-    const long v = std::atol(env);
+  if (const char* env = env_value("SIMSWEEP_JOBS")) {
+    const std::uint64_t v = parse_count(env, "SIMSWEEP_JOBS");
     if (v > 0) return static_cast<std::size_t>(v);
   }
   const unsigned hw = std::thread::hardware_concurrency();

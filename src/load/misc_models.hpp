@@ -9,7 +9,7 @@
 
 #include "load/load_model.hpp"
 #include "load/onoff.hpp"
-#include "simcore/trace_recorder.hpp"
+#include "simcore/step_series.hpp"
 
 namespace simsweep::load {
 

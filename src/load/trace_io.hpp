@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "simcore/trace_recorder.hpp"
+#include "simcore/step_series.hpp"
 
 namespace simsweep::load {
 

@@ -48,6 +48,11 @@ void Histogram::merge(const Snapshot& other) {
     throw std::invalid_argument(
         "Histogram::merge: bucket bounds mismatch (merged histograms must "
         "describe the same quantity)");
+  if (other.counts.size() != counts_.size())
+    throw std::invalid_argument(
+        "Histogram::merge: " + std::to_string(other.counts.size()) +
+        " counts for " + std::to_string(bounds_.size()) +
+        " bounds (want bounds + 1)");
   for (std::size_t i = 0; i < counts_.size(); ++i)
     counts_[i] += other.counts[i];
   if (other.count == 0) return;
@@ -156,24 +161,23 @@ bool MetricsRegistry::empty() const {
   return counters_.empty() && gauges_.empty() && histograms_.empty();
 }
 
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  // Copy the other side out under its lock, then apply through the public
-  // get-or-create API (which takes our lock per call) — never both at once.
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, Gauge::Snapshot>> gauges;
-  std::vector<std::pair<std::string, Histogram::Snapshot>> histograms;
-  {
-    const std::lock_guard<std::mutex> lock(other.mutex_);
-    for (const auto& [name, c] : other.counters_)
-      counters.emplace_back(name, c.value());
-    for (const auto& [name, g] : other.gauges_)
-      gauges.emplace_back(name, g.snapshot());
-    for (const auto& [name, h] : other.histograms_)
-      histograms.emplace_back(name, h.snapshot());
-  }
-  for (const auto& [name, value] : counters) counter(name).add(value);
-  for (const auto& [name, snap] : gauges) gauge(name).merge(snap);
-  for (const auto& [name, snap] : histograms)
+MetricsSnapshot MetricsRegistry::snapshot() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  MetricsSnapshot out;
+  for (const auto& [name, c] : counters_) out.counters[name] = c.value();
+  for (const auto& [name, g] : gauges_) out.gauges[name] = g.snapshot();
+  for (const auto& [name, h] : histograms_)
+    out.histograms[name] = h.snapshot();
+  return out;
+}
+
+void MetricsRegistry::merge(const MetricsSnapshot& other) {
+  // Applied through the public get-or-create API, which takes our lock per
+  // call; merge_from copies the other registry out under its own lock
+  // first, so the two locks are never held at once.
+  for (const auto& [name, value] : other.counters) counter(name).add(value);
+  for (const auto& [name, snap] : other.gauges) gauge(name).merge(snap);
+  for (const auto& [name, snap] : other.histograms)
     histogram(name, snap.bounds).merge(snap);
 }
 

@@ -113,7 +113,8 @@ class Histogram {
   }
 
   /// Adds another histogram's buckets in.  Throws std::invalid_argument on a
-  /// bounds mismatch — merged histograms must describe the same quantity.
+  /// bounds mismatch — merged histograms must describe the same quantity —
+  /// or when `other` does not carry exactly bounds.size() + 1 counts.
   void merge(const Snapshot& other);
   [[nodiscard]] Snapshot snapshot() const;
 
@@ -133,6 +134,14 @@ class Histogram {
 /// "base{key=value}" — the labelled-metric naming convention.
 [[nodiscard]] std::string labelled(std::string_view base, std::string_view key,
                                    std::string_view value);
+
+/// Every metric of a registry by value, keys sorted: what write_json prints
+/// and what the metrics loader (report/artifact.hpp) reads back.
+struct MetricsSnapshot {
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, Gauge::Snapshot> gauges;
+  std::map<std::string, Histogram::Snapshot> histograms;
+};
 
 class MetricsRegistry {
  public:
@@ -168,12 +177,16 @@ class MetricsRegistry {
       std::string_view name) const;
   [[nodiscard]] std::vector<std::string> counter_names() const;
   [[nodiscard]] bool empty() const;
+  [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Folds `other` into this registry: counters and histogram buckets add,
-  /// gauges last-write-wins with combined min/max.  Merging per-trial
-  /// registries in trial-index order is associative and independent of how
-  /// trials were scheduled across workers — the --jobs identity.
-  void merge_from(const MetricsRegistry& other);
+  /// Folds a snapshot in: counters and histogram buckets add, gauges
+  /// last-write-wins with combined min/max.  Merging per-trial registries in
+  /// trial-index order is associative and independent of how trials were
+  /// scheduled across workers — the --jobs identity.  Merging a snapshot
+  /// read back from write_json output is bitwise the same as merging the
+  /// registry that wrote it.
+  void merge(const MetricsSnapshot& other);
+  void merge_from(const MetricsRegistry& other) { merge(other.snapshot()); }
 
   /// Deterministic snapshot: {"meta":..?,"counters":{},"gauges":{},
   /// "histograms":{}} with sorted keys and round-trip doubles.

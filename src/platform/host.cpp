@@ -67,8 +67,6 @@ void Host::record_state() {
   load_history_.push_back(sim::Sample{
       simulator_.now(),
       online_ ? static_cast<double>(external_load_) : kOfflineMarker});
-  if (trace_ != nullptr)
-    trace_->record("avail." + name_, simulator_.now(), availability());
   if (obs::MetricsRegistry* metrics = simulator_.metrics()) {
     if (load_changes_metric_ == nullptr) {
       static const std::vector<double> kAvailabilityBounds{
@@ -103,12 +101,6 @@ std::shared_ptr<ComputeTask> Host::start_compute(double work,
   tasks_.push_back(task);
   replan();  // adding a task changes every task's share
   return task;
-}
-
-void Host::attach_trace(sim::TraceRecorder* recorder) {
-  trace_ = recorder;
-  if (trace_ != nullptr)
-    trace_->record("avail." + name_, simulator_.now(), availability());
 }
 
 double Host::mean_availability(SimTime t0, SimTime t1) const {

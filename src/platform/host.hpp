@@ -20,7 +20,7 @@
 
 #include "simcore/sim_time.hpp"
 #include "simcore/simulator.hpp"
-#include "simcore/trace_recorder.hpp"
+#include "simcore/step_series.hpp"
 
 namespace simsweep::platform {
 
@@ -122,10 +122,6 @@ class Host {
     return tasks_.size();
   }
 
-  /// Optional availability trace: when a recorder is attached the host logs
-  /// availability() on every load change under series "avail.<name>".
-  void attach_trace(sim::TraceRecorder* recorder);
-
   /// Recorded load history since construction: sample values are the
   /// competing-process count while online and kOfflineMarker (-1) while the
   /// host is reclaimed.  Used by performance-history estimators.
@@ -167,7 +163,6 @@ class Host {
   bool crashed_ = false;
   std::vector<std::shared_ptr<ComputeTask>> tasks_;
   std::vector<sim::Sample> load_history_;
-  sim::TraceRecorder* trace_ = nullptr;
 
   // Cached observability handles: record_state fires on every load change
   // (the hottest instrumented path), and the registry/tracer are fixed for

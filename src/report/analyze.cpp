@@ -169,6 +169,9 @@ Flat flatten(const Artifact& artifact) {
       out.emplace_back("timeline/processes",
                        double(artifact.timeline.processes));
       break;
+    case ArtifactKind::kStats:
+      flatten_stats(out, "stats", artifact.stats);
+      break;
   }
   return out;
 }
@@ -227,12 +230,12 @@ void print_diff(std::ostream& os, const Artifact& a, const Artifact& b,
                 const DiffResult& result) {
   os << "diff " << a.path << " vs " << b.path << " ("
      << to_string(a.kind) << ")\n";
-  if (a.meta.present && b.meta.present &&
-      a.meta.config_digest != b.meta.config_digest)
-    os << "note: config digests differ (" << a.meta.config_digest << " vs "
-       << b.meta.config_digest << ") — comparing different experiments\n";
-  if (a.meta.partial || b.meta.partial)
-    os << "note: " << (a.meta.partial ? "A" : "B")
+  if (a.meta && b.meta && a.meta->config_digest != b.meta->config_digest)
+    os << "note: config digests differ (" << a.meta->config_digest << " vs "
+       << b.meta->config_digest << ") — comparing different experiments\n";
+  const bool partial_a = a.meta && a.meta->partial;
+  if (partial_a || (b.meta && b.meta->partial))
+    os << "note: " << (partial_a ? "A" : "B")
        << " is a partial artifact — an interrupted run flushed what it had\n";
   std::size_t gating = 0;
   for (const KeyDelta& d : result.deltas) {
@@ -251,30 +254,12 @@ void print_diff(std::ostream& os, const Artifact& a, const Artifact& b,
   os << (result.regression() ? "verdict: REGRESSION\n" : "verdict: ok\n");
 }
 
-namespace {
-
-void write_meta_json(std::ostream& os, const Meta& meta) {
-  if (!meta.present) {
-    os << "null";
-    return;
-  }
-  obs::Provenance prov;
-  prov.version = meta.version;
-  prov.build_type = meta.build_type;
-  prov.seed = meta.seed;
-  prov.config_digest = meta.config_digest;
-  prov.partial = meta.partial;
-  prov.write_json(os);
-}
-
-}  // namespace
-
 void print_summary(std::ostream& os, const Artifact& artifact) {
   os << artifact.path << ": " << to_string(artifact.kind);
-  if (artifact.meta.present) {
-    os << " (seed " << artifact.meta.seed << ", config "
-       << artifact.meta.config_digest
-       << (artifact.meta.partial ? ", PARTIAL" : "") << ")";
+  if (artifact.meta) {
+    os << " (seed " << artifact.meta->seed << ", config "
+       << artifact.meta->config_digest
+       << (artifact.meta->partial ? ", PARTIAL" : "") << ")";
   }
   os << '\n';
   switch (artifact.kind) {
@@ -336,6 +321,14 @@ void print_summary(std::ostream& os, const Artifact& artifact) {
          << m.x.size() << " point(s) of " << m.x_label << '\n';
       break;
     }
+    case ArtifactKind::kStats: {
+      const core::TrialStats& s = artifact.stats;
+      os << "  " << s.trials << " trial(s): makespan mean " << fmt(s.mean)
+         << " s (stddev " << fmt(s.stddev) << "), " << s.unfinished
+         << " unfinished, " << fmt(s.mean_adaptations)
+         << " adaptation(s) per run\n";
+      break;
+    }
   }
 }
 
@@ -345,7 +338,10 @@ void write_summary_json(std::ostream& os, const Artifact& artifact) {
   os << ",\"path\":";
   obs::write_json_string(os, artifact.path);
   os << ",\"meta\":";
-  write_meta_json(os, artifact.meta);
+  if (artifact.meta)
+    artifact.meta->write_json(os);
+  else
+    os << "null";
   os << ",\"values\":{";
   bool first = true;
   for (const auto& [key, value] : flatten(artifact)) {

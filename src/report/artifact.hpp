@@ -1,30 +1,26 @@
-// Typed read-back of every JSON artifact the simulator emits.
+// Typed, strict read-back of every JSON artifact the simulator emits: the
+// one reader of each artifact schema.  Each loader inverts its emitter
+// through resilience::parse_json (a loaded double is bitwise the one the
+// simulator wrote) and enforces the schema while it reads: keys and their
+// order, value kinds, the provenance block, and cross-field invariants (one
+// more histogram count than bounds, status cells that add up, journal
+// records that repeat their header's seed).  A violation throws
+// ArtifactError naming the file and the rule.
 //
-// PR 5/6 gave the repo rich artifacts — metrics snapshots, Chrome
-// timelines, trial-engine profiles, sweep journals, quarantine reports —
-// and PR 10 adds live status snapshots; until now nothing in-tree could
-// read any of them back.  This library inverts the emitters through the
-// same minimal JSON reader the resume path trusts
-// (resilience::parse_json), so a value loaded here compares bitwise-equal
-// to the double the simulator wrote (shortest round-trip out, from_chars
-// back in).  `load_artifact` sniffs the kind from the document structure —
-// no filename conventions — and returns one typed model per kind.
-//
-// Consumers: `simsweep report` (summary / diff / top), `simsweep status`,
-// and tests that want to assert on artifact contents without regexes.
+// Consumers: `simsweep report` (summary / diff / top / validate),
+// `simsweep status`, `sweep --resume`, and tests.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
-
-namespace simsweep::resilience {
-class JsonValue;
-}
+#include "obs/metrics.hpp"
+#include "obs/provenance.hpp"
 
 namespace simsweep::report {
 
@@ -35,35 +31,30 @@ enum class ArtifactKind : std::uint8_t {
   kJournal,     ///< sweep journal, JSONL (--journal)
   kQuarantine,  ///< quarantine report (--quarantine)
   kStatus,      ///< live status snapshot (--status)
-  kSeries,      ///< a SeriesReport printed with --json
+  kSeries,      ///< a SeriesReport printed with --json (sweep)
+  kStats,       ///< TrialStats printed with --json (run)
 };
 
 [[nodiscard]] std::string_view to_string(ArtifactKind kind) noexcept;
 
-/// The provenance "meta" block, when the artifact carries one.
-struct Meta {
-  bool present = false;
-  std::string version;
-  std::string build_type;
-  std::uint64_t seed = 0;
-  std::string config_digest;
-  bool partial = false;
+/// A malformed or unrecognizable artifact.  what() reads
+/// "report: '<path>': <rule>".
+class ArtifactError : public std::runtime_error {
+ public:
+  ArtifactError(const std::string& path, const std::string& rule)
+      : std::runtime_error("report: '" + path + "': " + rule),
+        path_(path),
+        rule_(rule) {}
+
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+  [[nodiscard]] const std::string& rule() const noexcept { return rule_; }
+
+ private:
+  std::string path_;
+  std::string rule_;
 };
 
-struct MetricsModel {
-  struct Gauge {
-    double last = 0.0, min = 0.0, max = 0.0;
-  };
-  struct Histogram {
-    std::uint64_t count = 0;
-    double sum = 0.0, min = 0.0, max = 0.0;
-    std::vector<double> bounds;           ///< upper bucket bounds
-    std::vector<std::uint64_t> counts;    ///< bounds.size() + 1 buckets
-  };
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, Gauge> gauges;
-  std::map<std::string, Histogram> histograms;
-};
+using MetricsModel = obs::MetricsSnapshot;
 
 /// Timelines are too big to model event-by-event; the summary facts suffice.
 struct TimelineModel {
@@ -97,8 +88,11 @@ struct JournalModel {
     std::string label;
     std::string outcome;
     core::TrialStats stats;
+    std::optional<MetricsModel> metrics;  ///< embedded snapshot (no meta)
+    std::optional<std::string> timeline;  ///< traceEvents fragment
+    std::string raw;                      ///< the record line, verbatim
   };
-  /// Completed cells, index order, last record per index (the resume rule).
+  /// Recorded cells, index order, last record per index (the resume rule).
   std::vector<Cell> cells;
 };
 
@@ -146,7 +140,8 @@ struct SeriesModel {
 struct Artifact {
   ArtifactKind kind = ArtifactKind::kMetrics;
   std::string path;
-  Meta meta;
+  /// The provenance block; every file artifact except the journal has one.
+  std::optional<obs::Provenance> meta;
 
   MetricsModel metrics;
   TimelineModel timeline;
@@ -155,18 +150,15 @@ struct Artifact {
   QuarantineModel quarantine;
   StatusModel status;
   SeriesModel series;
+  core::TrialStats stats;  ///< doubles written as null read as NaN
 };
 
-/// Reads back a TrialStats::print_json object (its fields, not the meta
-/// block).  Null-tolerant: doubles written as null (non-finite) read as
-/// NaN; every finite double reads back bitwise-equal.
-[[nodiscard]] core::TrialStats parse_stats(const resilience::JsonValue& v);
-
 /// Loads `path`, sniffs the artifact kind from the document structure (a
-/// "kind" member, or the emitter's distinctive top-level keys), and parses
-/// it into the matching typed model.  Throws std::runtime_error on missing
-/// files and unrecognizable documents, resilience::JsonError on malformed
-/// JSON.
+/// "kind" member, or the emitter's distinctive top-level keys), checks it
+/// against that kind's schema and parses it into the matching typed model.
+/// Throws ArtifactError on a missing file, malformed JSON, an unrecognizable
+/// document or a schema violation.  A torn final journal line (a write that
+/// was never durable) is ignored, exactly as `--resume` ignores it.
 [[nodiscard]] Artifact load_artifact(const std::string& path);
 
 }  // namespace simsweep::report

@@ -1,6 +1,5 @@
 #include "resilience/journal.hpp"
 
-#include <fstream>
 #include <stdexcept>
 #include <utility>
 
@@ -33,25 +32,6 @@ void JournalWriter::flush() {
 std::size_t JournalWriter::record_count() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return lines_.size();
-}
-
-std::vector<JournalLine> read_journal(const std::string& path) {
-  std::vector<JournalLine> out;
-  std::ifstream in(path);
-  if (!in) return out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    JournalLine record;
-    try {
-      record.value = parse_json(line);
-    } catch (const JsonError&) {
-      break;  // torn tail from a non-atomic writer: keep the durable prefix
-    }
-    record.raw = std::move(line);
-    out.push_back(std::move(record));
-  }
-  return out;
 }
 
 }  // namespace simsweep::resilience

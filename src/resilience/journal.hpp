@@ -13,14 +13,13 @@
 // The writer holds the lines in memory (a sweep journals one line per cell,
 // hundreds at most) and is thread-safe: worker threads finishing cells call
 // append() concurrently.  Record *content* is the caller's contract — the
-// journal stores opaque single-line strings and hands parsed JSON back.
+// journal stores opaque single-line strings; the one reader is the typed
+// journal loader (report::load_artifact).
 #pragma once
 
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "resilience/json_read.hpp"
 
 namespace simsweep::resilience {
 
@@ -50,18 +49,5 @@ class JournalWriter {
   mutable std::mutex mutex_;
   std::vector<std::string> lines_;
 };
-
-/// One parsed journal line plus its raw text (adopted verbatim on resume).
-struct JournalLine {
-  std::string raw;
-  JsonValue value;
-};
-
-/// Reads `path` and parses each line.  A missing file returns an empty
-/// vector (resume of a journal that never got written is a fresh start).
-/// Reading stops silently at the first malformed line: with the atomic-
-/// rename writer that only happens when someone else appended to the file,
-/// and the torn tail is exactly the part that was never durable.
-[[nodiscard]] std::vector<JournalLine> read_journal(const std::string& path);
 
 }  // namespace simsweep::resilience

@@ -4,6 +4,8 @@
 #include <charconv>
 #include <cstddef>
 
+#include "core/parse.hpp"
+
 namespace simsweep::resilience {
 
 namespace {
@@ -292,17 +294,14 @@ double JsonValue::as_double() const {
 
 std::uint64_t JsonValue::as_uint64() const {
   if (kind != Kind::kNumber) wrong_kind("a number");
-  std::uint64_t out = 0;
-  const auto [end, ec] =
-      std::from_chars(number.data(), number.data() + number.size(), out);
-  if (ec != std::errc() || end != number.data() + number.size())
-    throw JsonError("json: number token '" + number +
-                    "' is not an unsigned integer");
-  return out;
+  if (const std::optional<std::uint64_t> out = to_uint64()) return *out;
+  throw JsonError("json: number token '" + number +
+                  "' is not an unsigned integer");
 }
 
-std::size_t JsonValue::as_size() const {
-  return static_cast<std::size_t>(as_uint64());
+std::optional<std::uint64_t> JsonValue::to_uint64() const noexcept {
+  if (kind != Kind::kNumber) return std::nullopt;
+  return core::to_count(number);
 }
 
 const std::string& JsonValue::as_string() const {

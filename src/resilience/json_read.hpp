@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -48,7 +49,9 @@ class JsonValue {
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_double() const;
   [[nodiscard]] std::uint64_t as_uint64() const;
-  [[nodiscard]] std::size_t as_size() const;
+  /// as_uint64 without the throw: nullopt for anything that is not a
+  /// number token spelling a whole uint64.
+  [[nodiscard]] std::optional<std::uint64_t> to_uint64() const noexcept;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const std::vector<JsonValue>& as_array() const;
 

@@ -104,6 +104,16 @@ class Section {
     return v == nullptr ? fallback : to_double(*v, key);
   }
 
+  /// A present value must be > 0 (the fallback is trusted).
+  double get_positive(std::string_view key, double fallback) {
+    const JsonValue* v = find(key);
+    if (v == nullptr) return fallback;
+    const double out = to_double(*v, key);
+    if (!(out > 0.0))
+      ctx_.fail(v->offset, "'" + std::string(key) + "' must be > 0");
+    return out;
+  }
+
   std::uint64_t get_uint(std::string_view key, std::uint64_t fallback) {
     const JsonValue* v = find(key);
     return v == nullptr ? fallback : to_uint(*v, key);
@@ -378,7 +388,10 @@ AxisSpec parse_axis(const Ctx& ctx, const JsonValue& value) {
     out.binding =
         parse_enum(ctx, *binds, kBindingNames, "axis binding", binds->string);
   }
+  const JsonValue* x = s.find("x");
   out.x = s.get_double_list("x");
+  if (out.x.empty())
+    ctx.fail(x != nullptr ? x->offset : value.offset, "'x' must not be empty");
   out.interarrival_factor =
       s.get_double("interarrival_factor", out.interarrival_factor);
   out.on_positive_swap_fail_prob = s.get_double(
@@ -539,7 +552,10 @@ ScenarioSpec parse_scenario(std::string_view text,
     }
     const JsonValue* faults = s.find("faults");
     if (faults != nullptr) parse_faults(ctx, *faults, out);
+    const JsonValue* trials = s.find("trials");
     out.trials = s.get_size("trials", out.trials);
+    if (trials != nullptr && out.trials == 0)
+      ctx.fail(trials->offset, "'trials' must be >= 1");
   }
 
   switch (out.kind) {
@@ -552,14 +568,20 @@ ScenarioSpec parse_scenario(std::string_view text,
       const JsonValue& variants = s.require("variants");
       if (variants.kind != JsonValue::Kind::kArray)
         ctx.fail(variants.offset, "'variants' must be an array");
-      for (std::size_t i = 0; i < variants.array.size(); ++i)
+      for (std::size_t i = 0; i < variants.array.size(); ++i) {
         out.variants.push_back(parse_variant(ctx, variants.array[i], i));
+        for (std::size_t j = 0; j < i; ++j)
+          if (out.variants[j].name == out.variants[i].name)
+            ctx.fail(variants.array[i].offset,
+                     "variants[" + std::to_string(i) + "] duplicates name '" +
+                         out.variants[i].name + "'");
+      }
       if (out.variants.empty())
         ctx.fail(variants.offset, "'variants' must not be empty");
       const JsonValue* reports = s.find("reports");
       if (reports != nullptr) {
-        if (reports->kind != JsonValue::Kind::kArray)
-          ctx.fail(reports->offset, "'reports' must be an array");
+        if (reports->kind != JsonValue::Kind::kArray || reports->array.empty())
+          ctx.fail(reports->offset, "'reports' must be a non-empty array");
         for (std::size_t i = 0; i < reports->array.size(); ++i)
           out.reports.push_back(parse_report(ctx, reports->array[i], i));
         for (const ReportSpec& report : out.reports)
@@ -578,8 +600,8 @@ ScenarioSpec parse_scenario(std::string_view text,
       const JsonValue* payback = s.find("payback");
       if (payback != nullptr) {
         Section p(ctx, *payback, "payback");
-        out.payback_iter_s = p.get_double("iter_s", out.payback_iter_s);
-        out.payback_swap_s = p.get_double("swap_s", out.payback_swap_s);
+        out.payback_iter_s = p.get_positive("iter_s", out.payback_iter_s);
+        out.payback_swap_s = p.get_positive("swap_s", out.payback_swap_s);
         p.finish();
       }
       break;
@@ -589,7 +611,8 @@ ScenarioSpec parse_scenario(std::string_view text,
       const JsonValue* trace = s.find("trace");
       if (trace != nullptr) {
         Section t(ctx, *trace, "trace");
-        out.trace_horizon_s = t.get_double("horizon_s", out.trace_horizon_s);
+        out.trace_horizon_s =
+            t.get_positive("horizon_s", out.trace_horizon_s);
         out.trace_seed = t.get_uint("seed", out.trace_seed);
         t.finish();
       }

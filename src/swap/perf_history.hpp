@@ -11,7 +11,7 @@
 #include <deque>
 
 #include "audit/auditor.hpp"
-#include "simcore/trace_recorder.hpp"
+#include "simcore/step_series.hpp"
 
 namespace simsweep::swap {
 

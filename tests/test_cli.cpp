@@ -2,11 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cli/args.hpp"
+#include "cli/bench_cmd.hpp"
 #include "cli/config_build.hpp"
+#include "core/trial_runner.hpp"
 #include "load/hyperexp.hpp"
 #include "load/onoff.hpp"
 #include "load/reclamation.hpp"
@@ -59,6 +64,23 @@ TEST(Args, MalformedValuesThrow) {
   cli::Args h({"--n=7"});
   EXPECT_EQ(h.get_count("n", 0), 7u);
   EXPECT_EQ(h.get_count("absent", ~std::uint64_t{0}), ~std::uint64_t{0});
+  // The whole string must be the count: no suffixes, signs, fractions,
+  // exponents or values past 2^64 - 1.
+  for (const char* text : {"2x", "+3", " 3", "", "2.7", "1e3",
+                           "18446744073709551616"}) {
+    cli::Args bad({std::string("--n=") + text});
+    EXPECT_THROW((void)bad.get_count("n", 0), std::invalid_argument) << text;
+  }
+  // Cell-index lists (--inject-fail / --inject-hang) parse each element as
+  // a count instead of truncating a double.
+  for (const char* text : {"2.7", "1e30", "-1", "1,,2", "0,x"}) {
+    cli::Args bad({std::string("--cells=") + text});
+    EXPECT_THROW((void)bad.get_count_list("cells"), std::invalid_argument)
+        << text;
+  }
+  cli::Args cells({"--cells=3,0"});
+  EXPECT_EQ(cells.get_count_list("cells"), (std::vector<std::size_t>{3, 0}));
+  EXPECT_TRUE(cells.get_count_list("absent").empty());
 }
 
 TEST(Args, DoubleListParses) {
@@ -252,4 +274,98 @@ TEST(ConfigBuild, PredictorSelection) {
   }
   cli::Args bad({"--strategy=swap", "--predictor=psychic"});
   EXPECT_THROW((void)cli::build_strategy(bad), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Environment variables parse like flags: "" means unset, anything malformed
+// fails with an error naming the variable.
+
+/// Sets (or, with nullptr, unsets) one variable for the guard's lifetime.
+class EnvGuard {
+ public:
+  EnvGuard(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) saved_ = old;
+    if (value != nullptr)
+      ::setenv(name, value, 1);
+    else
+      ::unsetenv(name);
+  }
+  ~EnvGuard() {
+    if (saved_)
+      ::setenv(name_, saved_->c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+  EnvGuard(const EnvGuard&) = delete;
+  EnvGuard& operator=(const EnvGuard&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+/// Expects `body` to throw std::invalid_argument whose message names `what`.
+template <typename Body>
+void expect_named_error(Body body, const std::string& what,
+                        const std::string& value) {
+  try {
+    body();
+    ADD_FAILURE() << what << "='" << value << "' was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
+/// A one-cell grid: the env checks fail before anything is simulated.
+cli::GridFlags tiny_bench() {
+  cli::GridFlags flags;
+  flags.plan.spec = simsweep::scenario::sweep_scenario();
+  flags.plan.spec.hosts = 8;
+  flags.plan.spec.spares = 4;
+  flags.plan.spec.iterations = 5;
+  flags.plan.spec.axis.x = {0.0};
+  flags.plan.spec.variants.resize(1);
+  flags.plan.jobs = 1;
+  flags.plan.hooks.interrupted = [] { return false; };
+  return flags;
+}
+
+TEST(EnvVars, JobsParsesWholeString) {
+  for (const char* value : {"2x", "abc", "-3"}) {
+    const EnvGuard env("SIMSWEEP_JOBS", value);
+    expect_named_error(
+        [] { (void)simsweep::core::TrialRunner::default_parallelism(); },
+        "SIMSWEEP_JOBS", value);
+  }
+  const EnvGuard three("SIMSWEEP_JOBS", "3");
+  EXPECT_EQ(simsweep::core::TrialRunner::default_parallelism(), 3u);
+  const EnvGuard empty("SIMSWEEP_JOBS", "");  // unset, as for SIMSWEEP_METRICS
+  EXPECT_GE(simsweep::core::TrialRunner::default_parallelism(), 1u);
+}
+
+TEST(EnvVars, TrialsParsesWholeString) {
+  for (const char* value : {"2x", "abc", "-3"}) {
+    const EnvGuard env("SIMSWEEP_TRIALS", value);
+    std::ostringstream out;
+    expect_named_error(
+        [&out] { (void)cli::run_bench_scenario(tiny_bench(), out); },
+        "SIMSWEEP_TRIALS", value);
+    EXPECT_TRUE(out.str().empty());
+  }
+  const EnvGuard empty("SIMSWEEP_TRIALS", "");
+  std::ostringstream out;
+  cli::GridFlags flags = tiny_bench();
+  flags.plan.spec.trials = 1;
+  EXPECT_EQ(cli::run_bench_scenario(flags, out), 0);
+  EXPECT_NE(out.str().find("-- json --"), std::string::npos);
+}
+
+TEST(EnvVars, TrialTimeoutParsesWholeString) {
+  for (const char* value : {"inf", "nan", "-1", "2s"}) {
+    const EnvGuard env("SIMSWEEP_TRIAL_TIMEOUT", value);
+    std::ostringstream out;
+    expect_named_error(
+        [&out] { (void)cli::run_bench_scenario(tiny_bench(), out); },
+        "SIMSWEEP_TRIAL_TIMEOUT", value);
+  }
 }

@@ -1,4 +1,4 @@
-// Edge-coverage batch: swampi sendrecv/iprobe, host tracing, network
+// Edge-coverage batch: swampi sendrecv/iprobe, host load history, network
 // cancellation during the latency phase, simulator drain semantics, cluster
 // queries under churn.
 #include <gtest/gtest.h>
@@ -6,7 +6,6 @@
 #include "net/shared_link.hpp"
 #include "platform/cluster.hpp"
 #include "simcore/simulator.hpp"
-#include "simcore/trace_recorder.hpp"
 #include "swampi/comm.hpp"
 #include "swampi/runtime.hpp"
 
@@ -63,18 +62,17 @@ TEST(SwampiIprobe, SeesOnlyMatchingMessages) {
 TEST(HostTrace, AttachedRecorderLogsAvailabilityChanges) {
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "traced");
-  sim::TraceRecorder rec;
-  h.attach_trace(&rec);
   (void)s.after(1.0, [&] { h.set_external_load(1); });
   (void)s.after(2.0, [&] { h.set_online(false); });
   (void)s.after(3.0, [&] { h.set_online(true); });
   s.run();
-  const auto& series = rec.series("avail.traced");
-  ASSERT_EQ(series.size(), 4u);  // attach + three changes
-  EXPECT_DOUBLE_EQ(series[0].value, 1.0);
-  EXPECT_DOUBLE_EQ(series[1].value, 0.5);
-  EXPECT_DOUBLE_EQ(series[2].value, 0.0);
-  EXPECT_DOUBLE_EQ(series[3].value, 0.5);  // competitor persisted offline
+  const auto& history = h.load_history();
+  ASSERT_EQ(history.size(), 4u);  // construction + three changes
+  EXPECT_EQ(history[0], (sim::Sample{0.0, 0.0}));
+  EXPECT_EQ(history[1], (sim::Sample{1.0, 1.0}));
+  EXPECT_EQ(history[2], (sim::Sample{2.0, pf::Host::kOfflineMarker}));
+  EXPECT_EQ(history[3], (sim::Sample{3.0, 1.0}));  // competitor persisted
+  EXPECT_DOUBLE_EQ(h.availability(), 0.5);
 }
 
 TEST(SharedLinkEdge, CancelDuringLatencyPhaseIsClean) {

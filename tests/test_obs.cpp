@@ -99,6 +99,20 @@ TEST(Metrics, HistogramRejectsUnsortedBoundsAndMismatchedMerge) {
   EXPECT_THROW(a.merge(b.snapshot()), std::invalid_argument);
 }
 
+TEST(Metrics, MergeRejectsSnapshotWithoutOneCountPerBucket) {
+  // A snapshot read from a malformed artifact must not index past the end
+  // of the bucket array: bounds + 1 counts, overflow bucket last.
+  obs::Histogram h({1.0, 2.0});
+  obs::Histogram::Snapshot short_snap{{1.0, 2.0}, {1, 0}, 1, 0.5, 0.5, 0.5};
+  EXPECT_THROW(h.merge(short_snap), std::invalid_argument);
+  obs::Histogram::Snapshot long_snap{{1.0, 2.0}, {1, 0, 0, 0}, 1, 0.5, 0.5,
+                                     0.5};
+  EXPECT_THROW(h.merge(long_snap), std::invalid_argument);
+  EXPECT_EQ(h.snapshot().count, 0u);  // nothing was folded in
+  h.merge({{1.0, 2.0}, {1, 0, 0}, 1, 0.5, 0.5, 0.5});
+  EXPECT_EQ(h.snapshot().counts[0], 1u);
+}
+
 TEST(Metrics, RegistryRejectsBoundsRedefinition) {
   obs::MetricsRegistry registry;
   (void)registry.histogram("lat", {1.0, 2.0});
@@ -266,6 +280,58 @@ TEST(Profiler, ReportArithmetic) {
   EXPECT_EQ(report.workers[1].tasks, 2u);
   EXPECT_DOUBLE_EQ(report.workers[1].busy_s, 4.0);
   EXPECT_DOUBLE_EQ(report.workers[1].utilization, 1.0);
+}
+
+/// True when `line` is `shape` with each '#' standing for one number in
+/// iostream's default form; the numbers are appended to `numbers`.
+bool matches_shape(const std::string& line, const std::string& shape,
+                   std::vector<double>& numbers) {
+  std::size_t at = 0;
+  for (const char c : shape) {
+    if (c != '#') {
+      if (at >= line.size() || line[at] != c) return false;
+      ++at;
+      continue;
+    }
+    const std::size_t end = line.find_first_not_of("0123456789.e+-", at);
+    const std::string token = line.substr(at, end - at);
+    if (token.empty()) return false;
+    numbers.push_back(std::stod(token));
+    at = end == std::string::npos ? line.size() : end;
+  }
+  return at == line.size();
+}
+
+TEST(Profiler, PrintEmitsFourLineShapes) {
+  // The --profile text: a wall-clock summary, trial durations, queue waits,
+  // then one utilization line per worker.
+  obs::TrialProfiler profiler;
+  profiler.record(0, 0, 0.0, 0.0, 2.0);
+  profiler.record(1, 1, 0.0, 0.5, 1.0);
+  std::ostringstream out;
+  profiler.print(out);
+  std::istringstream lines(out.str());
+  std::vector<std::string> got;
+  for (std::string line; std::getline(lines, line);) got.push_back(line);
+  ASSERT_EQ(got.size(), 5u) << out.str();
+  std::vector<double> n;
+  EXPECT_TRUE(matches_shape(got[0], "profile: # trials in # s wall", n))
+      << got[0];
+  EXPECT_TRUE(matches_shape(
+      got[1], "profile: trial duration mean=# s min=# s max=# s", n))
+      << got[1];
+  EXPECT_TRUE(matches_shape(got[2], "profile: queue wait mean=# s max=# s", n))
+      << got[2];
+  for (std::size_t i = 3; i < got.size(); ++i) {
+    std::vector<double> w;
+    ASSERT_TRUE(matches_shape(
+        got[i], "profile: worker #: # trials, busy # s, utilization #%", w))
+        << got[i];
+    EXPECT_EQ(w[0], static_cast<double>(i - 3));
+    EXPECT_GE(w[3], 0.0);
+    EXPECT_LE(w[3], 100.0);
+  }
+  EXPECT_EQ(n.front(), 2.0);  // trials
 }
 
 TEST(Profiler, EmptyReportIsAllZero) {

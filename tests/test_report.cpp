@@ -18,10 +18,12 @@
 #include <vector>
 
 #include "cli/sweep_runner.hpp"
+#include "obs/profiler.hpp"
 #include "obs/status.hpp"
 #include "report/analyze.hpp"
 #include "report/artifact.hpp"
 #include "resilience/json_read.hpp"
+#include "resilience/quarantine.hpp"
 #include "scenario/scenario.hpp"
 
 #ifndef SIMSWEEP_BINARY_PATH
@@ -303,7 +305,9 @@ TEST(ArtifactLoad, SniffsEveryEmitterWithoutFilenameHints) {
 
   TempPath profile("profile");
   write_file(profile.str(),
-             R"({"tasks":8,"wall_s":1.5,"mean_task_s":0.1,"min_task_s":0.05,)"
+             R"({"meta":{"version":"t","build_type":"Release","seed":1,)"
+             R"("config_digest":"0123456789abcdef"},)"
+             R"("tasks":8,"wall_s":1.5,"mean_task_s":0.1,"min_task_s":0.05,)"
              R"("max_task_s":0.2,"mean_queue_wait_s":0.01,)"
              R"("max_queue_wait_s":0.02,"workers":[{"worker":0,"tasks":8,)"
              R"("busy_s":0.8,"utilization":0.53}]})"
@@ -317,8 +321,10 @@ TEST(ArtifactLoad, SniffsEveryEmitterWithoutFilenameHints) {
 
   TempPath quarantine("quarantine");
   write_file(quarantine.str(),
-             R"({"quarantined":[{"index":3,"key":"abc","seed":1,"trials":2,)"
-             R"("label":"DLB","outcome":"failed","attempts":2,)"
+             R"({"meta":{"version":"t","build_type":"Release","seed":1,)"
+             R"("config_digest":"0123456789abcdef"},)"
+             R"("quarantined":[{"index":3,"key":"00000000000000ab","seed":1,)"
+             R"("trials":2,"label":"DLB","outcome":"crashed","attempts":2,)"
              R"("error":"boom"}]})"
              "\n");
   const report::Artifact loaded_quarantine =
@@ -329,7 +335,9 @@ TEST(ArtifactLoad, SniffsEveryEmitterWithoutFilenameHints) {
 
   TempPath series("series");
   write_file(series.str(),
-             R"({"title":"fig1","x_label":"dynamism","x":[0,0.3],)"
+             R"({"meta":{"version":"t","build_type":"Release","seed":1,)"
+             R"("config_digest":"0123456789abcdef"},)"
+             R"("title":"fig1","x_label":"dynamism","x":[0,0.3],)"
              R"("series":[{"name":"NONE","mean_makespan_s":[1.5,null],)"
              R"("mean_adaptations":[0,0]}]})"
              "\n");
@@ -353,7 +361,7 @@ report::Artifact metrics_artifact(
   report::Artifact artifact;
   artifact.kind = report::ArtifactKind::kMetrics;
   for (const auto& [name, last] : gauge_last_values) {
-    report::MetricsModel::Gauge gauge;
+    obs::Gauge::Snapshot gauge;
     gauge.last = gauge.min = gauge.max = last;
     artifact.metrics.gauges[name] = gauge;
   }
@@ -584,7 +592,8 @@ TEST(ReportCli, StatusExitsFourOnStaleHeartbeat) {
   TempPath stale("stale");
   write_file(stale.str(),
              R"({"kind":"sweep-status","meta":{"version":"t","build_type":)"
-             R"("Release","seed":1,"config_digest":"00","partial":true},)"
+             R"("Release","seed":1,"config_digest":"0000000000000000",)"
+             R"("partial":true},)"
              R"("scenario":"demo","state":"running","heartbeat_unix_s":1000,)"
              R"("elapsed_s":5,"heartbeat_s":1,"jobs":2,"trials":2,)"
              R"("cells":{"total":8,"done":1,"reused":0,"executed":1,)"
@@ -612,6 +621,324 @@ TEST(ReportCli, StatusExitsFourOnStaleHeartbeat) {
 
   output = run_command(binary + " status", exit_code);
   EXPECT_EQ(exit_code, 2) << output;  // usage error
+}
+
+// ---------------------------------------------------------------------------
+// report validate: the one reader of every schema
+
+constexpr const char* kMeta =
+    R"({"version":"t","build_type":"Release","seed":1,)"
+    R"("config_digest":"0123456789abcdef"})";
+
+constexpr const char* kStats =
+    R"("mean":1,"stddev":0,"min":1,"max":1,"trials":2,"unfinished":0,)"
+    R"("stalled":0,"resource_exhausted":0,"mean_adaptations":0,)"
+    R"("mean_crashes":0,"mean_transfer_failures":0,"mean_recoveries":0,)"
+    R"("mean_checkpoint_failures":0,"mean_time_lost_s":0,)"
+    R"("audit_violations":0)";
+
+using KindedFiles = std::vector<std::pair<std::string, std::string>>;
+
+/// Every file one sweep writes with all artifacts on: journal, status
+/// snapshots (every event, with a profiler), metrics, timeline, series,
+/// quarantine report and --profile-json.
+struct SweepArtifacts {
+  TempPath journal{"v_journal"};
+  TempPath status{"v_status"};
+  TempPath metrics{"v_metrics"};
+  TempPath timeline{"v_timeline"};
+  TempPath series{"v_series"};
+  TempPath quarantine{"v_quarantine"};
+  TempPath profile{"v_profile"};
+
+  cli::SweepResult run(cli::SweepPlan plan) const {
+    obs::StatusBoard::Options board_options;
+    board_options.path = status.str();
+    board_options.heartbeat_s = 0.0;
+    obs::StatusBoard board(board_options);
+    obs::TrialProfiler profiler;
+    plan.metrics = true;
+    plan.timeline = true;
+    plan.journal_path = journal.str();
+    plan.status = &board;
+    plan.profiler = &profiler;
+    const cli::SweepResult result = cli::run_sweep(plan);
+
+    write_file(metrics.str(), result.metrics_json);
+    write_file(timeline.str(), result.timeline_json);
+    write_file(series.str(), report_json(result) + "\n");
+    std::ostringstream os;
+    res::write_quarantine_json(os, result.quarantined, &result.provenance);
+    write_file(quarantine.str(), os.str());
+    os.str("");
+    profiler.write_json(os, &result.provenance);
+    write_file(profile.str(), os.str() + "\n");
+    return result;
+  }
+
+  [[nodiscard]] KindedFiles files() const {
+    return {{journal.str(), "journal"},       {status.str(), "status"},
+            {metrics.str(), "metrics"},       {timeline.str(), "timeline"},
+            {series.str(), "series"},         {quarantine.str(), "quarantine"},
+            {profile.str(), "profile"}};
+  }
+};
+
+/// `simsweep report validate` accepts every file as the named kind.
+void expect_valid(const KindedFiles& files) {
+  std::string command = std::string(SIMSWEEP_BINARY_PATH) + " report validate";
+  std::string expected;
+  for (const auto& [path, kind] : files) {
+    command += " " + path;
+    expected += "ok " + kind + " " + path + "\n";
+  }
+  int exit_code = -1;
+  const std::string output = run_command(command, exit_code);
+  EXPECT_EQ(exit_code, 0) << output;
+  EXPECT_EQ(output, expected);
+}
+
+TEST(ReportCli, ValidateAcceptsEveryEmitter) {
+  // One sweep with every artifact on, one cell quarantined, plus the
+  // single-run emitters and a journal cut short by the stop hook.
+  SweepArtifacts sweep;
+  cli::SweepPlan plan = small_plan();
+  plan.trial_retries = 0;
+  plan.hooks.inject_fail = {2};
+  const cli::SweepResult result = sweep.run(plan);
+  ASSERT_EQ(result.quarantined.size(), 1u);
+
+  TempPath partial("v_partial");
+  cli::SweepPlan stopped = small_plan();
+  stopped.journal_path = partial.str();
+  stopped.hooks.stop_after_cells = 3;
+  (void)cli::run_sweep(stopped);
+
+  TempPath stats("v_stats");
+  std::ostringstream os;
+  report::load_artifact(sweep.journal.str()).journal.cells[0].stats.print_json(
+      os, &result.provenance);
+  write_file(stats.str(), os.str() + "\n");
+
+  KindedFiles files = sweep.files();
+  files.emplace_back(partial.str(), "journal");
+  files.emplace_back(stats.str(), "stats");
+  expect_valid(files);
+}
+
+TEST(ReportCli, ValidateAcceptsSweepsThatCompleteNoCell) {
+  // Sweeps that finish no cell in this process still write every artifact:
+  // stopped before the first cell, every cell quarantined, and every cell
+  // replayed from a complete journal.  The first two write timelines with
+  // no events.
+  SweepArtifacts stopped;
+  cli::SweepPlan stop_plan = small_plan();
+  stop_plan.hooks.interrupted = [] { return true; };
+  const cli::SweepResult stop_result = stopped.run(stop_plan);
+  EXPECT_TRUE(stop_result.partial);
+  EXPECT_EQ(stop_result.cells_executed, 0u);
+  expect_valid(stopped.files());
+  EXPECT_EQ(report::load_artifact(stopped.timeline.str()).timeline.events, 0u);
+
+  SweepArtifacts failed;
+  cli::SweepPlan fail_plan = small_plan();
+  fail_plan.trial_retries = 0;
+  fail_plan.hooks.inject_fail = {0, 1, 2, 3, 4, 5, 6, 7};
+  const cli::SweepResult fail_result = failed.run(fail_plan);
+  EXPECT_FALSE(fail_result.partial);
+  EXPECT_EQ(fail_result.quarantined.size(), 8u);
+  expect_valid(failed.files());
+  EXPECT_EQ(report::load_artifact(failed.timeline.str()).timeline.events, 0u);
+
+  SweepArtifacts complete;
+  (void)complete.run(small_plan());
+  SweepArtifacts replayed;
+  cli::SweepPlan replay_plan = small_plan();
+  replay_plan.resume_path = complete.journal.str();
+  const cli::SweepResult replay_result = replayed.run(replay_plan);
+  EXPECT_EQ(replay_result.cells_reused, 8u);
+  expect_valid(replayed.files());
+  EXPECT_EQ(report::load_artifact(replayed.status.str()).status.cells_reused,
+            8u);
+}
+
+TEST(ReportCli, FirstHeartbeatWithProfilerIsValid) {
+  // With --profile-json on, a snapshot carries "workers" from the first
+  // heartbeat, before the profiler has recorded any task: an empty list.
+  // A writer killed then leaves that snapshot, and `simsweep status` must
+  // still read it (a stale one exits 4, not 1).
+  TempPath path("first_heartbeat");
+  obs::StatusBoard::Options options;
+  options.path = path.str();
+  options.heartbeat_s = 0.0;
+  obs::StatusBoard board(options);
+  obs::TrialProfiler profiler;
+  board.begin_run("demo", obs::make_provenance(7, obs::hex64(0xcafe)), 8, 2,
+                  1, {"NONE", "SWAP"});
+  board.set_profiler(&profiler);
+  board.cell_started(0);
+
+  EXPECT_NE(read_file(path.str()).find("\"workers\":[]"), std::string::npos);
+  const report::Artifact artifact = report::load_artifact(path.str());
+  EXPECT_EQ(artifact.status.state, "running");
+  EXPECT_TRUE(artifact.status.workers.empty());
+  expect_valid({{path.str(), "status"}});
+  const std::string binary = SIMSWEEP_BINARY_PATH;
+  int exit_code = -1;
+  std::string output = run_command(binary + " status " + path.str(), exit_code);
+  EXPECT_EQ(exit_code, 0) << output;
+
+  // The same snapshot once its writer has been dead for decades.
+  std::string body = read_file(path.str());
+  const std::size_t begin = body.find("\"heartbeat_unix_s\":");
+  ASSERT_NE(begin, std::string::npos);
+  body.replace(begin, body.find(',', begin) - begin,
+               "\"heartbeat_unix_s\":1000");
+  TempPath stale("first_heartbeat_stale");
+  write_file(stale.str(), body);
+  output = run_command(binary + " status " + stale.str(), exit_code);
+  EXPECT_EQ(exit_code, 4) << output;
+}
+
+TEST(ReportCli, ValidateRejectsOneFixturePerCheckFamily) {
+  const std::string meta = kMeta;
+  const std::string stats = kStats;
+  const std::string header =
+      R"({"kind":"sweep-journal","version":2,"scenario":"sweep",)"
+      R"("sweep":"0123456789abcdef","seed":1,"trials":2,"points":1,)";
+  const struct {
+    std::string body;
+    std::string rule;
+  } fixtures[] = {
+      {"{\"hello\":\"world\"}", "not a recognized simsweep artifact"},
+      {"{\"meta\":", "invalid JSON: json: "},
+      {R"({"meta":{"version":"t","build_type":"Release","seed":1,)"
+       R"("config_digest":"00"},"counters":{},"gauges":{},"histograms":{}})",
+       "metrics: meta config_digest must be 16 lowercase hex chars"},
+      {R"({"meta":)" + meta + R"(,"counters":{},"histograms":{}})",
+       "metrics: keys [meta, counters, histograms] != "
+       "[meta, counters, gauges, histograms]"},
+      {R"({"meta":)" + meta + R"(,"counters":{},"gauges":{"g":{}},)"
+       R"("histograms":{}})",
+       "metrics: gauge 'g' keys [] != [last, min, max]"},
+      {R"({"meta":)" + meta + R"(,"counters":{},"gauges":{"g":{"last":5,)"
+       R"("min":0,"max":1}},"histograms":{}})",
+       "metrics: gauge 'g' last outside [min, max]"},
+      // A histogram with as many counts as bounds (it needs one more).
+      {R"({"meta":)" + meta + R"(,"counters":{},"gauges":{},"histograms":)"
+       R"({"h":{"count":0,"sum":0,"min":0,"max":0,"bounds":[1,2],)"
+       R"("counts":[0,0]}}})",
+       "metrics: histogram 'h' has 2 counts for 2 bounds"},
+      // A timeline event with ts -5.
+      {R"({"displayTimeUnit":"ms","otherData":{"meta":)" + meta +
+           R"(},"traceEvents":[{"name":"process_name","ph":"M","pid":1,)"
+           R"("tid":0,"args":{"name":"trial 0"}},{"name":"load","cat":"p",)"
+           R"("ph":"i","ts":-5,"s":"t","pid":1,"tid":0}]})",
+       "timeline: traceEvents[1] ts must be a non-negative number"},
+      {header + R"("cells":0})" + "\n",
+       "journal: header cells must be a positive integer"},
+      // A journal record whose seed differs from its header.
+      {header + R"("cells":1})" + "\n" +
+           R"({"kind":"cell","index":0,"key":"0123456789abcdef","seed":2,)"
+           R"("trials":2,"label":"NONE","outcome":"ok","stats":{)" + stats +
+           "}}\n",
+       "journal: line 2: seed differs from header"},
+      // A quarantine record with outcome "exploded".
+      {R"({"meta":)" + meta + R"(,"quarantined":[{"index":0,)"
+       R"("key":"0123456789abcdef","seed":1,"trials":2,"label":"NONE",)"
+       R"("outcome":"exploded","attempts":1,"error":"boom"}]})",
+       "quarantine: quarantined[0] outcome 'exploded' not a failure kind"},
+      // A status snapshot whose done != reused + executed + quarantined.
+      {R"({"kind":"sweep-status","meta":{"version":"t","build_type":"R",)"
+       R"("seed":1,"config_digest":"0123456789abcdef","partial":true},)"
+       R"("scenario":"demo","state":"running","heartbeat_unix_s":1000,)"
+       R"("elapsed_s":5,"heartbeat_s":1,"jobs":2,"trials":2,)"
+       R"("cells":{"total":8,"done":2,"reused":0,"executed":1,)"
+       R"("in_flight":1,"retries":0,"quarantined":0},)"
+       R"("groups":[{"name":"NONE","done":2,"total":8}],)"
+       R"("eta":{"ewma_cell_s":0.5,"eta_s":3.5,"percent":25}})",
+       "status: done != reused + executed + quarantined"},
+      {R"({"meta":)" + meta + R"(,"tasks":1,"wall_s":1,"mean_task_s":1,)"
+       R"("min_task_s":1,"max_task_s":1,"mean_queue_wait_s":0,)"
+       R"("max_queue_wait_s":0,"workers":[{"worker":0,"tasks":1,)"
+       R"("busy_s":1,"utilization":1.5}]})",
+       "profile: workers[0] utilization outside [0, 1]"},
+      {R"({"meta":)" + meta + R"(,"title":"t","x_label":"x","x":[0,1],)"
+       R"("series":[{"name":"NONE","mean_makespan_s":[1],)"
+       R"("mean_adaptations":[0,0]}]})",
+       "series: series[0] mean_makespan_s has 1 entries for 2 x points"},
+      {R"({"meta":)" + meta + "," +
+           std::string(kStats).replace(stats.find("\"stalled\":0"), 11,
+                                       "\"stalled\":1") +
+           "}",
+       "stats: needs resource_exhausted <= stalled <= unfinished <= trials"},
+  };
+  const std::string binary = SIMSWEEP_BINARY_PATH;
+  for (const auto& fixture : fixtures) {
+    TempPath file("v_bad");
+    write_file(file.str(), fixture.body);
+    int exit_code = -1;
+    const std::string output =
+        run_command(binary + " report validate " + file.str(), exit_code);
+    EXPECT_EQ(exit_code, 1) << output;
+    EXPECT_EQ(output.rfind("FAIL " + file.str() + ": " + fixture.rule, 0), 0u)
+        << output;
+    try {
+      (void)report::load_artifact(file.str());
+      ADD_FAILURE() << "loaded: " << fixture.body;
+    } catch (const report::ArtifactError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(
+                    "report: '" + file.str() + "': " + fixture.rule, 0),
+                0u)
+          << e.what();
+    }
+  }
+}
+
+TEST(ReportCli, SummaryJsonDocumentShape) {
+  cli::SweepPlan plan = small_plan();
+  plan.metrics = true;
+  TempPath journal("s_journal");
+  plan.journal_path = journal.str();
+  const cli::SweepResult result = cli::run_sweep(plan);
+  TempPath metrics("s_metrics");
+  write_file(metrics.str(), result.metrics_json);
+
+  int exit_code = -1;
+  const std::string output = run_command(
+      std::string(SIMSWEEP_BINARY_PATH) + " report summary " + metrics.str() +
+          " " + journal.str() + " --json",
+      exit_code);
+  ASSERT_EQ(exit_code, 0) << output;
+  const res::JsonValue doc = res::parse_json(output);
+  ASSERT_EQ(doc.object.size(), 2u);
+  EXPECT_EQ(doc.object[0].first, "kind");
+  EXPECT_EQ(doc.at("kind").as_string(), "report-summary");
+  EXPECT_EQ(doc.object[1].first, "artifacts");
+  const auto& artifacts = doc.at("artifacts").as_array();
+  ASSERT_EQ(artifacts.size(), 2u);
+  const std::vector<std::string> kinds = {"metrics", "journal"};
+  const std::vector<std::string> paths = {metrics.str(), journal.str()};
+  for (std::size_t i = 0; i < artifacts.size(); ++i) {
+    const res::JsonValue& a = artifacts[i];
+    ASSERT_EQ(a.object.size(), 4u);
+    EXPECT_EQ(a.object[0].first, "kind");
+    EXPECT_EQ(a.object[1].first, "path");
+    EXPECT_EQ(a.object[2].first, "meta");
+    EXPECT_EQ(a.object[3].first, "values");
+    EXPECT_EQ(a.at("kind").as_string(), kinds[i]);
+    EXPECT_EQ(a.at("path").as_string(), paths[i]);
+    EXPECT_FALSE(a.at("values").object.empty());
+    for (const auto& [key, value] : a.at("values").object)
+      EXPECT_TRUE(value.kind == res::JsonValue::Kind::kNumber ||
+                  value.is_null())
+          << key;
+  }
+  // Metrics carry the provenance block; the journal has none.
+  const res::JsonValue& meta = artifacts[0].at("meta");
+  EXPECT_EQ(meta.at("seed").as_uint64(), 1u);
+  EXPECT_EQ(meta.at("config_digest").as_string().size(), 16u);
+  EXPECT_TRUE(artifacts[1].at("meta").is_null());
 }
 
 }  // namespace

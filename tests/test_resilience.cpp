@@ -1,8 +1,9 @@
-// Tests for the resilience layer: the JSON reader the journal rests on,
-// crash-consistent journal publication, the wall-clock watchdog, cooperative
-// simulator cancellation, and the resumable sweep runner's headline
-// guarantee — an interrupted-then-resumed sweep is byte-identical to an
-// uninterrupted one at any --jobs.
+// Tests for the resilience layer: the JSON reader every artifact loader rests
+// on, crash-consistent journal publication and its read-back through the
+// journal loader, the wall-clock watchdog, cooperative simulator
+// cancellation, and the resumable sweep runner's headline guarantee — an
+// interrupted-then-resumed sweep is byte-identical to an uninterrupted one at
+// any --jobs.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -12,6 +13,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,6 +24,7 @@
 #include "core/experiment.hpp"
 #include "core/trial_runner.hpp"
 #include "obs/provenance.hpp"
+#include "report/artifact.hpp"
 #include "resilience/journal.hpp"
 #include "resilience/json_read.hpp"
 #include "resilience/quarantine.hpp"
@@ -113,35 +116,68 @@ TEST(JsonRead, FindAndAtBehaveOnMissingKeys) {
 // ---------------------------------------------------------------------------
 // Journal
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+/// The journal's recorded cells, read through the one journal loader.
+std::size_t journal_cells(const std::string& path) {
+  return simsweep::report::load_artifact(path).journal.cells.size();
+}
+
+cli::SweepPlan small_plan();  // defined with the sweep-runner tests below
+
 TEST(Journal, WriteReadRoundTrip) {
   TempPath tmp("journal_roundtrip");
   res::JournalWriter writer(tmp.str());
   writer.append(R"({"kind":"header","version":1})");
   writer.append(R"({"kind":"cell","index":0})");
   EXPECT_EQ(writer.record_count(), 2u);
-
-  const auto lines = res::read_journal(tmp.str());
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0].raw, R"({"kind":"header","version":1})");
-  EXPECT_EQ(lines[1].value.at("index").as_uint64(), 0u);
+  EXPECT_EQ(read_file(tmp.str()),
+            "{\"kind\":\"header\",\"version\":1}\n"
+            "{\"kind\":\"cell\",\"index\":0}\n");
 }
 
 TEST(Journal, MissingFileReadsEmpty) {
-  EXPECT_TRUE(res::read_journal("/nonexistent/simsweep/journal").empty());
+  // Resuming from a journal that never got written — missing or empty — is
+  // a fresh start.
+  TempPath empty("journal_empty");
+  { std::ofstream touch(empty.str()); }
+  for (const std::string& path :
+       {std::string("/nonexistent/simsweep/journal"), empty.str()}) {
+    cli::SweepPlan plan = small_plan();
+    plan.resume_path = path;
+    const cli::SweepResult result = cli::run_sweep(plan);
+    EXPECT_EQ(result.cells_reused, 0u) << path;
+    EXPECT_EQ(result.cells_executed, 8u) << path;
+  }
 }
 
 TEST(Journal, StopsAtTornTail) {
+  // A torn final write was never durable: the loader keeps the prefix.  A
+  // malformed line with records after it is corruption, not a torn write.
   TempPath tmp("journal_torn");
-  res::JournalWriter writer(tmp.str());
-  writer.append(R"({"index":0})");
-  writer.append(R"({"index":1})");
+  cli::SweepPlan plan = small_plan();
+  plan.journal_path = tmp.str();
+  plan.hooks.stop_after_cells = 2;
+  (void)cli::run_sweep(plan);
+  const std::string durable = read_file(tmp.str());
   {
     std::ofstream out(tmp.str(), std::ios::app | std::ios::binary);
-    out << "{\"index\":2,\"trunc";  // a torn final write
+    out << "{\"kind\":\"cell\",\"trunc";  // a torn final write
   }
-  const auto lines = res::read_journal(tmp.str());
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[1].value.at("index").as_uint64(), 1u);
+  EXPECT_EQ(journal_cells(tmp.str()), 2u);
+  {
+    std::ofstream out(tmp.str(), std::ios::app | std::ios::binary);
+    out << '\n' << durable.substr(durable.find('\n') + 1);
+  }
+  try {
+    (void)journal_cells(tmp.str());
+    FAIL() << "a corrupt line before the tail was accepted";
+  } catch (const simsweep::report::ArtifactError& e) {
+    EXPECT_EQ(e.rule().rfind("journal: line 4: json: ", 0), 0u) << e.what();
+  }
 }
 
 TEST(Journal, FlushLeavesNoTempFile) {
@@ -158,7 +194,7 @@ TEST(Journal, DeferredAppendPublishesOnFlush) {
   writer.append(R"({"index":0})", /*flush_now=*/false);
   EXPECT_FALSE(std::filesystem::exists(tmp.str()));
   writer.flush();
-  EXPECT_EQ(res::read_journal(tmp.str()).size(), 1u);
+  EXPECT_EQ(read_file(tmp.str()), "{\"index\":0}\n");
 }
 
 TEST(Journal, RejectsEmbeddedNewline) {
@@ -270,11 +306,11 @@ TEST(Quarantine, ReportIsValidJsonWithAllFields) {
   const auto v = res::parse_json(os.str());
   const auto& entries = v.at("quarantined").as_array();
   ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].at("index").as_size(), 3u);
+  EXPECT_EQ(entries[0].at("index").as_uint64(), 3u);
   EXPECT_EQ(entries[0].at("key").as_string(), "abc123");
   EXPECT_EQ(entries[0].at("seed").as_uint64(), 7u);
   EXPECT_EQ(entries[0].at("outcome").as_string(), "hung");
-  EXPECT_EQ(entries[0].at("attempts").as_size(), 2u);
+  EXPECT_EQ(entries[0].at("attempts").as_uint64(), 2u);
   EXPECT_EQ(entries[0].at("error").as_string(), "trial hung");
 }
 
@@ -343,7 +379,7 @@ void expect_resume_identity(std::size_t stop_after, std::size_t resume_jobs) {
   EXPECT_NE(report_json(partial).find("\"partial\":true"), std::string::npos);
 
   // Journal on disk: header + one record per completed cell.
-  EXPECT_EQ(res::read_journal(journal.str()).size(), 1u + stop_after);
+  EXPECT_EQ(journal_cells(journal.str()), stop_after);
 
   cli::SweepPlan resumed = plan;
   resumed.jobs = resume_jobs;
@@ -406,6 +442,71 @@ TEST(SweepResume, JournalWithoutMetricsCannotSeedMetricsRun) {
   cli::SweepPlan fresh = small_plan();
   fresh.metrics = true;
   EXPECT_EQ(result.metrics_json, cli::run_sweep(fresh).metrics_json);
+}
+
+TEST(SweepResume, JournalHistogramWithoutOverflowBucketIsATypedError) {
+  // A record whose embedded histogram lost counts must not be merged: the
+  // bucket arrays would be read past their end.
+  TempPath journal("resume_short_histogram");
+  cli::SweepPlan plan = small_plan();
+  plan.metrics = true;
+  plan.journal_path = journal.str();
+  (void)cli::run_sweep(plan);
+
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(journal.str());
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_GE(lines.size(), 2u);
+  // Inside the record the snapshot is an escaped string: \"counts\":[...].
+  const std::string marker = R"(\"counts\":[)";
+  const std::size_t open = lines[1].find(marker);
+  ASSERT_NE(open, std::string::npos);
+  const std::size_t close = lines[1].find(']', open);
+  lines[1].replace(open + marker.size(), close - open - marker.size(), "1,2,3");
+  {
+    std::ofstream out(journal.str(), std::ios::trunc);
+    for (const std::string& line : lines) out << line << '\n';
+  }
+
+  cli::SweepPlan resumed = plan;
+  resumed.resume_path = journal.str();
+  try {
+    (void)cli::run_sweep(resumed);
+    FAIL() << "resumed a journal with a short histogram";
+  } catch (const simsweep::report::ArtifactError& e) {
+    EXPECT_EQ(e.path(), journal.str());
+    EXPECT_NE(e.rule().find("journal: line 2: metrics: histogram"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(e.rule().find("has 3 counts"), std::string::npos) << e.what();
+  }
+}
+
+TEST(SweepForbidStalls, ResourceExhaustionIsNotADeadlock) {
+  // CR loses more hosts than it has spares and gives up cleanly in every
+  // trial.  Those runs count as stalled, but a scenario that forbids stalls
+  // only rejects deadlocks.
+  TempPath journal("forbid_stalls_exhausted");
+  cli::SweepPlan plan = small_plan();
+  plan.spec.hosts = 6;
+  plan.spec.spares = 2;
+  plan.spec.iterations = 30;
+  plan.spec.mtbf_hours = 2.0;
+  plan.spec.forbid_stalls = true;
+  plan.spec.axis.x = {0.0};
+  plan.spec.variants = {plan.spec.variants.back()};  // CR
+  plan.trials = 4;
+  plan.journal_path = journal.str();
+  const cli::SweepResult result = cli::run_sweep(plan);
+  EXPECT_FALSE(result.partial);
+
+  const auto artifact = simsweep::report::load_artifact(journal.str());
+  ASSERT_EQ(artifact.journal.cells.size(), 1u);
+  const core::TrialStats& stats = artifact.journal.cells[0].stats;
+  EXPECT_GT(stats.resource_exhausted, 0u);
+  EXPECT_EQ(stats.stalled, stats.resource_exhausted);
 }
 
 TEST(SweepQuarantine, RetryExhaustionQuarantinesAndContinues) {
@@ -479,7 +580,7 @@ TEST(SweepInterrupt, SignalFlushesJournalAndMarksPartial) {
   EXPECT_EQ(result.cells_executed, 0u);
   EXPECT_EQ(result.cells_skipped, 8u);
   // The journal was still published durably (header line, zero cells).
-  EXPECT_EQ(res::read_journal(journal.str()).size(), 1u);
+  EXPECT_EQ(journal_cells(journal.str()), 0u);
 }
 
 TEST(SweepPlanValidation, RejectsMalformedPlans) {

@@ -141,6 +141,48 @@ TEST(ScenarioParse, WrongValueKindIsRejected) {
       scn::ScenarioError);
 }
 
+TEST(ScenarioParse, ValueChecksFailAtParseTimeWithLineContext) {
+  const std::string variants =
+      R"("variants": [{"name": "A", "strategy": {"kind": "none"}}])";
+  const struct {
+    std::string text;
+    std::string rule;
+    std::string where;
+  } cases[] = {
+      {"{\"name\": \"x\",\n \"trials\": 0,\n " + variants + "}",
+       "'trials' must be >= 1", "bad.json:2:12"},
+      {"{\"name\": \"x\",\n \"variants\": [\n"
+       "  {\"name\": \"A\", \"strategy\": {\"kind\": \"none\"}},\n"
+       "  {\"name\": \"A\", \"strategy\": {\"kind\": \"dlb\"}}]}",
+       "variants[1] duplicates name 'A'", "bad.json:4:3"},
+      {"{\"name\": \"x\", \"kind\": \"payback\",\n"
+       " \"payback\": {\"iter_s\": 0, \"swap_s\": 10}}",
+       "'iter_s' must be > 0", "bad.json:2:24"},
+      {"{\"name\": \"x\", \"kind\": \"payback\",\n"
+       " \"payback\": {\"swap_s\": -1}}",
+       "'swap_s' must be > 0", "bad.json:2:24"},
+      {"{\"name\": \"x\", \"kind\": \"load_trace\",\n"
+       " \"load\": {\"model\": \"onoff\"}, \"trace\": {\"horizon_s\": 0}}",
+       "'horizon_s' must be > 0", "bad.json:2:53"},
+      {"{\"name\": \"x\",\n \"axis\": {\"x\": []},\n " + variants + "}",
+       "'x' must not be empty", "bad.json:2:16"},
+      {"{\"name\": \"x\",\n \"axis\": {\"label\": \"l\"},\n " + variants + "}",
+       "'x' must not be empty", "bad.json:2:10"},
+      {"{\"name\": \"x\",\n \"reports\": [],\n " + variants + "}",
+       "'reports' must be a non-empty array", "bad.json:2:13"},
+  };
+  for (const auto& c : cases) {
+    try {
+      (void)scn::parse_scenario(c.text, "bad.json");
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const scn::ScenarioError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(c.rule), std::string::npos) << what;
+      EXPECT_EQ(what.rfind(c.where + ": ", 0), 0u) << what;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Digest: one entry point, everything folded
 
@@ -401,6 +443,22 @@ TEST(CliGolden, TraceMatchesRecordedOutput) {
       exit_code);
   EXPECT_EQ(exit_code, 0);
   EXPECT_EQ(output, golden_cli("trace.txt"));
+}
+
+TEST(CliRun, ResourceExhaustionIsNotReportedAsDeadlock) {
+  // Every trial loses more hosts than CR has spares: the runs give up
+  // cleanly.  They count as stalled, but none of them deadlocked.
+  int exit_code = -1;
+  const std::string output = run_command(
+      binary_invocation() +
+          " run --strategy=cr --hosts=6 --active=4 --iters=30"
+          " --mtbf-hours=2 --trials=4",
+      exit_code);
+  EXPECT_EQ(exit_code, 0);
+  EXPECT_NE(output.find("4 run(s) exhausted the spare pool"),
+            std::string::npos)
+      << output;
+  EXPECT_EQ(output.find("deadlock"), std::string::npos) << output;
 }
 
 TEST(CliGolden, SweepWithMoreActiveThanHostsFailsBeforeAnyCell) {

@@ -7,7 +7,7 @@
 #include "simcore/rng.hpp"
 #include "simcore/sim_time.hpp"
 #include "simcore/simulator.hpp"
-#include "simcore/trace_recorder.hpp"
+#include "simcore/step_series.hpp"
 
 namespace sim = simsweep::sim;
 
@@ -161,17 +161,6 @@ TEST(Rng, ExponentialMeanApproximatelyCorrect) {
   EXPECT_NEAR(sum / n, 5.0, 0.2);
 }
 
-TEST(TraceRecorder, RecordsAndReads) {
-  sim::TraceRecorder rec;
-  rec.record("x", 0.0, 1.0);
-  rec.record("x", 2.0, 3.0);
-  rec.record("y", 1.0, -1.0);
-  EXPECT_EQ(rec.series("x").size(), 2u);
-  EXPECT_EQ(rec.series("y").size(), 1u);
-  EXPECT_TRUE(rec.series("nope").empty());
-  EXPECT_EQ(rec.names(), (std::vector<std::string>{"x", "y"}));
-}
-
 TEST(TraceRecorder, IntegratesStepSeries) {
   // value 0 until t=1, then 2 until t=3, then 1.
   std::vector<sim::Sample> s{{1.0, 2.0}, {3.0, 1.0}};
@@ -196,38 +185,4 @@ TEST(TraceRecorder, IntegrateRejectsReversedWindow) {
   std::vector<sim::Sample> s;
   EXPECT_THROW((void)sim::integrate_step_series(s, 2.0, 1.0, 0.0),
                std::invalid_argument);
-}
-
-TEST(TraceRecorder, CsvEscapePassesPlainFieldsThrough) {
-  EXPECT_EQ(sim::csv_escape("host0.load"), "host0.load");
-  EXPECT_EQ(sim::csv_escape(""), "");
-}
-
-TEST(TraceRecorder, CsvEscapeQuotesMetacharacters) {
-  // RFC 4180: fields with commas, quotes or newlines are quoted, and inner
-  // quotes double.
-  EXPECT_EQ(sim::csv_escape("load{host=0}, raw"), "\"load{host=0}, raw\"");
-  EXPECT_EQ(sim::csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(sim::csv_escape("a\nb"), "\"a\nb\"");
-  EXPECT_EQ(sim::csv_escape("a\rb"), "\"a\rb\"");
-}
-
-TEST(TraceRecorder, WriteCsvEscapesSeriesName) {
-  sim::TraceRecorder rec;
-  rec.record("speed, effective", 0.0, 1.0);
-  std::ostringstream out;
-  rec.write_csv(out, "speed, effective");
-  // Header must stay two columns: the comma in the name is quoted away.
-  EXPECT_EQ(out.str(), "time,\"speed, effective\"\n0,1\n");
-}
-
-TEST(TraceRecorder, WriteJsonDumpsAllSeriesSorted) {
-  sim::TraceRecorder rec;
-  rec.record("b", 1.0, 2.0);
-  rec.record("a", 0.0, -1.5);
-  rec.record("a", 3.0, 4.0);
-  std::ostringstream out;
-  rec.write_json(out);
-  EXPECT_EQ(out.str(),
-            "{\"series\":{\"a\":[[0,-1.5],[3,4]],\"b\":[[1,2]]}}");
 }
