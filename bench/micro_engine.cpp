@@ -54,7 +54,7 @@ static void BM_HostReplanUnderLoadChurn(benchmark::State& state) {
         h.set_external_load(i % 3);
       });
     s.run_until(5001.0);
-    benchmark::DoNotOptimize(task->remaining_work());
+    benchmark::DoNotOptimize(task->remaining());
   }
   state.SetItemsProcessed(5000 * state.iterations());
 }
@@ -76,7 +76,7 @@ static void BM_LinkReshare(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(flows) *
                           state.iterations());
 }
-BENCHMARK(BM_LinkReshare)->Arg(8)->Arg(64);
+BENCHMARK(BM_LinkReshare)->Arg(8)->Arg(64)->Arg(256);
 
 static void BM_FullSwapRun(benchmark::State& state) {
   core::ExperimentConfig cfg;

@@ -10,6 +10,7 @@
 //   * per-process state moved by a swap or checkpoint: 1 KB – 1 GB.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <stdexcept>
 #include <vector>
@@ -57,10 +58,13 @@ struct AppSpec {
     if (active_processes == 0)
       throw std::invalid_argument("AppSpec: no active processes");
     if (iterations == 0) throw std::invalid_argument("AppSpec: no iterations");
-    if (work_per_iteration_flops <= 0.0)
-      throw std::invalid_argument("AppSpec: work must be positive");
-    if (comm_bytes_per_process < 0.0 || state_bytes_per_process < 0.0)
-      throw std::invalid_argument("AppSpec: negative byte count");
+    if (!std::isfinite(work_per_iteration_flops) ||
+        work_per_iteration_flops <= 0.0)
+      throw std::invalid_argument("AppSpec: work must be finite and positive");
+    for (const double bytes : {comm_bytes_per_process, state_bytes_per_process})
+      if (!std::isfinite(bytes) || bytes < 0.0)
+        throw std::invalid_argument(
+            "AppSpec: byte counts must be finite and non-negative");
   }
 
   /// Equal-chunk flops per process per iteration.

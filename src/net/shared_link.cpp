@@ -1,28 +1,14 @@
 #include "net/shared_link.hpp"
 
 #include <stdexcept>
-#include <string>
 
 namespace simsweep::net {
 
-void Flow::cancel() {
-  if (!active_) return;
-  active_ = false;
-  event_.cancel();
-  if (net_ != nullptr) {
-    if (obs::MetricsRegistry* metrics = net_->simulator_.metrics())
-      metrics->add("net.flows_cancelled");
-    if (!in_latency_) {
-      net_->remove_flow(this);
-      net_->reshare();
-    }
-  }
-  net_ = nullptr;
-}
-
 SharedLinkNetwork::SharedLinkNetwork(sim::Simulator& simulator,
                                      platform::LinkSpec link)
-    : simulator_(simulator), link_(link) {
+    : simulator_(simulator),
+      link_(link),
+      bandwidth_(simulator, "net", link.bandwidth_Bps) {
   if (link.bandwidth_Bps <= 0.0)
     throw std::invalid_argument("SharedLinkNetwork: bandwidth must be positive");
   if (link.latency_s < 0.0)
@@ -31,156 +17,45 @@ SharedLinkNetwork::SharedLinkNetwork(sim::Simulator& simulator,
 
 std::shared_ptr<Flow> SharedLinkNetwork::start_transfer(double bytes,
                                                         Flow::Completion done) {
-  if (bytes < 0.0)
-    throw std::invalid_argument("SharedLinkNetwork: negative payload");
-  auto flow = std::shared_ptr<Flow>(new Flow(*this, bytes, std::move(done)));
-  flow->started_ = simulator_.now();
+  auto flow = bandwidth_.create(bytes, std::move(done));
   if (obs::MetricsRegistry* metrics = simulator_.metrics())
     metrics->add("net.flows_started");
+  // Latency phase: the flow uses no bandwidth until alpha has passed.
   std::weak_ptr<Flow> weak = flow;
-  flow->event_ = simulator_.after(link_.latency_s, [this, weak] {
-    if (auto f = weak.lock(); f && f->active()) admit(f);
-  });
+  sim::FairShare::hold(*flow, simulator_.after(link_.latency_s, [this, weak] {
+    auto f = weak.lock();
+    if (!f || !f->active()) return;
+    // A latency-only message completes at alpha without joining.
+    if (f->remaining() <= 0.0)
+      bandwidth_.complete(f);
+    else
+      bandwidth_.join(f);
+  }));
   return flow;
 }
 
-void SharedLinkNetwork::admit(const std::shared_ptr<Flow>& flow) {
-  flow->in_latency_ = false;
-  flow->last_update_ = simulator_.now();
-  if (flow->remaining_ <= 0.0) {
-    // Latency-only message: complete immediately after alpha.
-    flow->active_ = false;
-    flow->net_ = nullptr;
-    observe_completion(*flow);
-    if (flow->done_) flow->done_();
-    return;
-  }
-  flows_.push_back(flow);
-  reshare();
-}
-
-void SharedLinkNetwork::reshare() {
-  if (resharing_) {
-    // Re-entered from a callback inside the pass below; defer so the outer
-    // pass finishes assigning consistent rates, then re-run.
-    reshare_pending_ = true;
-    return;
-  }
-  resharing_ = true;
-  const audit::InvariantAuditor* auditor = simulator_.auditor();
-  const bool auditing = auditor != nullptr && auditor->enabled();
-  do {
-    reshare_pending_ = false;
-    if (obs::MetricsRegistry* metrics = simulator_.metrics())
-      metrics->add("net.reshare_passes");
-    reshare_pass(auditing);
-  } while (reshare_pending_);
-  resharing_ = false;
-}
-
-void SharedLinkNetwork::reshare_pass(bool auditing) {
-  const SimTime now = simulator_.now();
-  const double rate =
-      flows_.empty() ? 0.0
-                     : link_.bandwidth_Bps / static_cast<double>(flows_.size());
-  if (auditing && rate * static_cast<double>(flows_.size()) >
-                      link_.bandwidth_Bps * (1.0 + 1e-9))
-    simulator_.auditor()->report(
-        "net", "rates_within_bandwidth", now,
-        std::to_string(flows_.size()) + " flows at " + std::to_string(rate) +
-            " B/s exceed link bandwidth " +
-            std::to_string(link_.bandwidth_Bps) + " B/s");
-  std::vector<std::shared_ptr<Flow>> snapshot = flows_;
-  for (auto& flow : snapshot) {
-    if (!flow->active()) continue;
-    const double elapsed = now - flow->last_update_;
-    flow->remaining_ -= flow->rate_ * elapsed;
-    if (auditing) audit_accrual(*flow, now, elapsed);
-    if (flow->remaining_ < 0.0) flow->remaining_ = 0.0;
-    flow->last_update_ = now;
-    flow->rate_ = rate;
-    flow->event_.cancel();
-    schedule_completion(flow);
-  }
-}
-
-/// Per-flow conservation checks at one accrual point: the interval since the
-/// last re-share is non-negative, and the remaining payload stays within
-/// [-rounding slack, initial bytes].  The slack covers completion-event
-/// quantisation (eta = remaining/rate re-multiplied by rate); genuine
-/// double-accounting overshoots by whole rate*dt amounts, orders beyond it.
-void SharedLinkNetwork::audit_accrual(const Flow& flow, SimTime now,
-                                      double elapsed) const {
-  audit::InvariantAuditor* auditor = simulator_.auditor();
-  if (elapsed < -sim::kTimeEpsilon)
-    auditor->report("net", "non_negative_elapsed", now,
-                    "flow accrued over a negative interval of " +
-                        std::to_string(elapsed) + " s");
-  const double slack = 1e-9 * flow.initial_bytes_ + 1e-3;
-  if (flow.remaining_ < -slack)
-    auditor->report("net", "byte_conservation", now,
-                    "flow overdrew its payload: remaining " +
-                        std::to_string(flow.remaining_) + " B of " +
-                        std::to_string(flow.initial_bytes_) + " B");
-  if (flow.remaining_ > flow.initial_bytes_ + slack)
-    auditor->report("net", "byte_conservation", now,
-                    "flow grew beyond its payload: remaining " +
-                        std::to_string(flow.remaining_) + " B of " +
-                        std::to_string(flow.initial_bytes_) + " B");
-}
-
-void SharedLinkNetwork::schedule_completion(const std::shared_ptr<Flow>& flow) {
-  if (flow->rate_ <= 0.0) return;
-  const SimDuration eta = flow->remaining_ / flow->rate_;
-  std::weak_ptr<Flow> weak = flow;
-  flow->event_ = simulator_.after(eta, [this, weak] {
-    if (auto f = weak.lock(); f && f->active()) finish(f);
-  });
-}
-
-void SharedLinkNetwork::finish(const std::shared_ptr<Flow>& flow) {
-  audit::InvariantAuditor* auditor = simulator_.auditor();
-  if (auditor != nullptr && auditor->enabled()) {
-    // The completion event was scheduled from (remaining, rate); at the
-    // instant it fires the un-accrued residual must be a rounding error,
-    // not unsent payload being silently dropped.
-    const double residual =
-        flow->remaining_ -
-        flow->rate_ * (simulator_.now() - flow->last_update_);
-    const double slack = 1e-9 * flow->initial_bytes_ + 1e-3;
-    if (residual > slack || residual < -slack)
-      auditor->report("net", "byte_conservation", simulator_.now(),
-                      "flow finished with " + std::to_string(residual) +
-                          " B unaccounted of " +
-                          std::to_string(flow->initial_bytes_) + " B");
-  }
-  flow->remaining_ = 0.0;
-  flow->active_ = false;
-  flow->net_ = nullptr;
-  remove_flow(flow.get());
-  observe_completion(*flow);
-  reshare();
-  if (flow->done_) flow->done_();
+void SharedLinkNetwork::Bandwidth::on_pass() {
+  if (obs::MetricsRegistry* metrics = simulator().metrics())
+    metrics->add("net.reshare_passes");
 }
 
 /// Completion-side observability: one counter tick, the payload into the
 /// bytes histogram, and a [submit, land] span on the shared "network" track.
-void SharedLinkNetwork::observe_completion(const Flow& flow) {
-  const SimTime now = simulator_.now();
-  if (obs::MetricsRegistry* metrics = simulator_.metrics()) {
+void SharedLinkNetwork::Bandwidth::on_complete(const Flow& flow) {
+  const sim::SimTime now = simulator().now();
+  if (obs::MetricsRegistry* metrics = simulator().metrics()) {
     metrics->add("net.flows_completed");
-    metrics->observe("net.flow_bytes", flow.initial_bytes_);
-    metrics->observe("net.flow_duration_s", now - flow.started_);
+    metrics->observe("net.flow_bytes", flow.work());
+    metrics->observe("net.flow_duration_s", now - flow.started());
   }
-  if (obs::TimelineTracer* timeline = simulator_.timeline())
-    timeline->span(timeline->track("network"), "flow", "net", flow.started_,
-                   now, {{"bytes", flow.initial_bytes_}});
+  if (obs::TimelineTracer* timeline = simulator().timeline())
+    timeline->span(timeline->track("network"), "flow", "net", flow.started(),
+                   now, {{"bytes", flow.work()}});
 }
 
-void SharedLinkNetwork::remove_flow(const Flow* flow) {
-  std::erase_if(flows_, [flow](const std::shared_ptr<Flow>& f) {
-    return f.get() == flow;
-  });
+void SharedLinkNetwork::Bandwidth::on_cancel(const Flow& /*flow*/) {
+  if (obs::MetricsRegistry* metrics = simulator().metrics())
+    metrics->add("net.flows_cancelled");
 }
 
 }  // namespace simsweep::net

@@ -5,55 +5,20 @@
 // collisions delay transmission.  We implement the classic fluid
 // approximation — the n concurrently active flows each progress at beta/n —
 // and each message additionally pays the latency alpha up front (during
-// which it does not consume bandwidth).  Rates are re-shared whenever a flow
-// joins or leaves.
+// which it does not consume bandwidth).  The sharing is a sim::FairShare of
+// capacity beta; the link keeps the latency phase and its observability.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <vector>
 
 #include "platform/cluster.hpp"
+#include "simcore/fair_share.hpp"
 #include "simcore/simulator.hpp"
 
 namespace simsweep::net {
 
-using sim::SimDuration;
-using sim::SimTime;
-
-class SharedLinkNetwork;
-
-/// One in-flight message.
-class Flow {
- public:
-  using Completion = std::function<void()>;
-
-  /// Bytes still to transfer as of the last re-share.
-  [[nodiscard]] double remaining_bytes() const noexcept { return remaining_; }
-
-  /// True until the completion callback fires or cancel() is called.
-  [[nodiscard]] bool active() const noexcept { return active_; }
-
-  /// Abandons the transfer; the completion callback will not fire.
-  void cancel();
-
- private:
-  friend class SharedLinkNetwork;
-  Flow(SharedLinkNetwork& net, double bytes, Completion done)
-      : net_(&net), remaining_(bytes), initial_bytes_(bytes),
-        done_(std::move(done)) {}
-
-  SharedLinkNetwork* net_;
-  double remaining_;
-  double initial_bytes_;  // payload at start; auditor conservation bound
-  Completion done_;
-  SimTime started_ = 0.0;  // submission time; timeline flow spans
-  SimTime last_update_ = 0.0;
-  double rate_ = 0.0;  // bytes/s granted at last re-share
-  bool in_latency_ = true;
-  sim::EventHandle event_;
-  bool active_ = true;
-};
+/// One in-flight message, in bytes.
+using Flow = sim::FairShare::Member;
 
 class SharedLinkNetwork {
  public:
@@ -69,36 +34,27 @@ class SharedLinkNetwork {
   /// Number of flows currently consuming bandwidth (excludes flows still in
   /// their latency phase).
   [[nodiscard]] std::size_t active_flows() const noexcept {
-    return flows_.size();
+    return bandwidth_.size();
   }
 
   [[nodiscard]] const platform::LinkSpec& link() const noexcept { return link_; }
 
-  /// Transfer time of `bytes` on an otherwise idle link.
-  [[nodiscard]] double uncontended_time(double bytes) const noexcept {
-    return link_.latency_s + bytes / link_.bandwidth_Bps;
-  }
-
  private:
-  friend class Flow;
-  void admit(const std::shared_ptr<Flow>& flow);
-  void reshare();
-  void reshare_pass(bool auditing);
-  void schedule_completion(const std::shared_ptr<Flow>& flow);
-  void finish(const std::shared_ptr<Flow>& flow);
-  void remove_flow(const Flow* flow);
-  void audit_accrual(const Flow& flow, SimTime now, double elapsed) const;
-  void observe_completion(const Flow& flow);
+  /// The link's bandwidth: counts re-share passes and records every flow
+  /// that completes or is cancelled.
+  class Bandwidth final : public sim::FairShare {
+   public:
+    using FairShare::FairShare;
+
+   private:
+    void on_pass() override;
+    void on_complete(const Flow& flow) override;
+    void on_cancel(const Flow& flow) override;
+  };
 
   sim::Simulator& simulator_;
   platform::LinkSpec link_;
-  std::vector<std::shared_ptr<Flow>> flows_;  // bandwidth-consuming flows
-  // Re-entrancy guard: a callback reached from inside a re-share pass (a
-  // completion that starts or cancels another flow) must not interleave a
-  // second rate assignment with the one in progress; the nested request is
-  // deferred and the pass re-runs against the settled flow set.
-  bool resharing_ = false;
-  bool reshare_pending_ = false;
+  Bandwidth bandwidth_;
 };
 
 }  // namespace simsweep::net

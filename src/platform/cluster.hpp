@@ -18,6 +18,11 @@ namespace simsweep::platform {
 struct LinkSpec {
   double latency_s = 1e-4;          ///< per-message latency alpha (seconds)
   double bandwidth_Bps = 6.0e6;     ///< shared bandwidth beta (bytes/second)
+
+  /// Time to move `bytes` as one message on an otherwise idle link.
+  [[nodiscard]] double transfer_time(double bytes) const noexcept {
+    return latency_s + bytes / bandwidth_Bps;
+  }
 };
 
 /// Platform-wide constants.

@@ -1,26 +1,18 @@
 #include "platform/host.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 namespace simsweep::platform {
 
-void ComputeTask::cancel() {
-  if (!active_) return;
-  active_ = false;
-  completion_event_.cancel();
-  if (host_ != nullptr) host_->remove_task(this);
-  host_ = nullptr;
-}
-
 Host::Host(sim::Simulator& simulator, HostId id, double peak_speed_flops,
            std::string name)
     : simulator_(simulator),
       id_(id),
       peak_speed_(peak_speed_flops),
-      name_(std::move(name)) {
+      name_(std::move(name)),
+      cpu_(simulator, "platform", peak_speed_flops) {
   if (peak_speed_flops <= 0.0)
     throw std::invalid_argument("Host: peak speed must be positive");
   load_history_.push_back(sim::Sample{simulator_.now(), 0.0});
@@ -32,7 +24,7 @@ void Host::set_external_load(int competitors) {
   if (competitors == external_load_) return;
   external_load_ = competitors;
   if (online_) record_state();
-  replan();
+  cpu_.set_background(static_cast<std::size_t>(competitors));
 }
 
 void Host::set_online(bool online) {
@@ -40,7 +32,7 @@ void Host::set_online(bool online) {
   if (online == online_) return;
   online_ = online;
   record_state();
-  replan();
+  cpu_.set_capacity(online ? peak_speed_ : 0.0);
 }
 
 void Host::set_crashed() {
@@ -94,12 +86,8 @@ void Host::record_state() {
 
 std::shared_ptr<ComputeTask> Host::start_compute(double work,
                                                  ComputeTask::Completion done) {
-  if (work < 0.0) throw std::invalid_argument("Host: negative work");
-  auto task = std::shared_ptr<ComputeTask>(
-      new ComputeTask(*this, work, std::move(done)));
-  task->last_update_ = simulator_.now();
-  tasks_.push_back(task);
-  replan();  // adding a task changes every task's share
+  auto task = cpu_.create(work, std::move(done));
+  cpu_.join(task);
   return task;
 }
 
@@ -135,63 +123,6 @@ double Host::mean_availability(SimTime t0, SimTime t1) const {
                           std::to_string(t1) + "]");
   }
   return mean;
-}
-
-double Host::per_task_rate() const noexcept {
-  if (tasks_.empty() || !online_) return 0.0;
-  const double sharers =
-      static_cast<double>(external_load_) + static_cast<double>(tasks_.size());
-  return peak_speed_ / std::max(1.0, sharers);
-}
-
-void Host::accrue(ComputeTask& task, SimTime now) const {
-  const double elapsed = now - task.last_update_;
-  audit::InvariantAuditor* auditor = simulator_.auditor();
-  if (auditor != nullptr && auditor->enabled() && elapsed < -sim::kTimeEpsilon)
-    auditor->report("platform", "non_negative_elapsed", now,
-                    name_ + " task accrued over a negative interval of " +
-                        std::to_string(elapsed) + " s");
-  task.remaining_ -= task.rate_ * elapsed;
-  if (task.remaining_ < 0.0) task.remaining_ = 0.0;
-  task.last_update_ = now;
-}
-
-void Host::replan() {
-  const SimTime now = simulator_.now();
-  const double rate = per_task_rate();
-  // Snapshot: completions triggered below may mutate tasks_.
-  std::vector<std::shared_ptr<ComputeTask>> snapshot = tasks_;
-  for (auto& task : snapshot) {
-    if (!task->active()) continue;
-    accrue(*task, now);
-    task->rate_ = rate;
-    task->completion_event_.cancel();
-    schedule_completion(task);
-  }
-}
-
-void Host::schedule_completion(const std::shared_ptr<ComputeTask>& task) {
-  if (task->rate_ <= 0.0) return;  // stalled; re-planned on next load change
-  const SimDuration eta = task->remaining_ / task->rate_;
-  std::weak_ptr<ComputeTask> weak = task;
-  task->completion_event_ = simulator_.after(eta, [this, weak] {
-    if (auto t = weak.lock(); t && t->active()) finish(t);
-  });
-}
-
-void Host::finish(const std::shared_ptr<ComputeTask>& task) {
-  accrue(*task, simulator_.now());
-  task->active_ = false;
-  task->host_ = nullptr;
-  remove_task(task.get());
-  replan();  // remaining tasks get a bigger share
-  if (task->done_) task->done_();
-}
-
-void Host::remove_task(const ComputeTask* task) {
-  std::erase_if(tasks_, [task](const std::shared_ptr<ComputeTask>& t) {
-    return t.get() == task;
-  });
 }
 
 }  // namespace simsweep::platform

@@ -7,56 +7,28 @@
 //
 //     peak_speed / (external_load + running_app_tasks)        [flop/s]
 //
-// Application work is executed through ComputeTask objects: the host
-// schedules a completion event from the remaining work and the current rate,
-// and re-plans all running tasks whenever the load or the task count changes.
+// The sharing itself is a sim::FairShare: its capacity is the peak speed (0
+// while the host is offline) and its background is the competing-process
+// count.  The host keeps the load, the online/crash state and the history.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "simcore/fair_share.hpp"
 #include "simcore/sim_time.hpp"
 #include "simcore/simulator.hpp"
 #include "simcore/step_series.hpp"
 
 namespace simsweep::platform {
 
-using sim::SimDuration;
 using sim::SimTime;
 
-class Host;
-
-/// A unit of CPU work executing on a host.  Created via Host::start_compute;
-/// destroyed (or cancelled) when complete.
-class ComputeTask {
- public:
-  using Completion = std::function<void()>;
-
-  /// Work still to do, in flops, as of the last re-plan.
-  [[nodiscard]] double remaining_work() const noexcept { return remaining_; }
-
-  /// True until the completion callback has fired or cancel() was called.
-  [[nodiscard]] bool active() const noexcept { return active_; }
-
-  /// Abandons the task; the completion callback will not fire.
-  void cancel();
-
- private:
-  friend class Host;
-  ComputeTask(Host& host, double work, Completion done)
-      : host_(&host), remaining_(work), done_(std::move(done)) {}
-
-  Host* host_;
-  double remaining_;
-  Completion done_;
-  SimTime last_update_ = 0.0;
-  double rate_ = 0.0;  // flop/s granted at last re-plan
-  sim::EventHandle completion_event_;
-  bool active_ = true;
-};
+/// A unit of CPU work executing on a host, in flops.  Created via
+/// Host::start_compute; destroyed (or cancelled) when complete.
+using ComputeTask = sim::FairShare::Member;
 
 /// Identifier of a host within its cluster.
 using HostId = std::uint32_t;
@@ -119,7 +91,7 @@ class Host {
 
   /// Number of application tasks currently running here.
   [[nodiscard]] std::size_t running_tasks() const noexcept {
-    return tasks_.size();
+    return cpu_.size();
   }
 
   /// Recorded load history since construction: sample values are the
@@ -141,18 +113,7 @@ class Host {
   [[nodiscard]] double mean_availability(SimTime t0, SimTime t1) const;
 
  private:
-  friend class ComputeTask;
-
-  /// Progress accrual + completion-event rebuild for all running tasks.
-  void replan();
   void record_state();
-  void accrue(ComputeTask& task, SimTime now) const;
-  void schedule_completion(const std::shared_ptr<ComputeTask>& task);
-  void finish(const std::shared_ptr<ComputeTask>& task);
-  void remove_task(const ComputeTask* task);
-
-  /// Rate currently granted to each app task.
-  [[nodiscard]] double per_task_rate() const noexcept;
 
   sim::Simulator& simulator_;
   HostId id_;
@@ -161,7 +122,7 @@ class Host {
   int external_load_ = 0;
   bool online_ = true;
   bool crashed_ = false;
-  std::vector<std::shared_ptr<ComputeTask>> tasks_;
+  sim::FairShare cpu_;  // app tasks share peak_speed_ with external_load_
   std::vector<sim::Sample> load_history_;
 
   // Cached observability handles: record_state fires on every load change

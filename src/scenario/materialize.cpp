@@ -18,6 +18,7 @@ core::ExperimentConfig base_config(const ScenarioSpec& spec) {
                                                  spec.iter_minutes);
   cfg.app.state_bytes_per_process = spec.state_mb * app::kMiB;
   cfg.app.comm_bytes_per_process = spec.comm_kb * app::kKiB;
+  cfg.app.validate();
   cfg.spare_count = spec.spares;
   cfg.seed = spec.seed;
   cfg.horizon_s = spec.horizon_hours * 3600.0;
@@ -177,6 +178,7 @@ MaterializedGrid materialize(const ScenarioSpec& spec,
         cell.config.app.state_bytes_per_process = *variant.state_mb * app::kMiB;
       if (variant.initial_schedule.has_value())
         cell.config.initial_schedule = *variant.initial_schedule;
+      cell.config.app.validate();
 
       LoadSpec load = variant.load.has_value() ? *variant.load : spec.load;
       StrategySpec strat = variant.strategy;

@@ -8,11 +8,9 @@
 namespace simsweep::strategy {
 
 double CrComponent::adaptation_cost(IterativeExecution& exec) {
-  const platform::LinkSpec& link = exec.cluster().link();
   const std::size_t n = exec.spec().active_processes;
-  const double transfer_each =
-      link.latency_s + exec.spec().state_bytes_per_process *
-                           static_cast<double>(n) / link.bandwidth_Bps;
+  const double transfer_each = exec.cluster().link().transfer_time(
+      exec.spec().state_bytes_per_process * static_cast<double>(n));
   return 2.0 * transfer_each + exec.cluster().startup_cost(n);
 }
 

@@ -75,12 +75,12 @@ void IterativeExecution::begin_iteration() {
   iter_start_ = simulator_.now();
   in_flight_ = true;
   pending_ = placement_.size();
-  tasks_.clear();
-  tasks_.reserve(placement_.size());
+  phase_.clear();
+  phase_.reserve(placement_.size());
   for (std::size_t slot = 0; slot < placement_.size(); ++slot) {
     const double work =
         spec_.work_per_iteration_flops * partition_.fraction(slot);
-    tasks_.push_back(cluster_.host(placement_[slot])
+    phase_.push_back(cluster_.host(placement_[slot])
                          .start_compute(work, [this] { compute_done(); }));
   }
   if (iteration_start_observer_) iteration_start_observer_(*this);
@@ -89,10 +89,8 @@ void IterativeExecution::begin_iteration() {
 double IterativeExecution::abort_iteration() {
   if (!in_flight_)
     throw std::logic_error("abort_iteration: no iteration in flight");
-  for (auto& task : tasks_) task->cancel();
-  for (auto& flow : flows_) flow->cancel();
-  tasks_.clear();
-  flows_.clear();
+  for (auto& member : phase_) member->cancel();
+  phase_.clear();
   pending_ = 0;
   in_flight_ = false;
   // The abandoned partial iteration is adaptation-induced lost time; charge
@@ -151,7 +149,7 @@ void IterativeExecution::restart_iteration() {
 
 void IterativeExecution::compute_done() {
   if (--pending_ > 0) return;
-  tasks_.clear();
+  phase_.clear();
   // Communication phase: every process exchanges its boundary data over the
   // shared link concurrently.  A single-process run has nobody to talk to.
   if (placement_.size() < 2 || spec_.comm_bytes_per_process <= 0.0) {
@@ -159,17 +157,15 @@ void IterativeExecution::compute_done() {
     return;
   }
   pending_ = placement_.size();
-  flows_.clear();
-  flows_.reserve(placement_.size());
   for (std::size_t slot = 0; slot < placement_.size(); ++slot) {
-    flows_.push_back(network_.start_transfer(spec_.comm_bytes_per_process,
+    phase_.push_back(network_.start_transfer(spec_.comm_bytes_per_process,
                                              [this] { comm_done(); }));
   }
 }
 
 void IterativeExecution::comm_done() {
   if (--pending_ > 0) return;
-  flows_.clear();
+  phase_.clear();
   iteration_complete();
 }
 

@@ -128,8 +128,9 @@ class IterativeExecution {
   bool in_flight_ = false;
   sim::SimTime iter_start_ = 0.0;
   std::size_t pending_ = 0;  // outstanding compute tasks / flows this phase
-  std::vector<std::shared_ptr<platform::ComputeTask>> tasks_;
-  std::vector<std::shared_ptr<net::Flow>> flows_;
+  // The phase in flight: compute tasks, then flows (the same member type;
+  // the two phases never overlap).
+  std::vector<std::shared_ptr<sim::FairShare::Member>> phase_;
   std::function<void(IterativeExecution&)> iteration_start_observer_;
 };
 

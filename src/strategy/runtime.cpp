@@ -13,9 +13,8 @@ double estimate_comm_time(const app::AppSpec& spec,
                           const platform::LinkSpec& link) {
   if (spec.active_processes < 2 || spec.comm_bytes_per_process <= 0.0)
     return 0.0;
-  const double total_bytes =
-      spec.comm_bytes_per_process * static_cast<double>(spec.active_processes);
-  return link.latency_s + total_bytes / link.bandwidth_Bps;
+  return link.transfer_time(spec.comm_bytes_per_process *
+                            static_cast<double>(spec.active_processes));
 }
 
 void Remediation::at_boundary(TechniqueRuntime& /*rt*/,

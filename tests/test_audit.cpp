@@ -12,6 +12,7 @@
 #include "golden_scenarios.hpp"
 #include "load/onoff.hpp"
 #include "net/shared_link.hpp"
+#include "platform/host.hpp"
 #include "simcore/simulator.hpp"
 #include "swampi/runtime.hpp"
 #include "swampi/swap_ext.hpp"
@@ -100,6 +101,27 @@ TEST(AuditedSubsystems, SimulatorAndNetworkRunClean) {
   (void)s.after(1.0, [&] { flows[7]->cancel(); });
   (void)s.after(2.0, [&] { flows.push_back(n.start_transfer(50.0, [] {})); });
   s.run();
+  EXPECT_EQ(auditor.violation_count(), 0u)
+      << audit::to_string(auditor.take_violations().front());
+}
+
+TEST(AuditedSubsystems, HostRunsClean) {
+  // Two tasks sharing a CPU through load churn, a cancel and an offline
+  // spell walk every accrual, re-rate and completion check in platform.
+  audit::InvariantAuditor auditor(audit::AuditMode::kWarn);
+  sim::Simulator s;
+  s.set_auditor(&auditor);
+  pf::Host h(s, 0, 100.0, "h");
+  bool done = false;
+  auto t1 = h.start_compute(500.0, [&] { done = true; });
+  auto t2 = h.start_compute(400.0, [] {});
+  for (int i = 1; i <= 6; ++i)
+    (void)s.after(0.5 * i, [&h, i] { h.set_external_load(i % 3); });
+  (void)s.after(2.0, [&] { t2->cancel(); });
+  (void)s.after(4.0, [&] { h.set_online(false); });
+  (void)s.after(5.0, [&] { h.set_online(true); });
+  s.run();
+  EXPECT_TRUE(done);
   EXPECT_EQ(auditor.violation_count(), 0u)
       << audit::to_string(auditor.take_violations().front());
 }

@@ -185,6 +185,10 @@ TEST(ConfigBuild, FlagsOverrideAndValidate) {
            {"--blacklist-after=-1"},
            {"--max-events=-1"},
            {"--iter-minutes=nan"},
+           {"--iter-minutes=0"},
+           {"--comm-kb=1e308"},  // overflows to inf bytes
+           {"--iter-minutes=1e308"},
+           {"--state-mb=1e308"},
        }) {
     cli::Args args_bad(flags);
     EXPECT_THROW((void)cli::build_config(args_bad), std::invalid_argument)

@@ -96,7 +96,7 @@ TEST(SharedLinkEdge, CompletionClearsActiveFlows) {
   s.run();
   EXPECT_EQ(n.active_flows(), 0u);
   EXPECT_FALSE(flow->active());
-  EXPECT_DOUBLE_EQ(flow->remaining_bytes(), 0.0);
+  EXPECT_DOUBLE_EQ(flow->remaining(), 0.0);
 }
 
 TEST(SimulatorEdge, IdleReflectsPendingEvents) {

@@ -1,12 +1,18 @@
 // Unit tests for the shared-link contention network.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <type_traits>
+
 #include "net/shared_link.hpp"
 #include "simcore/simulator.hpp"
 
 namespace sim = simsweep::sim;
 namespace pf = simsweep::platform;
 namespace net = simsweep::net;
+
+// A message and a compute task are members of the one fair-share resource.
+static_assert(std::is_same_v<net::Flow, pf::ComputeTask>);
 
 namespace {
 
@@ -23,7 +29,7 @@ TEST(SharedLink, SingleTransferTakesLatencyPlusBytesOverBandwidth) {
   auto f = n.start_transfer(200.0, [&] { done_at = s.now(); });
   s.run();
   EXPECT_DOUBLE_EQ(done_at, 2.5);
-  EXPECT_DOUBLE_EQ(n.uncontended_time(200.0), 2.5);
+  EXPECT_DOUBLE_EQ(n.link().transfer_time(200.0), 2.5);
 }
 
 TEST(SharedLink, LatencyOnlyMessage) {
@@ -122,8 +128,8 @@ TEST(SharedLink, LatencyPhaseDoesNotConsumeBandwidth) {
 
 TEST(SharedLink, CancelFromCompletionCallbackIsSafe) {
   // A flow's completion callback cancelling a sibling re-enters the
-  // network's resharing machinery mid-update; the deferred-reshare guard
-  // must fold the nested pass in without corrupting any flow's accrual.
+  // network's resharing machinery; the callback runs after the completion
+  // pass, so the cancel's pass must not corrupt any flow's accrual.
   sim::Simulator s;
   net::SharedLinkNetwork n(s, link(0.0, 100.0));
   double a = -1.0;
@@ -169,4 +175,7 @@ TEST(SharedLink, RejectsInvalidParameters) {
                std::invalid_argument);
   net::SharedLinkNetwork n(s, link(0.0, 10.0));
   EXPECT_THROW((void)n.start_transfer(-1.0, [] {}), std::invalid_argument);
+  EXPECT_THROW((void)n.start_transfer(std::nan(""), [] {}),
+               std::invalid_argument);
+  EXPECT_THROW((void)n.start_transfer(HUGE_VAL, [] {}), std::invalid_argument);
 }

@@ -1,6 +1,8 @@
 // Unit tests for hosts, compute tasks and the cluster builder.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "platform/cluster.hpp"
 #include "platform/host.hpp"
 #include "simcore/simulator.hpp"
@@ -102,6 +104,20 @@ TEST(Host, CancelPreventsCompletion) {
   EXPECT_EQ(h.running_tasks(), 0u);
 }
 
+TEST(Host, CancelFreesTheCpuShare) {
+  sim::Simulator s;
+  pf::Host h(s, 0, 100.0, "h");
+  double done_at = -1.0;
+  auto t1 = h.start_compute(100.0, [&] { done_at = s.now(); });
+  auto t2 = h.start_compute(100.0, [] {});
+  (void)s.after(0.5, [&] { t2->cancel(); });
+  s.run();
+  // 25 flop at 50 flop/s while shared, then the remaining 75 at the full
+  // 100 flop/s from the cancel on.
+  EXPECT_DOUBLE_EQ(done_at, 1.25);
+  EXPECT_DOUBLE_EQ(t1->remaining(), 0.0);
+}
+
 TEST(Host, ZeroWorkCompletesImmediately) {
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "h");
@@ -130,6 +146,10 @@ TEST(Host, RejectsInvalidArguments) {
   pf::Host h(s, 0, 100.0, "h");
   EXPECT_THROW(h.set_external_load(-1), std::invalid_argument);
   EXPECT_THROW((void)h.start_compute(-5.0, [] {}), std::invalid_argument);
+  EXPECT_THROW((void)h.start_compute(std::nan(""), [] {}),
+               std::invalid_argument);
+  EXPECT_THROW((void)h.start_compute(HUGE_VAL, [] {}), std::invalid_argument);
+  EXPECT_EQ(h.running_tasks(), 0u);
 }
 
 TEST(Cluster, ExplicitSpeedsAreUsed) {

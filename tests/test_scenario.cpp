@@ -476,4 +476,19 @@ TEST(CliGolden, SweepWithMoreActiveThanHostsFailsBeforeAnyCell) {
   EXPECT_FALSE(std::filesystem::exists(journal.str()));
 }
 
+TEST(CliGolden, SweepWithZeroIterationMinutesFailsBeforeAnyCell) {
+  TempPath journal("cli_zero_work");
+  int exit_code = -1;
+  const std::string output = run_command(
+      binary_invocation() + " sweep --iter-minutes=0 --journal=" +
+          journal.str(),
+      exit_code);
+  EXPECT_EQ(exit_code, 1);
+  EXPECT_NE(output.find("work must be finite and positive"),
+            std::string::npos)
+      << output;
+  EXPECT_EQ(output.find("quarantined"), std::string::npos) << output;
+  EXPECT_FALSE(std::filesystem::exists(journal.str()));
+}
+
 }  // namespace
