@@ -75,8 +75,10 @@ static void BM_LinkReshare(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(flows) *
                           state.iterations());
+  state.SetComplexityN(static_cast<std::int64_t>(flows));
 }
-BENCHMARK(BM_LinkReshare)->Arg(8)->Arg(64)->Arg(256);
+// Complexity() prints the big-O fitted over the four flow counts.
+BENCHMARK(BM_LinkReshare)->Arg(8)->Arg(64)->Arg(256)->Arg(1024)->Complexity();
 
 static void BM_FullSwapRun(benchmark::State& state) {
   core::ExperimentConfig cfg;

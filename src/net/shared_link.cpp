@@ -1,8 +1,26 @@
 #include "net/shared_link.hpp"
 
 #include <stdexcept>
+#include <string_view>
 
 namespace simsweep::net {
+
+namespace {
+
+/// The metric behind `slot`, looked up by `name` on first use only.
+obs::Counter& cached(obs::Counter*& slot, obs::MetricsRegistry& metrics,
+                     std::string_view name) {
+  if (slot == nullptr) slot = &metrics.counter(name);
+  return *slot;
+}
+
+obs::Histogram& cached(obs::Histogram*& slot, obs::MetricsRegistry& metrics,
+                       std::string_view name) {
+  if (slot == nullptr) slot = &metrics.histogram(name);
+  return *slot;
+}
+
+}  // namespace
 
 SharedLinkNetwork::SharedLinkNetwork(sim::Simulator& simulator,
                                      platform::LinkSpec link)
@@ -19,7 +37,7 @@ std::shared_ptr<Flow> SharedLinkNetwork::start_transfer(double bytes,
                                                         Flow::Completion done) {
   auto flow = bandwidth_.create(bytes, std::move(done));
   if (obs::MetricsRegistry* metrics = simulator_.metrics())
-    metrics->add("net.flows_started");
+    cached(flows_started_, *metrics, "net.flows_started").add();
   // Latency phase: the flow uses no bandwidth until alpha has passed.
   std::weak_ptr<Flow> weak = flow;
   sim::FairShare::hold(*flow, simulator_.after(link_.latency_s, [this, weak] {
@@ -36,7 +54,7 @@ std::shared_ptr<Flow> SharedLinkNetwork::start_transfer(double bytes,
 
 void SharedLinkNetwork::Bandwidth::on_pass() {
   if (obs::MetricsRegistry* metrics = simulator().metrics())
-    metrics->add("net.reshare_passes");
+    cached(reshare_passes_, *metrics, "net.reshare_passes").add();
 }
 
 /// Completion-side observability: one counter tick, the payload into the
@@ -44,9 +62,10 @@ void SharedLinkNetwork::Bandwidth::on_pass() {
 void SharedLinkNetwork::Bandwidth::on_complete(const Flow& flow) {
   const sim::SimTime now = simulator().now();
   if (obs::MetricsRegistry* metrics = simulator().metrics()) {
-    metrics->add("net.flows_completed");
-    metrics->observe("net.flow_bytes", flow.work());
-    metrics->observe("net.flow_duration_s", now - flow.started());
+    cached(flows_completed_, *metrics, "net.flows_completed").add();
+    cached(flow_bytes_, *metrics, "net.flow_bytes").observe(flow.work());
+    cached(flow_duration_, *metrics, "net.flow_duration_s")
+        .observe(now - flow.started());
   }
   if (obs::TimelineTracer* timeline = simulator().timeline())
     timeline->span(timeline->track("network"), "flow", "net", flow.started(),
@@ -55,7 +74,7 @@ void SharedLinkNetwork::Bandwidth::on_complete(const Flow& flow) {
 
 void SharedLinkNetwork::Bandwidth::on_cancel(const Flow& /*flow*/) {
   if (obs::MetricsRegistry* metrics = simulator().metrics())
-    metrics->add("net.flows_cancelled");
+    cached(flows_cancelled_, *metrics, "net.flows_cancelled").add();
 }
 
 }  // namespace simsweep::net

@@ -50,11 +50,21 @@ class SharedLinkNetwork {
     void on_pass() override;
     void on_complete(const Flow& flow) override;
     void on_cancel(const Flow& flow) override;
+
+    // Registry handles, each resolved on its first use: the registry is
+    // fixed for a simulation's lifetime, so the name lookup happens once
+    // per link, and a metric the run never touches is never created.
+    obs::Counter* reshare_passes_ = nullptr;
+    obs::Counter* flows_completed_ = nullptr;
+    obs::Counter* flows_cancelled_ = nullptr;
+    obs::Histogram* flow_bytes_ = nullptr;
+    obs::Histogram* flow_duration_ = nullptr;
   };
 
   sim::Simulator& simulator_;
   platform::LinkSpec link_;
   Bandwidth bandwidth_;
+  obs::Counter* flows_started_ = nullptr;  // resolved like Bandwidth's
 };
 
 }  // namespace simsweep::net

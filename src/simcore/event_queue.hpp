@@ -7,10 +7,10 @@
 // auxiliary index structure.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -50,7 +50,8 @@ class EventQueue {
   /// Schedules `cb` at absolute simulated time `at`.
   EventHandle schedule(SimTime at, Callback cb) {
     auto cancelled = std::make_shared<bool>(false);
-    heap_.push(Entry{at, next_seq_++, std::move(cb), cancelled});
+    heap_.push_back(Entry{at, next_seq_++, std::move(cb), cancelled});
+    std::push_heap(heap_.begin(), heap_.end(), FiresAfter{});
     return EventHandle(cancelled);
   }
 
@@ -74,14 +75,16 @@ class EventQueue {
   /// Time of the earliest live event; kTimeInfinity when empty.
   [[nodiscard]] SimTime next_time() {
     drop_cancelled();
-    return heap_.empty() ? kTimeInfinity : heap_.top().time;
+    return heap_.empty() ? kTimeInfinity : heap_.front().time;
   }
 
-  /// Removes and returns the earliest live event.  Precondition: !empty().
+  /// Removes and returns the earliest live event, moving its callback out.
+  /// Precondition: !empty().
   [[nodiscard]] std::pair<SimTime, Callback> pop() {
     drop_cancelled();
-    Entry top = heap_.top();
-    heap_.pop();
+    std::pop_heap(heap_.begin(), heap_.end(), FiresAfter{});
+    Entry top = std::move(heap_.back());
+    heap_.pop_back();
     *top.cancelled = true;  // fired events report pending() == false
     return {top.time, std::move(top.callback)};
   }
@@ -92,18 +95,26 @@ class EventQueue {
     std::uint64_t seq;
     Callback callback;
     std::shared_ptr<bool> cancelled;
+  };
 
-    bool operator>(const Entry& other) const {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
+  /// The heap comparator: `a` fires after `b`, so heap_.front() is next.
+  /// A function object, not a function pointer, so the heap algorithms
+  /// inline it.
+  struct FiresAfter {
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
+      if (a.time != b.time) return a.time > b.time;
+      return a.seq > b.seq;
     }
   };
 
   void drop_cancelled() {
-    while (!heap_.empty() && *heap_.top().cancelled) heap_.pop();
+    while (!heap_.empty() && *heap_.front().cancelled) {
+      std::pop_heap(heap_.begin(), heap_.end(), FiresAfter{});
+      heap_.pop_back();
+    }
   }
 
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+  std::vector<Entry> heap_;
   std::uint64_t next_seq_ = 0;
 };
 

@@ -1,6 +1,5 @@
 #include "simcore/fair_share.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -18,8 +17,7 @@ double work_slack(double work) { return 1e-9 * work + 1e-3; }
 
 void FairShare::Member::cancel() {
   if (!active_) return;
-  active_ = false;
-  event_.cancel();
+  wait_.cancel();
   owner_->drop(*this);
 }
 
@@ -33,21 +31,27 @@ std::shared_ptr<FairShare::Member> FairShare::create(double work,
 }
 
 void FairShare::join(const std::shared_ptr<Member>& member) {
+  accrue();
+  // The first member of an empty resource restarts the countdown.
+  if (members_ == 0) base_ = member->remaining_;
+  member->key_ = member->remaining_ - base_;
   member->joined_ = true;
-  member->last_update_ = simulator_.now();
-  members_.push_back(member);
+  ++members_;
+  heap_.push_back(Entry{member->key_, joins_++, member});
+  std::push_heap(heap_.begin(), heap_.end(), FinishesAfter{});
   rerate();
 }
 
 void FairShare::complete(const std::shared_ptr<Member>& member) {
+  const bool joined = member->in_set();
   audit::InvariantAuditor* auditor = simulator_.auditor();
   if (auditor != nullptr && auditor->enabled()) {
     // The completion event was scheduled from (remaining, rate); at the
     // instant it fires the un-accrued residual must be a rounding error,
     // not unfinished work being silently dropped.
     const double residual =
-        member->remaining_ -
-        member->rate_ * (simulator_.now() - member->last_update_);
+        member->remaining() -
+        (joined ? rate_ * (simulator_.now() - last_pass_) : 0.0);
     if (std::fabs(residual) > work_slack(member->work_))
       auditor->report(layer_, "work_conservation", simulator_.now(),
                       "member finished with " + std::to_string(residual) +
@@ -55,8 +59,7 @@ void FairShare::complete(const std::shared_ptr<Member>& member) {
   }
   member->remaining_ = 0.0;
   member->active_ = false;
-  const bool joined = member->joined_;
-  if (joined) leave(*member);
+  if (joined) --members_;
   on_complete(*member);
   if (joined) rerate();
   if (member->done_) member->done_();
@@ -72,62 +75,71 @@ void FairShare::set_background(std::size_t sharers) {
   rerate();
 }
 
-void FairShare::drop(const Member& member) {
+void FairShare::drop(Member& member) {
+  const bool joined = member.in_set();
+  member.remaining_ = member.remaining();  // as of the last pass
+  member.active_ = false;
   on_cancel(member);
-  if (!member.joined_) return;
-  leave(member);
+  if (!joined) return;
+  --members_;
   rerate();
 }
 
-void FairShare::leave(const Member& member) {
-  members_.erase(std::find_if(
-      members_.begin(), members_.end(),
-      [&member](const std::shared_ptr<Member>& m) { return m.get() == &member; }));
+/// Runs the countdown from the last pass to now at the rate it granted.
+void FairShare::accrue() {
+  const SimTime now = simulator_.now();
+  const double elapsed = now - last_pass_;
+  audit::InvariantAuditor* auditor = simulator_.auditor();
+  if (auditor != nullptr && auditor->enabled() && elapsed < -kTimeEpsilon)
+    auditor->report(layer_, "non_negative_elapsed", now,
+                    "resource accrued over a negative interval of " +
+                        std::to_string(elapsed) + " s");
+  base_ -= rate_ * elapsed;
+  last_pass_ = now;
 }
 
 void FairShare::rerate() {
   on_pass();
-  const SimTime now = simulator_.now();
-  const double n = static_cast<double>(members_.size());
-  const double rate =
-      capacity_ / std::max(1.0, static_cast<double>(background_) + n);
+  accrue();
+  const double n = static_cast<double>(members_);
+  rate_ = capacity_ / std::max(1.0, static_cast<double>(background_) + n);
   audit::InvariantAuditor* auditor = simulator_.auditor();
-  const bool auditing = auditor != nullptr && auditor->enabled();
-  if (auditing && rate * n > capacity_ * (1.0 + 1e-9))
-    auditor->report(layer_, "rates_within_capacity", now,
-                    std::to_string(members_.size()) + " members at " +
-                        std::to_string(rate) + " exceed capacity " +
-                        std::to_string(capacity_));
-  for (const std::shared_ptr<Member>& member : members_) {
-    const double elapsed = now - member->last_update_;
-    member->remaining_ -= member->rate_ * elapsed;
-    if (auditing) audit_accrual(*member, now, elapsed);
-    if (member->remaining_ < 0.0) member->remaining_ = 0.0;
-    member->last_update_ = now;
-    member->rate_ = rate;
-    member->event_.cancel();
-    if (rate <= 0.0) continue;  // stalled until the next pass
-    std::weak_ptr<Member> weak = member;
-    member->event_ = simulator_.after(member->remaining_ / rate, [this, weak] {
-      if (auto m = weak.lock(); m && m->active()) complete(m);
-    });
+  if (auditor != nullptr && auditor->enabled()) {
+    if (rate_ * n > capacity_ * (1.0 + 1e-9))
+      auditor->report(layer_, "rates_within_capacity", last_pass_,
+                      std::to_string(members_) + " members at " +
+                          std::to_string(rate_) + " exceed capacity " +
+                          std::to_string(capacity_));
+    audit_members(last_pass_);
   }
+  while (!heap_.empty() && !heap_.front().member->in_set()) {
+    std::pop_heap(heap_.begin(), heap_.end(), FinishesAfter{});
+    heap_.pop_back();
+  }
+  event_.cancel();
+  if (heap_.empty() || rate_ <= 0.0) return;  // idle, or stalled until a pass
+  // When the event fires the head is still in the set, since any change
+  // before then reschedules it.  The copy keeps the member alive after the
+  // pass in complete() pops its entry.
+  event_ = simulator_.after(
+      std::max(0.0, base_ + heap_.front().key) / rate_,
+      [this] { complete(std::shared_ptr<Member>(heap_.front().member)); });
 }
 
-/// Per-member checks at one accrual point: the interval since the last pass
-/// is non-negative, and the remaining work stays within [-slack, work + slack].
-void FairShare::audit_accrual(const Member& member, SimTime now,
-                              double elapsed) const {
+/// Per-member check at one pass: each remaining work stays within
+/// [-slack, work + slack].
+void FairShare::audit_members(SimTime now) const {
   audit::InvariantAuditor* auditor = simulator_.auditor();
-  if (elapsed < -kTimeEpsilon)
-    auditor->report(layer_, "non_negative_elapsed", now,
-                    "member accrued over a negative interval of " +
-                        std::to_string(elapsed) + " s");
-  const double slack = work_slack(member.work_);
-  if (member.remaining_ < -slack || member.remaining_ > member.work_ + slack)
-    auditor->report(layer_, "work_conservation", now,
-                    "member has " + std::to_string(member.remaining_) +
-                        " remaining of " + std::to_string(member.work_));
+  for (const Entry& entry : heap_) {
+    if (!entry.member->in_set()) continue;
+    const double remaining = base_ + entry.key;
+    const double work = entry.member->work_;
+    const double slack = work_slack(work);
+    if (remaining < -slack || remaining > work + slack)
+      auditor->report(layer_, "work_conservation", now,
+                      "member has " + std::to_string(remaining) +
+                          " remaining of " + std::to_string(work));
+  }
 }
 
 }  // namespace simsweep::sim

@@ -7,13 +7,24 @@
 //
 // A host's CPU is one (capacity = peak speed, background = competing
 // processes); the shared link is another (capacity = beta, no background).
-// Every change to the set (join, completion, cancel) or to the capacity or
-// background runs one pass: each member accrues the work done at its old
-// rate, takes the new rate and gets a fresh completion event.  A pass only
-// accrues, cancels and schedules, so it never calls back into its owner.
+//
+// Every member progresses at the same rate, so one countdown clock serves
+// them all.  `base` is the remaining work of the member that joined the
+// empty resource; every member stores key = work - base when it joins, so
+// its remaining work is base + key from then on, and the member with the
+// smallest (key, join order) finishes first.  Every change to the set (join,
+// completion, cancel) or to the capacity or background runs one pass: base
+// drops by rate * elapsed, the rate is recomputed and the resource's one
+// completion event is rescheduled for the head of a min-heap of keys, so a
+// change costs O(log n).  With a single member, base is that member's
+// remaining work, updated by the same arithmetic a per-member loop would
+// use.  A pass only accrues, cancels and schedules, so it never calls back
+// into its owner.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -32,7 +43,7 @@ class FairShare {
     using Completion = std::function<void()>;
 
     /// Work still to do as of the last pass; 0 once complete.
-    [[nodiscard]] double remaining() const noexcept { return remaining_; }
+    [[nodiscard]] double remaining() const noexcept;
 
     /// Work the member was created with.
     [[nodiscard]] double work() const noexcept { return work_; }
@@ -43,7 +54,7 @@ class FairShare {
     /// True until the completion callback has fired or cancel() was called.
     [[nodiscard]] bool active() const noexcept { return active_; }
 
-    /// Abandons the member: its pending event is cancelled, the callback
+    /// Abandons the member: its pending wait is cancelled, the callback
     /// will not fire, and its share goes to the other members at once.
     void cancel();
 
@@ -53,14 +64,15 @@ class FairShare {
         : owner_(&owner), remaining_(work), work_(work),
           done_(std::move(done)), started_(now) {}
 
+    [[nodiscard]] bool in_set() const noexcept { return joined_ && active_; }
+
     FairShare* owner_;
-    double remaining_;
+    double remaining_;  // while out of the set: before join(), after leaving
+    double key_ = 0.0;  // while in the set, remaining work = owner's base + key
     double work_;
     Completion done_;
     SimTime started_;
-    SimTime last_update_ = 0.0;  // set by join() and every pass
-    double rate_ = 0.0;  // granted at the last pass
-    EventHandle event_;  // completion, or the owner's wait before join()
+    EventHandle wait_;  // the owner's wait before join()
     bool active_ = true;
     bool joined_ = false;
   };
@@ -69,7 +81,8 @@ class FairShare {
   /// "net"); it must outlive the resource.
   FairShare(Simulator& simulator, const char* layer, double capacity)
       : simulator_(simulator), layer_(layer), capacity_(capacity) {}
-  virtual ~FairShare() = default;
+  /// Cancels the pending completion event, which refers to this object.
+  virtual ~FairShare() { event_.cancel(); }
 
   FairShare(const FairShare&) = delete;
   FairShare& operator=(const FairShare&) = delete;
@@ -77,10 +90,10 @@ class FairShare {
   /// A member with `work` to do (finite, >= 0) that has not joined yet.
   std::shared_ptr<Member> create(double work, Member::Completion done);
 
-  /// Makes `event` the member's pending event until it joins, so cancel()
+  /// Makes `event` the member's pending wait until it joins, so cancel()
   /// cancels it too (the link's latency phase).
   static void hold(Member& member, EventHandle event) {
-    member.event_ = std::move(event);
+    member.wait_ = std::move(event);
   }
 
   /// Adds `member` to the set and re-rates.  A member with no work left
@@ -98,7 +111,7 @@ class FairShare {
   void set_background(std::size_t sharers);
 
   /// Members currently progressing.
-  [[nodiscard]] std::size_t size() const noexcept { return members_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return members_; }
 
  protected:
   [[nodiscard]] Simulator& simulator() const noexcept { return simulator_; }
@@ -111,16 +124,42 @@ class FairShare {
   virtual void on_cancel(const Member& /*member*/) {}
 
  private:
-  void drop(const Member& member);
-  void leave(const Member& member);
+  /// A joined member in the heap.  Members that left stay until they
+  /// surface at the top, where the next pass discards them.
+  struct Entry {
+    double key;
+    std::uint64_t seq;  // join order: equal keys finish first-joined first
+    std::shared_ptr<Member> member;
+  };
+
+  /// The heap comparator: `a` finishes after `b`, so heap_.front() is next.
+  struct FinishesAfter {
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
+      if (a.key != b.key) return a.key > b.key;
+      return a.seq > b.seq;
+    }
+  };
+
+  void drop(Member& member);
+  void accrue();
   void rerate();
-  void audit_accrual(const Member& member, SimTime now, double elapsed) const;
+  void audit_members(SimTime now) const;
 
   Simulator& simulator_;
   const char* layer_;
   double capacity_;
   std::size_t background_ = 0;
-  std::vector<std::shared_ptr<Member>> members_;  // join order
+  std::size_t members_ = 0;  // members in the set
+  double rate_ = 0.0;  // granted to each member at the last pass
+  double base_ = 0.0;  // the countdown: see the file comment
+  SimTime last_pass_ = 0.0;
+  std::uint64_t joins_ = 0;
+  std::vector<Entry> heap_;
+  EventHandle event_;  // the head's completion
 };
+
+inline double FairShare::Member::remaining() const noexcept {
+  return in_set() ? std::max(0.0, owner_->base_ + key_) : remaining_;
+}
 
 }  // namespace simsweep::sim

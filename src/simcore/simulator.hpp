@@ -51,6 +51,11 @@ class Simulator {
   /// Number of events fired so far.
   [[nodiscard]] std::uint64_t events_fired() const noexcept { return fired_; }
 
+  /// Number of events scheduled so far (fired, cancelled or pending).
+  [[nodiscard]] std::uint64_t scheduled_total() const noexcept {
+    return queue_.scheduled_total();
+  }
+
   /// Attaches (or detaches, with nullptr) the invariant auditor.  The
   /// simulator audits its own clock and event bookkeeping, and every model
   /// holding a Simulator reference reaches the auditor through here, so

@@ -1,8 +1,12 @@
 // Unit tests for the shared-link contention network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <string>
 #include <type_traits>
+#include <vector>
 
 #include "net/shared_link.hpp"
 #include "simcore/simulator.hpp"
@@ -10,6 +14,7 @@
 namespace sim = simsweep::sim;
 namespace pf = simsweep::platform;
 namespace net = simsweep::net;
+namespace obs = simsweep::obs;
 
 // A message and a compute task are members of the one fair-share resource.
 static_assert(std::is_same_v<net::Flow, pf::ComputeTask>);
@@ -110,6 +115,54 @@ TEST(SharedLink, ManyFlowsConserveBandwidth) {
   EXPECT_EQ(completed, k);
   // Total 1000 B over a 100 B/s link: exactly 10 s regardless of sharing.
   EXPECT_NEAR(last, 10.0, 1e-9);
+}
+
+TEST(SharedLink, EqualFlowsFinishTogetherInJoinOrder) {
+  // n flows of B bytes started together at t0 all land at
+  // t0 + alpha + n * B / beta, first-started first.
+  sim::Simulator s;
+  net::SharedLinkNetwork n(s, link(0.01, 1000.0));
+  constexpr std::size_t kFlows = 64;
+  std::vector<std::shared_ptr<net::Flow>> flows;
+  std::vector<std::size_t> order;
+  std::vector<double> finish;
+  (void)s.at(2.0, [&] {
+    for (std::size_t i = 0; i < kFlows; ++i)
+      flows.push_back(n.start_transfer(100.0, [&, i] {
+        order.push_back(i);
+        finish.push_back(s.now());
+      }));
+  });
+  s.run();
+  ASSERT_EQ(order.size(), kFlows);
+  const double expected = 2.0 + 0.01 + kFlows * 100.0 / 1000.0;
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    EXPECT_EQ(order[i], i);
+    EXPECT_LE(std::fabs(finish[i] - expected) / expected, 1e-12)
+        << "flow " << i << " at " << finish[i];
+  }
+}
+
+TEST(SharedLink, MetricsNameOnlyWhatHappened) {
+  // The link's metric handles are resolved on first use, so a run without
+  // a cancel has no net.flows_cancelled key at all.
+  sim::Simulator s;
+  obs::MetricsRegistry metrics;
+  s.set_metrics(&metrics);
+  net::SharedLinkNetwork n(s, link(0.01, 100.0));
+  auto a = n.start_transfer(100.0, [] {});
+  auto b = n.start_transfer(50.0, [] {});
+  s.run();
+  const std::vector<std::string> names = metrics.counter_names();
+  EXPECT_EQ(std::count(names.begin(), names.end(), "net.flows_cancelled"), 0);
+  EXPECT_EQ(metrics.counter_value("net.flows_started"), 2u);
+  EXPECT_EQ(metrics.counter_value("net.flows_completed"), 2u);
+  EXPECT_EQ(metrics.counter_value("net.reshare_passes"), 4u);
+  EXPECT_EQ(metrics.histogram_snapshot("net.flow_bytes")->count, 2u);
+  EXPECT_EQ(metrics.histogram_snapshot("net.flow_duration_s")->count, 2u);
+  auto c = n.start_transfer(10.0, [] {});
+  c->cancel();
+  EXPECT_EQ(metrics.counter_value("net.flows_cancelled"), 1u);
 }
 
 TEST(SharedLink, LatencyPhaseDoesNotConsumeBandwidth) {

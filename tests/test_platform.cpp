@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "platform/cluster.hpp"
 #include "platform/host.hpp"
@@ -116,6 +117,21 @@ TEST(Host, CancelFreesTheCpuShare) {
   // 100 flop/s from the cancel on.
   EXPECT_DOUBLE_EQ(done_at, 1.25);
   EXPECT_DOUBLE_EQ(t1->remaining(), 0.0);
+}
+
+TEST(Host, DestroyedHostFiresNothing) {
+  // The CPU's pending completion refers to the host; destroying the host
+  // with a task still running must cancel it, not leave it to fire later.
+  sim::Simulator s;
+  bool fired = false;
+  std::shared_ptr<pf::ComputeTask> task;
+  {
+    pf::Host h(s, 0, 100.0, "h");
+    task = h.start_compute(100.0, [&] { fired = true; });
+  }
+  s.run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(s.events_fired(), 0u);
 }
 
 TEST(Host, ZeroWorkCompletesImmediately) {

@@ -1,15 +1,24 @@
 // Unit tests for the discrete-event simulation core.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <functional>
+#include <limits>
+#include <memory>
 #include <vector>
 
+#include "audit/auditor.hpp"
 #include "simcore/event_queue.hpp"
+#include "simcore/fair_share.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/sim_time.hpp"
 #include "simcore/simulator.hpp"
 #include "simcore/step_series.hpp"
 
 namespace sim = simsweep::sim;
+namespace audit = simsweep::audit;
 
 TEST(EventQueue, FiresInTimeOrder) {
   sim::EventQueue q;
@@ -59,6 +68,25 @@ TEST(EventQueue, DefaultHandleIsInert) {
   sim::EventHandle h;
   EXPECT_FALSE(h.pending());
   h.cancel();  // must not crash
+}
+
+TEST(EventQueue, PopDoesNotCopyTheCallback) {
+  // Counts copies of the callable; moves are free.
+  struct CopyCounter {
+    int* copies;
+    explicit CopyCounter(int* counter) : copies(counter) {}
+    CopyCounter(const CopyCounter& other) : copies(other.copies) {
+      ++*copies;
+    }
+    CopyCounter(CopyCounter&&) noexcept = default;
+    void operator()() const {}
+  };
+  int copies = 0;
+  sim::EventQueue q;
+  for (int i = 0; i < 8; ++i)
+    (void)q.schedule(static_cast<double>(8 - i), CopyCounter(&copies));
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(copies, 0);
 }
 
 TEST(Simulator, AdvancesTimeToEvent) {
@@ -185,4 +213,159 @@ TEST(TraceRecorder, IntegrateRejectsReversedWindow) {
   std::vector<sim::Sample> s;
   EXPECT_THROW((void)sim::integrate_step_series(s, 2.0, 1.0, 0.0),
                std::invalid_argument);
+}
+
+// ------------------------------------------------------------ FairShare
+
+namespace {
+
+/// Textbook processor sharing, computed without FairShare: between two
+/// consecutive arrivals or departures every job present progresses at
+/// capacity / (jobs present).  `arrival` must be sorted.
+std::vector<double> processor_sharing_finish_times(
+    const std::vector<double>& arrival, const std::vector<double>& work,
+    double capacity) {
+  const std::size_t n = work.size();
+  std::vector<double> left = work;
+  std::vector<double> finish(n, -1.0);
+  double now = 0.0;
+  std::size_t arrived = 0;
+  std::size_t finished = 0;
+  while (finished < n) {
+    std::vector<std::size_t> present;
+    for (std::size_t i = 0; i < arrived; ++i)
+      if (finish[i] < 0.0) present.push_back(i);
+    if (present.empty()) {
+      now = arrival[arrived++];
+      continue;
+    }
+    const double rate = capacity / static_cast<double>(present.size());
+    std::size_t first = present.front();
+    for (std::size_t i : present)
+      if (left[i] < left[first]) first = i;
+    const double to_departure = left[first] / rate;
+    const double to_arrival = arrived < n
+                                  ? arrival[arrived] - now
+                                  : std::numeric_limits<double>::infinity();
+    const double step = std::min(to_departure, to_arrival);
+    for (std::size_t i : present) left[i] -= rate * step;
+    now += step;
+    if (to_arrival <= to_departure) {
+      ++arrived;
+    } else {
+      finish[first] = now;
+      ++finished;
+    }
+  }
+  return finish;
+}
+
+/// |actual - expected| relative to expected.
+double relative_error(double actual, double expected) {
+  return std::fabs(actual - expected) / std::fabs(expected);
+}
+
+}  // namespace
+
+TEST(FairShare, StaggeredMembersFinishAtProcessorSharingTimes) {
+  const std::vector<double> arrival{0.0, 0.5, 0.5, 1.25, 2.0,
+                                    2.75, 3.0, 4.5, 6.0, 6.5};
+  const std::vector<double> work{5.0, 1.0, 3.0, 0.5, 7.0,
+                                 2.0, 2.25, 4.0, 0.25, 1.5};
+  const double capacity = 2.0;
+  const std::vector<double> expected =
+      processor_sharing_finish_times(arrival, work, capacity);
+  sim::Simulator s;
+  sim::FairShare resource(s, "test", capacity);
+  std::vector<double> finish(work.size(), -1.0);
+  for (std::size_t i = 0; i < work.size(); ++i)
+    (void)s.at(arrival[i], [&, i] {
+      resource.join(resource.create(work[i], [&, i] { finish[i] = s.now(); }));
+    });
+  s.run();
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    SCOPED_TRACE("member " + std::to_string(i));
+    EXPECT_LE(relative_error(finish[i], expected[i]), 1e-12)
+        << finish[i] << " vs " << expected[i];
+  }
+}
+
+TEST(FairShare, CancelFromTheMiddleFreesItsShareAtOnce) {
+  // Five members at 1/5 of a unit capacity; the 5-unit one sits inside the
+  // heap, not at its top.  Cancelled at t=1 (0.2 done each), its share goes
+  // to the other four at once: 0.8 left at 1/4 finishes at t=4.2, then
+  // 6 at 1/3 (t=10.2), 8 at 1/2 (t=18.2) and 2 alone (t=20.2).
+  sim::Simulator s;
+  sim::FairShare resource(s, "test", 1.0);
+  const std::vector<double> work{1.0, 3.0, 5.0, 7.0, 9.0};
+  std::vector<double> finish(work.size(), -1.0);
+  std::vector<std::shared_ptr<sim::FairShare::Member>> members;
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    members.push_back(
+        resource.create(work[i], [&, i] { finish[i] = s.now(); }));
+    resource.join(members.back());
+  }
+  (void)s.at(1.0, [&] {
+    members[2]->cancel();
+    EXPECT_EQ(resource.size(), 4u);
+  });
+  s.run();
+  EXPECT_EQ(finish[2], -1.0);  // the callback never fired
+  const std::vector<double> expected{4.2, 10.2, -1.0, 18.2, 20.2};
+  for (std::size_t i : {0U, 1U, 3U, 4U})
+    EXPECT_LE(relative_error(finish[i], expected[i]), 1e-12)
+        << "member " << i << ": " << finish[i];
+}
+
+TEST(FairShare, EmptyingAndRefillingKeepsWorkConserved) {
+  // A lone member restarts the countdown, so its remaining work follows the
+  // single-member arithmetic exactly however long the resource has run:
+  // after a pass `elapsed` into its life, work - rate * elapsed is left.
+  audit::InvariantAuditor auditor(audit::AuditMode::kWarn);
+  sim::Simulator s;
+  s.set_auditor(&auditor);
+  sim::FairShare resource(s, "test", 3.0);
+  constexpr std::size_t kCycles = 1000000;
+  std::size_t cycles = 0;
+  double worst = 0.0;
+  std::function<void()> refill = [&] {
+    if (++cycles == kCycles) return;
+    const double work = 1.0 + 0.37 * static_cast<double>(cycles % 7);
+    const double joined = s.now();
+    auto member = resource.create(work, refill);
+    resource.join(member);
+    (void)s.after(0.1, [&, member, work, joined] {
+      resource.set_background(0);  // a pass with nothing changed
+      const double expected = work - 3.0 * (s.now() - joined);
+      worst = std::max(worst, relative_error(member->remaining(), expected));
+    });
+  };
+  resource.join(resource.create(1.0, refill));
+  s.run();
+  EXPECT_EQ(cycles, kCycles);
+  EXPECT_EQ(worst, 0.0);
+  EXPECT_EQ(auditor.violation_count(), 0u)
+      << audit::to_string(auditor.take_violations().front());
+}
+
+TEST(FairShare, EveryChangeSchedulesOneEvent) {
+  sim::Simulator s;
+  sim::FairShare resource(s, "test", 1.0);
+  std::vector<std::shared_ptr<sim::FairShare::Member>> members;
+  for (int i = 0; i < 8; ++i) {
+    members.push_back(resource.create(1.0 + i, [] {}));
+    resource.join(members.back());
+  }
+  std::uint64_t before = s.scheduled_total();
+  resource.join(resource.create(4.5, [] {}));
+  EXPECT_EQ(s.scheduled_total() - before, 1u);
+  before = s.scheduled_total();
+  members[5]->cancel();
+  EXPECT_EQ(s.scheduled_total() - before, 1u);
+  before = s.scheduled_total();
+  resource.set_background(3);
+  EXPECT_EQ(s.scheduled_total() - before, 1u);
+  before = s.scheduled_total();
+  resource.set_capacity(0.0);  // stalled: nothing to schedule
+  EXPECT_EQ(s.scheduled_total() - before, 0u);
 }
