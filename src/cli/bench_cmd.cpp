@@ -306,22 +306,6 @@ int run_decision_histogram(const SweepPlan& plan, std::ostream& out) {
 
 }  // namespace
 
-void publish_artifacts(const ObsOptions& opts, const obs::Provenance& prov,
-                       const std::string& metrics_json,
-                       const std::string& timeline_json,
-                       const obs::TrialProfiler* profiler) {
-  if (!opts.metrics_path.empty())
-    obs::atomic_write_file(opts.metrics_path, metrics_json);
-  if (!opts.timeline_path.empty())
-    obs::atomic_write_file(opts.timeline_path, timeline_json);
-  if (!opts.profile_path.empty() && profiler != nullptr) {
-    std::ostringstream os;
-    profiler->write_json(os, &prov);
-    os << '\n';
-    obs::atomic_write_file(opts.profile_path, os.str());
-  }
-}
-
 SweepResult run_grid(const char* command, GridFlags flags) {
   const SweepPlan& plan = flags.plan;
   std::unique_ptr<obs::StatusBoard> status;
@@ -353,8 +337,19 @@ SweepResult run_grid(const char* command, GridFlags flags) {
                                       &result.provenance);
     obs::atomic_write_file(flags.quarantine_path, os.str());
   }
-  publish_artifacts(flags.obs, result.provenance, result.metrics_json,
-                    result.timeline_json, plan.profiler);
+  const ObsOptions& opts = flags.obs;
+  if (!opts.metrics_path.empty())
+    obs::atomic_write_file(opts.metrics_path, result.metrics_json);
+  if (!opts.timeline_path.empty())
+    obs::atomic_write_file(opts.timeline_path, result.timeline_json);
+  if (!opts.decisions_path.empty())
+    obs::atomic_write_file(opts.decisions_path, result.decisions_jsonl);
+  if (!opts.profile_path.empty() && plan.profiler != nullptr) {
+    std::ostringstream os;
+    plan.profiler->write_json(os, &result.provenance);
+    os << '\n';
+    obs::atomic_write_file(opts.profile_path, os.str());
+  }
   if (result.partial)
     std::fprintf(stderr,
                  "%s: interrupted — %zu cell(s) not run; artifacts are "
@@ -399,6 +394,22 @@ int cmd_bench(Args& args) {
     throw std::invalid_argument(
         "bench: missing scenario name or file (try `simsweep bench --list`)");
   flags.plan.spec = scenario::find_scenario(args.positional().front(), dir);
+  const scenario::ScenarioSpec& spec = flags.plan.spec;
+  // The other kinds never reach the grid path (decision_histogram runs its
+  // own loop, honouring --trials/--jobs/--audit), so these flags would be
+  // dropped without a word.
+  if (spec.kind != scenario::Kind::kGrid)
+    for (const char* flag :
+         {"metrics", "timeline", "profile", "profile-json", "trial-timeout",
+          "trial-retries", "journal", "resume", "quarantine",
+          "stop-after-cells", "status", "status-interval", "progress"})
+      if (args.has(flag))
+        throw UnknownFlagError("bench: --" + std::string(flag) +
+                                   " does not apply to " +
+                                   scenario::kind_name(spec.kind) +
+                                   " scenario '" + spec.name +
+                                   "' (grid scenarios only)",
+                               {flag});
   reject_unused(args);
 
   obs::TrialProfiler profiler;

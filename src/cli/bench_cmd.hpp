@@ -20,24 +20,15 @@
 #include "cli/args.hpp"
 #include "cli/config_build.hpp"
 #include "cli/sweep_runner.hpp"
-#include "obs/profiler.hpp"
-#include "obs/provenance.hpp"
 
 namespace simsweep::cli {
 
-/// The artifact epilogue of run/sweep/bench: writes the metrics and timeline
-/// bodies to the paths `opts` names, and `profiler`'s report under `prov`
-/// to --profile-json (when both are set).  Every write is atomic.
-void publish_artifacts(const ObsOptions& opts, const obs::Provenance& prov,
-                       const std::string& metrics_json,
-                       const std::string& timeline_json,
-                       const obs::TrialProfiler* profiler);
-
-/// The grid path `sweep` and `bench` share: runs `flags.plan` (with a status
-/// board when flags.status asks for one), then the epilogue.  Diagnostics go
-/// to stderr prefixed with `command`: cells resumed, cells quarantined and
-/// the interrupted notice.  Publishes the quarantine report and every
-/// artifact publish_artifacts writes.  The caller prints the reports.
+/// The grid path `run`, `sweep` and `bench` share: runs `flags.plan` (with a
+/// status board when flags.status asks for one), then the epilogue.
+/// Diagnostics go to stderr prefixed with `command`: cells resumed, cells
+/// quarantined and the interrupted notice.  Publishes the quarantine report
+/// and every artifact flags.obs names, each atomically.  The caller prints
+/// the reports.
 [[nodiscard]] SweepResult run_grid(const char* command, GridFlags flags);
 
 /// Runs `flags.plan.spec` and writes its report(s) to `out` (the byte-exact

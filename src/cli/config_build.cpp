@@ -1,11 +1,12 @@
 #include "cli/config_build.hpp"
 
 #include <cstdlib>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "audit/auditor.hpp"
-#include "load/misc_models.hpp"
 #include "load/trace_io.hpp"
 
 namespace simsweep::cli {
@@ -41,129 +42,129 @@ audit::AuditMode parse_audit_flag(Args& args) {
   return audit::parse_mode(args.get_string("audit", ""));
 }
 
-core::ExperimentConfig build_config(Args& args) {
-  scenario::ScenarioSpec spec;
-  apply_config_flags(args, spec);
-  core::ExperimentConfig cfg = scenario::base_config(spec);
-  cfg.audit = parse_audit_flag(args);
-  return cfg;
-}
-
-std::shared_ptr<const load::LoadModel> build_load_model(Args& args) {
-  const std::string model = args.get_string("model", "onoff");
-  if (model == "trace") {
-    // Trace files stay a CLI affordance (replay a measured load); the
-    // declarative scenarios cover the paper's generative models only.
-    const std::string path = args.get_string("trace-file", "");
-    if (path.empty())
-      throw std::invalid_argument("--model=trace requires --trace-file");
-    auto samples = load::read_trace_file(path);
-    const double period =
-        args.get_double("period", samples.back().time + 1.0);
-    return std::make_shared<load::TraceModel>(
-        std::move(samples), period, !args.get_bool("no-phase"));
-  }
-  scenario::LoadSpec spec;
-  if (model == "onoff") {
-    spec.kind = scenario::LoadKind::kOnOff;
-    if (args.has("dynamism")) {
-      const double d = args.get_double("dynamism", 0.2);
-      spec.p = d;
-      spec.q = d;
-    } else {
-      spec.p = args.get_double("p", spec.p);
-      spec.q = args.get_double("q", spec.q);
-    }
-    spec.step_s = args.get_double("step", spec.step_s);
-  } else if (model == "hyperexp") {
-    spec.kind = scenario::LoadKind::kHyperExp;
-    spec.mean_lifetime_s = args.get_double("lifetime", 300.0);
-    spec.long_prob = args.get_double("long-prob", 0.2);
-    spec.mean_interarrival_s =
-        args.get_double("interarrival", 2.0 * spec.mean_lifetime_s);
-  } else if (model == "reclaim") {
-    spec.kind = scenario::LoadKind::kReclaim;
-    spec.mean_available_s = args.get_double("avail-min", 60.0) * 60.0;
-    spec.mean_reclaimed_s = args.get_double("reclaim-min", 10.0) * 60.0;
-    if (args.has("dynamism")) {
-      auto base = std::make_shared<scenario::LoadSpec>();
-      const double d = args.get_double("dynamism", 0.2);
-      base->p = d;
-      base->q = d;
-      spec.base = std::move(base);
-    }
-  } else {
-    throw std::invalid_argument("unknown --model '" + model +
-                                "' (onoff|hyperexp|reclaim|trace)");
-  }
-  return scenario::make_load_model(spec);
-}
-
 namespace {
 
-scenario::PolicySpec build_policy(Args& args) {
-  scenario::PolicySpec spec;
-  spec.base = args.get_string("policy", "greedy");
-  if (spec.base != "greedy" && spec.base != "safe" && spec.base != "friendly")
-    throw std::invalid_argument("unknown --policy '" + spec.base +
-                                "' (greedy|safe|friendly)");
-  if (args.has("payback"))
-    spec.payback_threshold_iters = args.get_double("payback", 0.0);
-  if (args.has("min-process"))
-    spec.min_process_improvement = args.get_double("min-process", 0.0);
-  if (args.has("min-app"))
-    spec.min_app_improvement = args.get_double("min-app", 0.0);
-  if (args.has("history"))
-    spec.history_window_s = args.get_double("history", 0.0);
-  return spec;
-}
-
-scenario::EstimatorSpec build_estimator(Args& args) {
-  const std::string predictor = args.get_string("predictor", "window");
-  scenario::EstimatorSpec spec;
-  if (predictor == "window") {
-    spec.kind = scenario::EstimatorKind::kPolicy;  // policy window semantics
-  } else if (predictor == "nws") {
-    spec.kind = scenario::EstimatorKind::kNws;
-  } else if (predictor == "ewma") {
-    spec.kind = scenario::EstimatorKind::kEwma;
-    spec.tau_s = args.get_double("ewma-tau", 120.0);
-  } else if (predictor == "median") {
-    spec.kind = scenario::EstimatorKind::kMedian;
-    spec.k = args.get_count("median-k", 5);
-  } else {
-    throw std::invalid_argument("unknown --predictor '" + predictor +
-                                "' (window|nws|ewma|median)");
+/// The value of --`flag` among `choices`; anything else throws
+/// std::invalid_argument listing them.
+template <typename E, std::size_t N>
+E choose(Args& args, const std::string& flag,
+         const std::pair<const char*, E> (&choices)[N]) {
+  const std::string value = args.get_string(flag, "");
+  std::string names;
+  for (const auto& [name, e] : choices) {
+    if (value == name) return e;
+    if (!names.empty()) names += '|';
+    names += name;
   }
-  return spec;
+  throw std::invalid_argument("unknown --" + flag + " '" + value + "' (" +
+                              names + ")");
 }
 
 }  // namespace
 
-std::unique_ptr<strategy::Strategy> build_strategy(Args& args) {
-  const std::string name = args.get_string("strategy", "swap");
-  scenario::StrategySpec spec;
-  if (name == "none") {
-    spec.kind = scenario::StrategyKind::kNone;
-  } else if (name == "dlb") {
-    spec.kind = scenario::StrategyKind::kDlb;
-  } else if (name == "dlbswap") {
-    spec.kind = scenario::StrategyKind::kDlbSwap;
-    spec.policy = build_policy(args);
-  } else if (name == "cr") {
-    spec.kind = scenario::StrategyKind::kCr;
-    spec.policy = build_policy(args);
-  } else if (name == "swap") {
-    spec.kind = scenario::StrategyKind::kSwap;
-    spec.policy = build_policy(args);
-    spec.estimator = build_estimator(args);
-    spec.guard = args.get_bool("guard");
-    spec.stall_factor = args.get_double("stall-factor", 3.0);
-  } else {
-    throw std::invalid_argument("unknown --strategy '" + name +
-                                "' (none|swap|dlb|dlbswap|cr)");
+void apply_load_flags(Args& args, scenario::LoadSpec& spec) {
+  using scenario::LoadKind;
+  if (args.has("model")) {
+    spec = scenario::LoadSpec{};
+    spec.kind = choose<LoadKind>(args, "model",
+                                 {{"onoff", LoadKind::kOnOff},
+                                  {"hyperexp", LoadKind::kHyperExp},
+                                  {"reclaim", LoadKind::kReclaim},
+                                  {"trace", LoadKind::kTrace}});
+    // The CLI defaults differ from the JSON ones for these two.
+    if (spec.kind == LoadKind::kHyperExp) {
+      spec.mean_lifetime_s = 300.0;
+      spec.mean_interarrival_s = 600.0;
+    }
+    if (spec.kind == LoadKind::kReclaim) spec.mean_available_s = 3600.0;
   }
-  return scenario::make_strategy(spec);
+  switch (spec.kind) {
+    case LoadKind::kOnOff:
+      if (args.has("dynamism")) {
+        spec.p = spec.q = args.get_double("dynamism", 0.0);
+      } else {
+        spec.p = args.get_double("p", spec.p);
+        spec.q = args.get_double("q", spec.q);
+      }
+      spec.step_s = args.get_double("step", spec.step_s);
+      break;
+    case LoadKind::kHyperExp:
+      if (args.has("lifetime")) {
+        spec.mean_lifetime_s = args.get_double("lifetime", 0.0);
+        spec.mean_interarrival_s = 2.0 * spec.mean_lifetime_s;
+      }
+      spec.long_prob = args.get_double("long-prob", spec.long_prob);
+      spec.mean_interarrival_s =
+          args.get_double("interarrival", spec.mean_interarrival_s);
+      break;
+    case LoadKind::kReclaim:
+      if (args.has("avail-min"))
+        spec.mean_available_s = args.get_double("avail-min", 0.0) * 60.0;
+      if (args.has("reclaim-min"))
+        spec.mean_reclaimed_s = args.get_double("reclaim-min", 0.0) * 60.0;
+      if (args.has("dynamism")) {
+        auto base = std::make_shared<scenario::LoadSpec>();
+        base->p = base->q = args.get_double("dynamism", 0.0);
+        spec.base = std::move(base);
+      }
+      break;
+    case LoadKind::kTrace: {
+      const std::string path = args.get_string("trace-file", "");
+      if (!path.empty()) {
+        spec.samples = load::read_trace_file(path);
+        spec.period_s = spec.samples.back().time + 1.0;
+      }
+      if (spec.samples.empty())
+        throw std::invalid_argument("--model=trace requires --trace-file");
+      spec.period_s = args.get_double("period", spec.period_s);
+      if (args.has("no-phase")) spec.random_phase = !args.get_bool("no-phase");
+      break;
+    }
+  }
+}
+
+void apply_strategy_flags(Args& args, scenario::StrategySpec& spec) {
+  using scenario::StrategyKind;
+  if (args.has("strategy")) {
+    spec = scenario::StrategySpec{};
+    spec.kind = choose<StrategyKind>(args, "strategy",
+                                     {{"none", StrategyKind::kNone},
+                                      {"swap", StrategyKind::kSwap},
+                                      {"dlb", StrategyKind::kDlb},
+                                      {"dlbswap", StrategyKind::kDlbSwap},
+                                      {"cr", StrategyKind::kCr}});
+  }
+  if (spec.kind == StrategyKind::kNone || spec.kind == StrategyKind::kDlb)
+    return;
+  scenario::PolicySpec& policy = spec.policy;
+  if (args.has("policy"))
+    policy.base = choose<const char*>(
+        args, "policy",
+        {{"greedy", "greedy"}, {"safe", "safe"}, {"friendly", "friendly"}});
+  const auto overlay = [&args](const char* flag, std::optional<double>& v) {
+    if (args.has(flag)) v = args.get_double(flag, 0.0);
+  };
+  overlay("payback", policy.payback_threshold_iters);
+  overlay("min-process", policy.min_process_improvement);
+  overlay("min-app", policy.min_app_improvement);
+  overlay("history", policy.history_window_s);
+  if (spec.kind != StrategyKind::kSwap) return;
+
+  using scenario::EstimatorKind;
+  if (args.has("predictor")) {
+    spec.estimator = scenario::EstimatorSpec{};
+    // window = the policy's own history window
+    spec.estimator.kind = choose<EstimatorKind>(
+        args, "predictor",
+        {{"window", EstimatorKind::kPolicy}, {"nws", EstimatorKind::kNws},
+         {"ewma", EstimatorKind::kEwma}, {"median", EstimatorKind::kMedian}});
+  }
+  if (spec.estimator.kind == EstimatorKind::kEwma)
+    spec.estimator.tau_s = args.get_double("ewma-tau", spec.estimator.tau_s);
+  if (spec.estimator.kind == EstimatorKind::kMedian)
+    spec.estimator.k = args.get_count("median-k", spec.estimator.k);
+  if (args.has("guard")) spec.guard = args.get_bool("guard");
+  spec.stall_factor = args.get_double("stall-factor", spec.stall_factor);
 }
 
 ObsOptions parse_obs_options(Args& args, const char* metrics_env,
@@ -206,17 +207,23 @@ StatusOptions parse_status_options(Args& args) {
   return parse_status_options(args, std::getenv("SIMSWEEP_STATUS"));
 }
 
-GridFlags parse_grid_flags(Args& args, std::size_t default_trials) {
+GridFlags parse_trial_flags(Args& args, std::size_t default_trials) {
   GridFlags flags;
   SweepPlan& plan = flags.plan;
   plan.trials = args.get_count("trials", default_trials);
   plan.jobs = args.get_count("jobs", 0);
   plan.audit = parse_audit_flag(args);
   flags.obs = parse_obs_options(args);
-  flags.status = parse_status_options(args);
   plan.metrics = !flags.obs.metrics_path.empty();
   plan.timeline = !flags.obs.timeline_path.empty();
   plan.trial_timeout_s = args.get_double("trial-timeout", 0.0);
+  return flags;
+}
+
+GridFlags parse_grid_flags(Args& args, std::size_t default_trials) {
+  GridFlags flags = parse_trial_flags(args, default_trials);
+  SweepPlan& plan = flags.plan;
+  flags.status = parse_status_options(args);
   plan.trial_retries = args.get_count("trial-retries", 1);
   plan.resume_path = args.get_string("resume", "");
   // --resume without --journal keeps journaling into the resumed file, so

@@ -1,23 +1,18 @@
-// Translates CLI flags into declarative scenario specs (and from there into
-// experiment configurations, load models and strategies).  Factored out of
+// Translates CLI flags into declarative scenario specs.  Factored out of
 // main() so it is unit-testable.
 //
-// Since the scenario layer, flags are overrides on a ScenarioSpec: the spec
-// carries the paper defaults, apply_config_flags() folds the platform and
-// fault flags in, and the runnable objects come from scenario::base_config /
-// make_load_model / make_strategy — one construction path shared with
-// `simsweep bench` and the golden tests.
+// Flags are overlays on a ScenarioSpec: the spec carries the paper defaults
+// (or a shipped scenario's values), apply_config_flags / apply_load_flags /
+// apply_strategy_flags fold the flags in, and the runnable objects come from
+// scenario::materialize — one construction path shared by `run`, `sweep`,
+// `bench` and the golden tests.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "cli/args.hpp"
 #include "cli/sweep_runner.hpp"
-#include "core/experiment.hpp"
-#include "load/load_model.hpp"
 #include "scenario/scenario.hpp"
-#include "strategy/strategy.hpp"
 
 namespace simsweep::cli {
 
@@ -28,30 +23,27 @@ namespace simsweep::cli {
 /// spec's values in place (--spares defaults to hosts - active).
 void apply_config_flags(Args& args, scenario::ScenarioSpec& spec);
 
+/// Lays the load flags over `spec`: --model=onoff|hyperexp|reclaim|trace
+/// restarts the section from that model's CLI defaults, then the flags of
+/// the section's model overlay it (--lifetime also resets the interarrival
+/// to twice the lifetime; --trace-file reads its samples into the spec).
+void apply_load_flags(Args& args, scenario::LoadSpec& spec);
+
+/// Lays the strategy flags over `spec`: --strategy=none|swap|dlb|dlbswap|cr
+/// (and --predictor, for the estimator) restarts the section from that
+/// kind's defaults, then the policy and swap flags of its kind overlay it.
+void apply_strategy_flags(Args& args, scenario::StrategySpec& spec);
+
 /// --audit[=fail|warn]; kOff when the flag is absent (the SIMSWEEP_AUDIT
 /// env var still applies downstream, inside run_single).
 [[nodiscard]] audit::AuditMode parse_audit_flag(Args& args);
 
-/// apply_config_flags + scenario::base_config + parse_audit_flag on a
-/// default (paper) spec.
-[[nodiscard]] core::ExperimentConfig build_config(Args& args);
-
-/// Flags: --model=onoff|hyperexp|reclaim|trace (+ model parameters:
-/// --dynamism | --p/--q/--step, --lifetime/--long-prob/--interarrival,
-/// --avail-min/--reclaim-min, --trace-file/--period/--no-phase).
-[[nodiscard]] std::shared_ptr<const load::LoadModel> build_load_model(
-    Args& args);
-
-/// Flags: --strategy=none|swap|dlb|dlbswap|cr, --policy=greedy|safe|friendly,
-/// --payback/--min-process/--min-app/--history (policy overrides),
-/// --guard/--stall-factor, --predictor=window|nws|ewma|median.
-[[nodiscard]] std::unique_ptr<strategy::Strategy> build_strategy(Args& args);
-
 /// Observability outputs requested on the command line.
 struct ObsOptions {
-  std::string metrics_path;   ///< merged metrics JSON; empty = off
-  std::string timeline_path;  ///< Chrome trace JSON; empty = off
-  std::string profile_path;   ///< trial-engine profile as JSON; empty = off
+  std::string metrics_path;    ///< merged metrics JSON; empty = off
+  std::string timeline_path;   ///< Chrome trace JSON; empty = off
+  std::string profile_path;    ///< trial-engine profile as JSON; empty = off
+  std::string decisions_path;  ///< decision-trace JSONL (run); empty = off
   bool profile = false;       ///< print the trial-engine profile
 
   /// The wall-clock profiler is needed for either profile output.
@@ -89,8 +81,8 @@ struct StatusOptions {
                                                  const char* status_env);
 [[nodiscard]] StatusOptions parse_status_options(Args& args);
 
-/// What a grid run (`sweep`, `bench`) takes from the command line: the
-/// plan, plus where the epilogue publishes its artifacts.
+/// What a grid run (`run`, `sweep`, `bench`) takes from the command line:
+/// the plan, plus where the epilogue publishes its artifacts.
 struct GridFlags {
   SweepPlan plan;
   ObsOptions obs;
@@ -98,10 +90,14 @@ struct GridFlags {
   std::string quarantine_path;  ///< quarantine report; empty = stderr only
 };
 
-/// The flags `sweep` and `bench` share, parsed once: --trials (absent =
-/// `default_trials`) --jobs --audit --trial-timeout --trial-retries
-/// --journal --resume --quarantine --stop-after-cells, plus the
-/// observability and status flags.  The plan's spec is left to the caller.
+/// The flags `run`, `sweep` and `bench` share: --trials (absent =
+/// `default_trials`) --jobs --audit --trial-timeout and the observability
+/// flags.  The plan's spec is left to the caller.
+[[nodiscard]] GridFlags parse_trial_flags(Args& args,
+                                          std::size_t default_trials);
+
+/// parse_trial_flags plus --trial-retries --journal --resume --quarantine
+/// --stop-after-cells and the status flags (`sweep`, `bench`).
 [[nodiscard]] GridFlags parse_grid_flags(Args& args,
                                          std::size_t default_trials);
 

@@ -6,12 +6,8 @@
 //   simsweep bench <scenario>  (a shipped figure/ablation, or --list)
 //   simsweep trace --model=onoff --duration=2000      (load trace as CSV)
 //   simsweep help
-#include <cstddef>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -21,22 +17,17 @@
 #include "cli/config_build.hpp"
 #include "cli/report_cmd.hpp"
 #include "cli/sweep_runner.hpp"
-#include "core/trial_runner.hpp"
 #include "load/trace_io.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/timeline.hpp"
 #include "platform/host.hpp"
+#include "resilience/quarantine.hpp"
 #include "resilience/signal.hpp"
-#include "resilience/watchdog.hpp"
 #include "scenario/scenario.hpp"
 #include "simcore/simulator.hpp"
-#include "strategy/decision_trace.hpp"
 
 namespace cli = simsweep::cli;
 namespace core = simsweep::core;
 namespace scenario = simsweep::scenario;
-namespace strat = simsweep::strategy;
 
 namespace {
 
@@ -58,11 +49,14 @@ scenario flags (run, bench):
   bench <name|file.json>  run a shipped scenario (scenarios/*.json; override
              the directory with SIMSWEEP_SCENARIO_DIR) or an explicit file;
              grid scenarios inherit the sweep resilience/observability
-             surface below.  --trials overrides the scenario's trial count
-             (SIMSWEEP_TRIALS env var sits between flag and file).
+             surface below, which the other kinds refuse.  --trials
+             overrides the scenario's trial count (SIMSWEEP_TRIALS env var
+             sits between flag and file).
   bench --list            list shipped scenarios with their titles
-  --scenario=<name|file>  (run) start from a scenario's platform/app/load
-             config; explicit flags below still override field by field
+  --scenario=<name|file>  (run) start from a scenario's platform, app, load
+             and first strategy; the platform, load and strategy flags
+             below override it field by field (--model and --strategy
+             start their section over)
 
 platform/application flags (run, sweep):
   --hosts=32 --active=4 --spares=<hosts-active> --iters=60
@@ -88,8 +82,8 @@ observability flags (run, sweep, bench):
              any --jobs, and makespans are unchanged.  Env fallback:
              SIMSWEEP_METRICS.
   --timeline=FILE  write a Chrome trace-event JSON timeline (load in
-             https://ui.perfetto.dev): one process per trial (sweep: per
-             point x strategy x trial), one track per host/subsystem,
+             https://ui.perfetto.dev): one process per trial, named by
+             its cell (point x strategy), one track per host/subsystem,
              virtual seconds as trace microseconds.  Env fallback:
              SIMSWEEP_TIMELINE.
   --profile  measure the trial engine itself (wall-clock): per-trial
@@ -131,10 +125,10 @@ artifact analysis (report, status):
              older than --stale-after (default 30)
 
 resilience flags:
-  --trial-timeout=SECONDS  (run, sweep, bench) wall-clock watchdog per trial
-             (run) or per sweep cell; overdue work is cancelled
-             cooperatively and reported as hung.  0 (default) disables the
-             watchdog (bench falls back to SIMSWEEP_TRIAL_TIMEOUT).
+  --trial-timeout=SECONDS  (run, sweep, bench) wall-clock watchdog per
+             trial; an overdue trial is cancelled cooperatively and reported
+             as hung (run fails).  0 (default) disables the watchdog (bench
+             falls back to SIMSWEEP_TRIAL_TIMEOUT).
   --journal=FILE  (sweep, bench) append each completed cell to a
              crash-consistent journal (write-temp + fsync + atomic rename);
              a killed sweep loses at most the in-flight cells.
@@ -144,8 +138,9 @@ resilience flags:
              Journaling continues into the same file unless --journal says
              otherwise.  The journal records the scenario name and config
              digests, so resuming against an edited scenario is refused.
-  --trial-retries=N  (sweep, bench) extra attempts (capped backoff) before a
-             failed or hung cell is quarantined (default 1)
+  --trial-retries=N  (sweep, bench) extra attempts (capped backoff) for a
+             failed or hung trial; a trial out of attempts quarantines its
+             cell (default 1)
   --quarantine=FILE  (sweep, bench) write the quarantine report (config
              digest, seed, outcome, attempts, error per abandoned cell) as
              JSON; without it, abandoned cells are summarized on stderr.
@@ -156,13 +151,13 @@ resilience flags:
   a deterministic stand-in for SIGKILL), --inject-fail=I,J / --inject-hang=K
   (force cell failures to exercise retry and quarantine)
 
-load model flags (run, trace):
+load model flags (run, trace; with --scenario they overlay its load):
   --model=onoff   --dynamism=0.2 | --p=0.3 --q=0.08 [--step=100]
   --model=hyperexp --lifetime=300 [--long-prob=0.2] [--interarrival=600]
   --model=reclaim --avail-min=60 --reclaim-min=10 [--dynamism=...]
   --model=trace --trace-file=FILE [--period=...] [--no-phase]
 
-strategy flags (run):
+strategy flags (run; with --scenario they overlay its first strategy):
   --strategy=none|swap|dlb|dlbswap|cr
   --policy=greedy|safe|friendly  [--payback --min-process --min-app --history]
   --predictor=window|nws|ewma|median  [--ewma-tau --median-k]
@@ -184,122 +179,71 @@ examples:
   simsweep trace --model=hyperexp --lifetime=150 --duration=2000
 )";
 
-/// Opens `path` for writing or throws with the flag name that asked for it.
-std::ofstream open_output(const std::string& path, const char* flag) {
-  std::ofstream out(path);
-  if (!out)
-    throw std::runtime_error(std::string("cannot open --") + flag +
-                             " file '" + path + "'");
-  return out;
-}
-
 int cmd_run(cli::Args& args) {
-  const auto trials = args.get_count("trials", 8);
-  const auto jobs = args.get_count("jobs", 0);
+  // `run` is a one-cell scenario: --scenario (or the paper default) with
+  // its first variant's strategy and the axis pinned to one point, the
+  // flags laid over it, on the grid path sweep and bench take.
+  cli::GridFlags flags = cli::parse_trial_flags(args, /*default_trials=*/8);
+  flags.plan.trial_retries = 0;  // a failed trial fails the run
+  flags.obs.decisions_path = args.get_string("trace-decisions", "");
+  flags.plan.trace_decisions = !flags.obs.decisions_path.empty();
   const bool json = args.get_bool("json");
-  const double trial_timeout = args.get_double("trial-timeout", 0.0);
-  const std::string trace_path = args.get_string("trace-decisions", "");
-  const auto obs_opts = cli::parse_obs_options(args);
-
-  core::ExperimentConfig cfg;
-  std::shared_ptr<const simsweep::load::LoadModel> model;
-  std::unique_ptr<strat::Strategy> strategy;
+  scenario::ScenarioSpec& spec = flags.plan.spec;
+  scenario::VariantSpec variant;
+  variant.strategy.kind = scenario::StrategyKind::kSwap;
+  spec.name = "run";
   if (args.has("scenario")) {
-    // Scenario first, flags override: the spec supplies the platform, app,
-    // load model and (first-variant) strategy; any explicit flag wins.
-    scenario::ScenarioSpec spec = scenario::find_scenario(
-        args.get_string("scenario", ""), scenario::default_scenario_dir());
-    cli::apply_config_flags(args, spec);
-    cfg = scenario::base_config(spec);
-    cfg.audit = cli::parse_audit_flag(args);
-    model = args.has("model") ? cli::build_load_model(args)
-                              : scenario::make_load_model(spec.load);
-    if (args.has("strategy") || spec.variants.empty())
-      strategy = cli::build_strategy(args);
-    else
-      strategy = scenario::make_strategy(spec.variants.front().strategy);
-  } else {
-    cfg = cli::build_config(args);
-    model = cli::build_load_model(args);
-    strategy = cli::build_strategy(args);
+    spec = scenario::find_scenario(args.get_string("scenario", ""),
+                                   scenario::default_scenario_dir());
+    if (!spec.variants.empty())
+      variant.strategy = spec.variants.front().strategy;
   }
+  cli::apply_config_flags(args, spec);
+  cli::apply_load_flags(args, spec.load);
+  cli::apply_strategy_flags(args, variant.strategy);
   cli::reject_unused(args);
-  // Tracing and observability never touch the simulation, so the stats are
-  // the same with them on or off; the per-trial results additionally carry
-  // the decision traces / metrics registries / timeline tracers.
-  cfg.trace_decisions = !trace_path.empty();
-  cfg.obs.metrics = !obs_opts.metrics_path.empty();
-  cfg.obs.timeline = !obs_opts.timeline_path.empty();
-  const simsweep::obs::Provenance prov = core::make_run_provenance(
-      cfg, model->describe() + ";" + strategy->name());
+  if (flags.plan.trials == 0) throw std::invalid_argument("run: zero --trials");
+  variant.name = scenario::make_strategy(variant.strategy)->name();
+  spec.kind = scenario::Kind::kGrid;
+  spec.forbid_stalls = false;
+  spec.axis.binding = scenario::AxisBinding::kNone;
+  spec.axis.x = {0.0};
+  spec.variants = {variant};
+  spec.reports.clear();
 
   simsweep::obs::TrialProfiler profiler;
-  std::vector<strat::RunResult> results;
-  {
-    // The watchdog outlives the runner, whose destructor joins the workers.
-    std::unique_ptr<simsweep::resilience::Watchdog> watchdog;
-    if (trial_timeout > 0.0)
-      watchdog =
-          std::make_unique<simsweep::resilience::Watchdog>(trial_timeout);
-    core::TrialRunner runner(jobs);
-    if (watchdog) runner.set_trial_guard(watchdog.get());
-    try {
-      results = core::run_trials_results(
-          cfg, *model, *strategy, trials, runner,
-          obs_opts.want_profiler() ? &profiler : nullptr);
-    } catch (const simsweep::sim::RunCancelled&) {
+  if (flags.obs.want_profiler()) flags.plan.profiler = &profiler;
+  const cli::SweepResult result = cli::run_grid("run", flags);
+  if (!result.quarantined.empty()) {
+    const auto& failed = result.quarantined.front();
+    if (failed.outcome == simsweep::resilience::TrialOutcomeKind::kHung)
       throw std::runtime_error(
           "trial hung: exceeded --trial-timeout after " +
-          std::to_string(trial_timeout) + " s of wall-clock time");
-    }
+          std::to_string(flags.plan.trial_timeout_s) +
+          " s of wall-clock time");
+    throw std::runtime_error(failed.error);
   }
-  if (!trace_path.empty()) {
-    auto out = open_output(trace_path, "trace-decisions");
-    for (std::size_t t = 0; t < results.size(); ++t)
-      strat::write_trace_jsonl(out, strategy->name(), cfg.seed + t, t,
-                               results[t].decision_trace);
-  }
-  std::string metrics_json;
-  if (cfg.obs.metrics) {
-    std::ostringstream os;
-    core::merge_trial_metrics(results)->write_json(os, &prov);
-    os << '\n';
-    metrics_json = os.str();
-  }
-  std::string timeline_json;
-  if (cfg.obs.timeline) {
-    std::vector<simsweep::obs::TimelineTracer::Process> processes;
-    for (std::size_t t = 0; t < results.size(); ++t)
-      processes.push_back(
-          {"trial " + std::to_string(t), results[t].timeline.get()});
-    std::ostringstream os;
-    simsweep::obs::TimelineTracer::write_chrome_json(os, processes, &prov);
-    os << '\n';
-    timeline_json = os.str();
-  }
-  cli::publish_artifacts(obs_opts, prov, metrics_json, timeline_json,
-                         &profiler);
-  const core::TrialStats stats = core::reduce_trials(results);
+  const core::TrialStats& stats = result.stats.front().value();
   if (json) {
-    stats.print_json(std::cout, &prov);
+    stats.print_json(std::cout, &result.provenance);
     std::cout << '\n';
     // The profile goes to stderr under --json so stdout stays one
     // parseable JSON document.
-    if (obs_opts.profile) profiler.print(std::cerr);
+    if (flags.obs.profile) profiler.print(std::cerr);
     return 0;
   }
-  std::printf("strategy        %s\n", strategy->name().c_str());
+  std::printf("strategy        %s\n", variant.name.c_str());
   std::printf("trials          %zu (seeds %llu..%llu)\n", stats.trials,
-              static_cast<unsigned long long>(cfg.seed),
-              static_cast<unsigned long long>(cfg.seed + trials - 1));
+              static_cast<unsigned long long>(spec.seed),
+              static_cast<unsigned long long>(spec.seed + stats.trials - 1));
   std::printf("makespan mean   %.1f s\n", stats.mean);
   std::printf("makespan stddev %.1f s\n", stats.stddev);
   std::printf("makespan range  [%.1f, %.1f] s\n", stats.min, stats.max);
   std::printf("adaptations     %.1f per run\n", stats.mean_adaptations);
-  if (cfg.audit == simsweep::audit::AuditMode::kWarn)
+  if (flags.plan.audit == simsweep::audit::AuditMode::kWarn)
     std::printf("audit           %zu violation(s) across all trials\n",
                 stats.audit_violations);
-  if (cfg.faults.enabled()) {
+  if (scenario::base_config(spec).faults.enabled()) {
     std::printf("host crashes    %.1f per run\n", stats.mean_crashes);
     std::printf("xfer failures   %.1f per run\n", stats.mean_transfer_failures);
     std::printf("ckpt failures   %.1f per run\n",
@@ -319,7 +263,7 @@ int cmd_run(cli::Args& args) {
   if (stats.unfinished > stats.stalled)
     std::printf("WARNING: %zu run(s) hit the simulation horizon\n",
                 stats.unfinished - stats.stalled);
-  if (obs_opts.profile) profiler.print(std::cout);
+  if (flags.obs.profile) profiler.print(std::cout);
   return 0;
 }
 
@@ -361,7 +305,9 @@ int cmd_sweep(cli::Args& args) {
 
 int cmd_trace(cli::Args& args) {
   const double duration = args.get_double("duration", 2000.0);
-  const auto model = cli::build_load_model(args);
+  scenario::LoadSpec load;
+  cli::apply_load_flags(args, load);
+  const auto model = scenario::make_load_model(load);
   const auto seed = args.get_count("seed", 1);
   cli::reject_unused(args);
 

@@ -24,6 +24,7 @@
 #include "resilience/signal.hpp"
 #include "resilience/watchdog.hpp"
 #include "simcore/simulator.hpp"
+#include "strategy/decision_trace.hpp"
 
 namespace simsweep::cli {
 
@@ -46,6 +47,7 @@ struct CellData {
   core::TrialStats stats;
   obs::MetricsSnapshot metrics;
   std::string timeline_json;  ///< traceEvents fragment (pids pre-assigned)
+  std::string decisions_jsonl;  ///< every trial's decision trace, in order
   std::string raw_line;       ///< journal record, adopted verbatim on resume
 };
 
@@ -191,6 +193,7 @@ SweepResult run_sweep(const SweepPlan& plan) {
       if (record.outcome != "ok") continue;
       if (plan.metrics && !record.metrics) continue;
       if (plan.timeline && !record.timeline) continue;
+      if (plan.trace_decisions) continue;  // traces are not journaled
       CellData& cell = cells[record.index];
       cell.stats = record.stats;
       if (record.metrics) cell.metrics = *record.metrics;
@@ -239,8 +242,6 @@ SweepResult run_sweep(const SweepPlan& plan) {
 
   std::atomic<std::size_t> executed{0};
   std::atomic<std::size_t> skipped{0};
-  std::mutex quarantine_mutex;
-  std::vector<resilience::QuarantineRecord> quarantined;
 
   const auto stop_requested = [&plan, &executed]() -> bool {
     if (plan.hooks.interrupted ? plan.hooks.interrupted()
@@ -255,26 +256,102 @@ SweepResult run_sweep(const SweepPlan& plan) {
     return std::find(list.begin(), list.end(), index) != list.end();
   };
 
-  runner.parallel_for(total, [&](std::size_t index) {
-    if (cells[index].done) return;  // replayed from the journal
-    if (stop_requested()) {
-      skipped.fetch_add(1, std::memory_order_relaxed);
-      return;
+  // One task per trial of every cell still to run, cell-major, so at
+  // --jobs=1 a cell's trials run back to back.  The first of a cell's
+  // trials to be claimed decides its fate once: skipped when a stop was
+  // requested, else running, and a running cell runs every trial.
+  enum class Fate { kPending, kRunning, kSkipped, kQuarantined };
+  struct CellRun {
+    Fate fate = Fate::kPending;
+    std::size_t remaining = 0;  ///< trials not yet succeeded
+    std::vector<strategy::RunResult> results;  ///< slot per trial
+    std::chrono::steady_clock::time_point epoch;
+  };
+  std::vector<std::size_t> pending;
+  for (std::size_t index = 0; index < total; ++index)
+    if (!cells[index].done) pending.push_back(index);
+  std::mutex fate_mutex;  // guards each run's fate and remaining, quarantined
+  std::vector<CellRun> runs(total);
+  std::vector<resilience::QuarantineRecord> quarantined;
+
+  // Runs on whichever worker completed the cell's last trial.
+  const auto finish_cell = [&](std::size_t index) {
+    const scenario::Cell& cell = grid.cells[index];
+    const std::vector<strategy::RunResult> results =
+        std::move(runs[index].results);
+    CellData data;
+    data.stats = core::reduce_trials(results);
+    std::string metrics_json;
+    if (plan.metrics) {
+      const auto merged = core::merge_trial_metrics(results);
+      data.metrics = merged->snapshot();
+      std::ostringstream os;
+      merged->write_json(os);
+      metrics_json = os.str();
+    }
+    if (plan.timeline) {
+      std::vector<obs::TimelineTracer::Process> processes;
+      for (std::size_t t = 0; t < results.size(); ++t)
+        processes.push_back({cell.label + " trial " + std::to_string(t),
+                             results[t].timeline.get()});
+      std::ostringstream os;
+      obs::TimelineTracer::write_chrome_fragment(
+          os, processes, static_cast<std::uint32_t>(index * trials + 1));
+      data.timeline_json = os.str();
+    }
+    if (plan.trace_decisions) {
+      std::ostringstream os;
+      for (std::size_t t = 0; t < results.size(); ++t)
+        strategy::write_trace_jsonl(os, cell.strategy->name(),
+                                    cell.config.seed + t, t,
+                                    results[t].decision_trace);
+      data.decisions_jsonl = os.str();
+    }
+    data.raw_line = cell_record_line(index, keys[index], base_prov, trials,
+                                     cell.label, data.stats, metrics_json,
+                                     data.timeline_json);
+    data.done = true;
+    cells[index] = std::move(data);
+    executed.fetch_add(1, std::memory_order_relaxed);
+    if (journal) journal->append(cells[index].raw_line);
+    if (status != nullptr)
+      status->cell_finished(
+          index, std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - runs[index].epoch)
+                     .count());
+  };
+
+  runner.parallel_for(pending.size() * trials, [&](std::size_t task) {
+    const std::size_t index = pending[task / trials];
+    const std::size_t trial = task % trials;
+    CellRun& run = runs[index];
+    {
+      const std::lock_guard<std::mutex> lock(fate_mutex);
+      if (run.fate == Fate::kPending) {
+        if (stop_requested()) {
+          run.fate = Fate::kSkipped;
+          skipped.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          run.fate = Fate::kRunning;
+          run.results.resize(trials);
+          run.remaining = trials;
+          run.epoch = std::chrono::steady_clock::now();
+          if (status != nullptr) status->cell_started(index);
+        }
+      }
+      if (run.fate != Fate::kRunning) return;
     }
     const scenario::Cell& cell = grid.cells[index];
     core::ExperimentConfig cfg = cell.config;
+    cfg.seed += trial;
     cfg.obs.metrics = plan.metrics;
     cfg.obs.timeline = plan.timeline;
+    cfg.trace_decisions = plan.trace_decisions;
     cfg.audit = plan.audit;
 
-    if (status != nullptr) status->cell_started(index);
-    const auto cell_epoch = std::chrono::steady_clock::now();
-
-    TrialOutcomeKind outcome = TrialOutcomeKind::kCrashed;
-    std::string error;
-    std::size_t attempts = 0;
-    for (;;) {
-      ++attempts;
+    for (std::size_t attempts = 1;; ++attempts) {
+      TrialOutcomeKind outcome = TrialOutcomeKind::kCrashed;
+      std::string error;
       try {
         if (injected(plan.hooks.inject_fail, index))
           throw std::runtime_error("injected failure (inject_fail hook)");
@@ -287,45 +364,11 @@ SweepResult run_sweep(const SweepPlan& plan) {
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
           throw sim::RunCancelled();
         }
-        // Trials run serially inside the cell (cells are the parallel
-        // unit); the watchdog flag published for this cell reaches every
-        // trial's simulator through the runner's thread-local.
-        const auto results = core::run_trials_results(
-            cfg, *cell.model, *cell.strategy, trials, /*jobs=*/1);
-        CellData data;
-        data.stats = core::reduce_trials(results);
-        std::string metrics_json;
-        if (plan.metrics) {
-          const auto merged = core::merge_trial_metrics(results);
-          data.metrics = merged->snapshot();
-          std::ostringstream os;
-          merged->write_json(os);
-          metrics_json = os.str();
-        }
-        if (plan.timeline) {
-          std::vector<obs::TimelineTracer::Process> processes;
-          for (std::size_t t = 0; t < results.size(); ++t)
-            processes.push_back({cell.label + " trial " + std::to_string(t),
-                                 results[t].timeline.get()});
-          std::ostringstream os;
-          obs::TimelineTracer::write_chrome_fragment(
-              os, processes,
-              static_cast<std::uint32_t>(index * trials + 1));
-          data.timeline_json = os.str();
-        }
-        data.raw_line = cell_record_line(index, keys[index], base_prov,
-                                         trials, cell.label, data.stats,
-                                         metrics_json, data.timeline_json);
-        data.done = true;
-        cells[index] = std::move(data);
-        executed.fetch_add(1, std::memory_order_relaxed);
-        if (journal) journal->append(cells[index].raw_line);
-        if (status != nullptr)
-          status->cell_finished(
-              index, std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - cell_epoch)
-                         .count());
-        return;
+        // The watchdog flag published for this task reaches the trial's
+        // simulator through the runner's thread-local.
+        run.results[trial] =
+            core::run_single(cfg, *cell.model, *cell.strategy);
+        break;
       } catch (const audit::AuditFailure& e) {
         outcome = TrialOutcomeKind::kAuditFailed;
         error = e.what();
@@ -335,12 +378,23 @@ SweepResult run_sweep(const SweepPlan& plan) {
       } catch (const std::exception& e) {
         // A watchdog cancellation can surface as a foreign exception when
         // the strategy wraps it; the fired record disambiguates.
-        outcome = (watchdog != nullptr && watchdog->fired(index))
+        outcome = (watchdog != nullptr && watchdog->fired(task))
                       ? TrialOutcomeKind::kHung
                       : TrialOutcomeKind::kCrashed;
         error = e.what();
       }
-      if (attempts > plan.trial_retries) break;
+      if (attempts > plan.trial_retries) {
+        // Out of attempts: the cell is quarantined once, by the first of
+        // its trials to get here, and its other trials are dropped.
+        const std::lock_guard<std::mutex> lock(fate_mutex);
+        if (run.fate != Fate::kRunning) return;
+        run.fate = Fate::kQuarantined;
+        quarantined.push_back({index, keys[index], base_prov.seed, trials,
+                               cell.label, outcome, attempts, error});
+        executed.fetch_add(1, std::memory_order_relaxed);
+        if (status != nullptr) status->cell_quarantined(index);
+        return;
+      }
       if (status != nullptr) status->cell_retried(index);
       if (plan.retry_backoff_s > 0.0) {
         const double backoff_s = std::min(
@@ -348,15 +402,16 @@ SweepResult run_sweep(const SweepPlan& plan) {
         std::this_thread::sleep_for(
             std::chrono::duration<double>(backoff_s));
       }
-      if (watchdog) watchdog->rearm(index);  // fresh deadline per attempt
+      if (watchdog) watchdog->rearm(task);  // fresh deadline per attempt
     }
+    // A quarantined cell never gets here with its last trial: the trial
+    // that failed never counts down.
+    bool last = false;
     {
-      const std::lock_guard<std::mutex> lock(quarantine_mutex);
-      quarantined.push_back({index, keys[index], base_prov.seed, trials,
-                             cell.label, outcome, attempts, error});
+      const std::lock_guard<std::mutex> lock(fate_mutex);
+      last = --run.remaining == 0;
     }
-    executed.fetch_add(1, std::memory_order_relaxed);
-    if (status != nullptr) status->cell_quarantined(index);
+    if (last) finish_cell(index);
   });
 
   // A deadlocked run must fail the whole sweep when the scenario says so:
@@ -395,6 +450,9 @@ SweepResult run_sweep(const SweepPlan& plan) {
 
   result.provenance = base_prov;
   result.provenance.partial = result.partial;
+  result.stats.resize(total);
+  for (std::size_t index = 0; index < total; ++index)
+    if (cells[index].done) result.stats[index] = cells[index].stats;
 
   if (status != nullptr)
     status->finish(result.partial ? "interrupted" : "done");
@@ -446,6 +504,10 @@ SweepResult run_sweep(const SweepPlan& plan) {
     os << "]}\n";
     result.timeline_json = os.str();
   }
+
+  if (plan.trace_decisions)
+    for (const CellData& cell : cells)
+      result.decisions_jsonl += cell.decisions_jsonl;
 
   return result;
 }

@@ -1,8 +1,12 @@
 // Crash-safe, resumable sweep orchestration over a declarative scenario.
 //
-// A sweep is any Kind::kGrid ScenarioSpec — the classic `simsweep sweep`
-// dynamism grid, every `simsweep bench` figure/ablation, and the golden
-// fixtures all route through here.  One pathological cell (axis point ×
+// A sweep is any Kind::kGrid ScenarioSpec — `simsweep run` (a one-cell
+// scenario), the classic `simsweep sweep` dynamism grid, every `simsweep
+// bench` figure/ablation, and the golden fixtures all route through here.
+// The unit of work is one trial: trial t of a cell is one task on a single
+// core::TrialRunner, running core::run_single at the cell's seed + t, and
+// whichever worker finishes a cell's last trial reduces, merges and
+// journals the cell in trial order.  One pathological cell (axis point ×
 // variant) used to cost the whole grid; this runner makes the sweep an
 // interruptible, resumable unit of work:
 //
@@ -14,13 +18,13 @@
 //     and the final artifacts are assembled from per-cell canonical data in
 //     cell-index order either way, so an interrupted-then-resumed sweep is
 //     byte-identical to an uninterrupted one at any --jobs;
-//   * a wall-clock watchdog (resilience::Watchdog) cancels cells that
-//     exceed --trial-timeout cooperatively, failed/hung cells retry with
-//     capped backoff, and cells that exhaust the budget land in a
-//     quarantine report while the sweep continues degraded;
+//   * a wall-clock watchdog (resilience::Watchdog) cancels trials that
+//     exceed --trial-timeout cooperatively, failed/hung trials retry with
+//     capped backoff, and a trial that exhausts the budget quarantines its
+//     cell while the sweep continues degraded;
 //   * SIGINT/SIGTERM (or the deterministic stop_after_cells test hook)
-//     stop claiming new cells, flush the journal, and mark every artifact's
-//     provenance "partial":true.
+//     stop starting new cells (a started cell runs all its trials), flush
+//     the journal, and mark every artifact's provenance "partial":true.
 //
 // Journal records are keyed by config_digest(cell config, cell key extra),
 // and the header carries ScenarioSpec::digest() — the scenario name plus
@@ -33,10 +37,12 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "obs/profiler.hpp"
 #include "obs/provenance.hpp"
 #include "resilience/quarantine.hpp"
 #include "scenario/scenario.hpp"
@@ -70,7 +76,7 @@ struct SweepHooks {
 struct SweepPlan {
   scenario::ScenarioSpec spec;  ///< must be Kind::kGrid
   std::size_t trials = 0;       ///< trials per cell; 0 = spec.trials
-  std::size_t jobs = 0;         ///< cell-level parallelism; 0 = default
+  std::size_t jobs = 0;         ///< trial-level parallelism; 0 = default
 
   /// Invariant auditing applied to every cell (checks are read-only, so
   /// results are bitwise identical with auditing on or off).
@@ -78,16 +84,19 @@ struct SweepPlan {
 
   bool metrics = false;   ///< collect + merge per-cell metrics registries
   bool timeline = false;  ///< collect + splice per-cell timeline fragments
+  /// Collect every trial's decision trace as JSON lines.  Not journaled: a
+  /// resumed run re-executes the cells it replays.
+  bool trace_decisions = false;
 
-  double trial_timeout_s = 0.0;   ///< wall-clock budget per cell; 0 = off
+  double trial_timeout_s = 0.0;   ///< wall-clock budget per trial; 0 = off
   std::size_t trial_retries = 1;  ///< extra attempts before quarantine
   double retry_backoff_s = 0.1;   ///< first backoff; doubles, capped at 1 s
 
   std::string journal_path;  ///< write the journal here; "" = no journal
   std::string resume_path;   ///< replay this journal first; "" = fresh run
 
-  /// Optional wall-clock profiler attached to the cell runner (one entry
-  /// per executed cell).  Must outlive run_sweep.
+  /// Optional wall-clock profiler attached to the runner (one entry per
+  /// executed trial).  Must outlive run_sweep.
   obs::TrialProfiler* profiler = nullptr;
 
   /// Optional live-telemetry board (--status): every cell lifecycle event
@@ -115,6 +124,10 @@ struct SweepResult {
   /// resumed sweep.
   std::string metrics_json;
   std::string timeline_json;
+  std::string decisions_jsonl;
+
+  /// Per-cell stats in index order; empty for cells neither run nor reused.
+  std::vector<std::optional<core::TrialStats>> stats;
 
   std::vector<resilience::QuarantineRecord> quarantined;  ///< index order
 

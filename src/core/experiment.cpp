@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <functional>
 #include <iomanip>
 #include <limits>
 #include <memory>
@@ -126,11 +127,6 @@ std::string config_digest(const ExperimentConfig& config,
   digest_field(blob, config.max_events);
   blob.append(extra);
   return obs::hex64(obs::fnv1a(blob));
-}
-
-obs::Provenance make_run_provenance(const ExperimentConfig& config,
-                                    std::string_view extra) {
-  return obs::make_provenance(config.seed, config_digest(config, extra));
 }
 
 strategy::RunResult run_single(const ExperimentConfig& config,
@@ -291,53 +287,21 @@ TrialStats reduce_trials(const std::vector<strategy::RunResult>& results) {
   return stats;
 }
 
-namespace {
-
-/// Attaches a profiler to a runner for one scope; detaches on exit even
-/// when a trial throws (the shared() runner outlives any one experiment).
-class ProfilerAttachment {
- public:
-  ProfilerAttachment(TrialRunner* runner, obs::TrialProfiler* profiler)
-      : runner_(profiler != nullptr ? runner : nullptr) {
-    if (runner_ != nullptr) runner_->set_profiler(profiler);
-  }
-  ~ProfilerAttachment() {
-    if (runner_ != nullptr) runner_->set_profiler(nullptr);
-  }
-  ProfilerAttachment(const ProfilerAttachment&) = delete;
-  ProfilerAttachment& operator=(const ProfilerAttachment&) = delete;
-
- private:
-  TrialRunner* runner_;
-};
-
-}  // namespace
-
 std::vector<strategy::RunResult> run_trials_results(
     ExperimentConfig config, const load::LoadModel& model,
-    strategy::Strategy& strategy, std::size_t trials, TrialRunner& runner,
-    obs::TrialProfiler* profiler) {
+    strategy::Strategy& strategy, std::size_t trials, std::size_t jobs) {
   if (trials == 0) throw std::invalid_argument("run_trials: zero trials");
-  const ProfilerAttachment attachment(&runner, profiler);
   std::vector<strategy::RunResult> results(trials);
-  runner.parallel_for(trials, [&](std::size_t t) {
+  const std::function<void(std::size_t)> body = [&](std::size_t t) {
     ExperimentConfig trial_config = config;
     trial_config.seed = config.seed + t;
     results[t] = run_single(trial_config, model, strategy);
-  });
-  return results;
-}
-
-std::vector<strategy::RunResult> run_trials_results(
-    ExperimentConfig config, const load::LoadModel& model,
-    strategy::Strategy& strategy, std::size_t trials, std::size_t jobs,
-    obs::TrialProfiler* profiler) {
+  };
   if (jobs == 0)
-    return run_trials_results(std::move(config), model, strategy, trials,
-                              TrialRunner::shared(), profiler);
-  TrialRunner runner(jobs);
-  return run_trials_results(std::move(config), model, strategy, trials,
-                            runner, profiler);
+    TrialRunner::shared().parallel_for(trials, body);
+  else
+    TrialRunner(jobs).parallel_for(trials, body);
+  return results;
 }
 
 std::unique_ptr<obs::MetricsRegistry> merge_trial_metrics(

@@ -15,14 +15,11 @@
 #include "fault/fault.hpp"
 #include "load/load_model.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/provenance.hpp"
 #include "platform/cluster.hpp"
 #include "strategy/strategy.hpp"
 
 namespace simsweep::core {
-
-class TrialRunner;
 
 /// Per-run observability switches.  Both collectors only *read* simulation
 /// state, so an observed run is bitwise identical to a plain one.
@@ -91,12 +88,6 @@ struct ExperimentConfig {
 [[nodiscard]] std::string config_digest(const ExperimentConfig& config,
                                         std::string_view extra = {});
 
-/// Provenance for `config`'s runs: compiled-in build stamps + the config's
-/// seed and digest (with `extra` folded in, as in config_digest).  The
-/// shared "meta" block of every JSON artifact.
-[[nodiscard]] obs::Provenance make_run_provenance(
-    const ExperimentConfig& config, std::string_view extra = {});
-
 /// One simulated run of `strategy` under `model`.  Fully deterministic in
 /// (config, model parameters, strategy).
 [[nodiscard]] strategy::RunResult run_single(const ExperimentConfig& config,
@@ -157,15 +148,7 @@ struct TrialStats {
 /// per-run state).
 [[nodiscard]] std::vector<strategy::RunResult> run_trials_results(
     ExperimentConfig config, const load::LoadModel& model,
-    strategy::Strategy& strategy, std::size_t trials, std::size_t jobs = 1,
-    obs::TrialProfiler* profiler = nullptr);
-
-/// run_trials_results on a caller-owned runner, so the caller can attach a
-/// trial guard (wall-clock watchdog) of its own before fanning out.
-[[nodiscard]] std::vector<strategy::RunResult> run_trials_results(
-    ExperimentConfig config, const load::LoadModel& model,
-    strategy::Strategy& strategy, std::size_t trials, TrialRunner& runner,
-    obs::TrialProfiler* profiler = nullptr);
+    strategy::Strategy& strategy, std::size_t trials, std::size_t jobs = 1);
 
 /// Folds the per-trial metrics registries of `results` into one snapshot,
 /// in trial-index order — the same order regardless of --jobs, so the

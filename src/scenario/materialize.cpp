@@ -2,9 +2,12 @@
 // strategies, and the expanded cell grid the sweep runner executes.
 #include "scenario/scenario.hpp"
 
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "load/hyperexp.hpp"
+#include "load/misc_models.hpp"
 #include "load/onoff.hpp"
 #include "load/reclamation.hpp"
 #include "strategy/estimator.hpp"
@@ -21,6 +24,9 @@ core::ExperimentConfig base_config(const ScenarioSpec& spec) {
   cfg.app.validate();
   cfg.spare_count = spec.spares;
   cfg.seed = spec.seed;
+  if (!(spec.horizon_hours > 0.0))
+    throw std::invalid_argument("config: horizon_hours must be > 0, got " +
+                                load::describe_number(spec.horizon_hours));
   cfg.horizon_s = spec.horizon_hours * 3600.0;
   cfg.initial_schedule = spec.initial_schedule;
   cfg.max_events = spec.max_events;
@@ -63,9 +69,23 @@ std::shared_ptr<const load::LoadModel> make_load_model(const LoadSpec& spec) {
       if (spec.base != nullptr) base = make_load_model(*spec.base);
       return std::make_shared<load::ReclamationModel>(std::move(base), params);
     }
+    case LoadKind::kTrace:
+      return std::make_shared<load::TraceModel>(spec.samples, spec.period_s,
+                                                spec.random_phase);
   }
   throw ScenarioError("scenario: unhandled load kind");
 }
+
+namespace {
+
+/// Thresholds and windows are distances or fractions: never negative.
+void require_non_negative(const char* field, const std::optional<double>& v) {
+  if (v.has_value() && !(*v >= 0.0))
+    throw ScenarioError(std::string("policy: '") + field +
+                        "' must be >= 0, got " + load::describe_number(*v));
+}
+
+}  // namespace
 
 swap::PolicyParams make_policy(const PolicySpec& spec) {
   swap::PolicyParams policy;
@@ -79,6 +99,10 @@ swap::PolicyParams make_policy(const PolicySpec& spec) {
     throw ScenarioError("unknown policy base '" + spec.base +
                         "' (greedy|safe|friendly)");
   }
+  require_non_negative("payback_threshold_iters", spec.payback_threshold_iters);
+  require_non_negative("min_process_improvement", spec.min_process_improvement);
+  require_non_negative("min_app_improvement", spec.min_app_improvement);
+  require_non_negative("history_window_s", spec.history_window_s);
   if (spec.payback_threshold_iters.has_value())
     policy.payback_threshold_iters = *spec.payback_threshold_iters;
   if (spec.min_process_improvement.has_value())
@@ -87,9 +111,17 @@ swap::PolicyParams make_policy(const PolicySpec& spec) {
     policy.min_app_improvement = *spec.min_app_improvement;
   if (spec.history_window_s.has_value())
     policy.history_window_s = *spec.history_window_s;
-  if (spec.max_swaps_per_decision.has_value())
-    policy.max_swaps_per_decision =
-        static_cast<std::size_t>(*spec.max_swaps_per_decision);
+  if (spec.max_swaps_per_decision.has_value()) {
+    // A swap cap is a count: the cast below is only defined for whole
+    // numbers that fit a size_t.
+    const double cap = *spec.max_swaps_per_decision;
+    if (!(cap >= 0.0) || cap != std::floor(cap) ||
+        cap >= static_cast<double>(std::numeric_limits<std::size_t>::max()))
+      throw ScenarioError(
+          "policy: 'max_swaps_per_decision' must be a whole number in "
+          "[0, 2^64), got " + load::describe_number(cap));
+    policy.max_swaps_per_decision = static_cast<std::size_t>(cap);
+  }
   return policy;
 }
 
@@ -135,6 +167,9 @@ std::unique_ptr<strategy::Strategy> make_strategy(const StrategySpec& spec) {
     case StrategyKind::kCr:
       return std::make_unique<strategy::CrStrategy>(make_policy(spec.policy));
     case StrategyKind::kSwap: {
+      if (!(spec.stall_factor > 0.0))
+        throw ScenarioError("strategy: 'stall_factor' must be > 0, got " +
+                            load::describe_number(spec.stall_factor));
       strategy::SwapOptions options;
       options.estimator = make_estimator(spec.estimator);
       options.eviction_guard = spec.guard;
@@ -194,14 +229,22 @@ MaterializedGrid materialize(const ScenarioSpec& spec,
           load.p = x;
           load.q = x;
           break;
-        case AxisBinding::kSparesPercentOfActive:
-          cell.config.spare_count = static_cast<std::size_t>(
-              static_cast<double>(spec.active) * x / 100.0 + 0.5);
-          if (spec.active + cell.config.spare_count > spec.hosts)
+        case AxisBinding::kSparesPercentOfActive: {
+          // Checked before the cast, which is undefined for a negative or
+          // huge count.  base_config guarantees hosts >= active.
+          if (!(x >= 0.0))
+            throw ScenarioError("scenario '" + spec.name + "': axis point " +
+                                load::describe_number(x) +
+                                "% is a negative over-allocation");
+          const double spares =
+              std::floor(static_cast<double>(spec.active) * x / 100.0 + 0.5);
+          if (spares > static_cast<double>(spec.hosts - spec.active))
             throw ScenarioError("scenario '" + spec.name +
                                 "': axis point " + load::describe_number(x) +
                                 "% over-allocates beyond the host count");
+          cell.config.spare_count = static_cast<std::size_t>(spares);
           break;
+        }
         case AxisBinding::kHyperexpLifetime:
           if (load.kind != LoadKind::kHyperExp)
             throw ScenarioError("scenario '" + spec.name +

@@ -227,6 +227,7 @@ constexpr std::pair<LoadKind, const char*> kLoadNames[] = {
     {LoadKind::kOnOff, "onoff"},
     {LoadKind::kHyperExp, "hyperexp"},
     {LoadKind::kReclaim, "reclaim"},
+    {LoadKind::kTrace, "trace"},
 };
 
 template <typename E, std::size_t N>
@@ -292,6 +293,21 @@ LoadSpec parse_load(const Ctx& ctx, const JsonValue& value,
       if (base != nullptr && !base->is_null())
         out.base = std::make_shared<LoadSpec>(
             parse_load(ctx, *base, what + ".base"));
+      break;
+    }
+    case LoadKind::kTrace: {
+      const JsonValue& samples = s.require("samples");
+      if (samples.kind != JsonValue::Kind::kArray || samples.array.empty())
+        ctx.fail(samples.offset, "'samples' must be a non-empty array");
+      for (const JsonValue& pair : samples.array) {
+        if (pair.kind != JsonValue::Kind::kArray || pair.array.size() != 2)
+          ctx.fail(pair.offset, "'samples' entries must be [time, load] pairs");
+        out.samples.push_back({s.to_double(pair.array[0], "samples"),
+                               s.to_double(pair.array[1], "samples")});
+      }
+      // Same default as `--period`: one second past the last sample.
+      out.period_s = s.get_positive("period_s", out.samples.back().time + 1.0);
+      out.random_phase = s.get_bool("random_phase", out.random_phase);
       break;
     }
   }
@@ -495,6 +511,8 @@ void parse_faults(const Ctx& ctx, const JsonValue& value, ScenarioSpec& out) {
 
 }  // namespace
 
+const char* kind_name(Kind kind) { return enum_name(kKindNames, kind); }
+
 bool operator==(const LoadSpec& a, const LoadSpec& b) {
   const bool base_equal =
       (a.base == nullptr && b.base == nullptr) ||
@@ -506,7 +524,9 @@ bool operator==(const LoadSpec& a, const LoadSpec& b) {
          a.mean_interarrival_s == b.mean_interarrival_s &&
          a.mean_available_s == b.mean_available_s &&
          a.mean_reclaimed_s == b.mean_reclaimed_s &&
-         a.start_available == b.start_available && base_equal;
+         a.start_available == b.start_available && base_equal &&
+         a.samples == b.samples && a.period_s == b.period_s &&
+         a.random_phase == b.random_phase;
 }
 
 ScenarioSpec parse_scenario(std::string_view text,
@@ -691,6 +711,20 @@ void write_load(std::ostream& os, const LoadSpec& l) {
         os << ",\"base\":";
         write_load(os, *l.base);
       }
+      break;
+    case LoadKind::kTrace:
+      os << ",\"samples\":[";
+      for (std::size_t i = 0; i < l.samples.size(); ++i) {
+        os << (i > 0 ? ",[" : "[");
+        write_num(os, l.samples[i].time);
+        os << ',';
+        write_num(os, l.samples[i].value);
+        os << ']';
+      }
+      os << "],\"period_s\":";
+      write_num(os, l.period_s);
+      os << ",\"random_phase\":";
+      write_bool(os, l.random_phase);
       break;
   }
   os << '}';

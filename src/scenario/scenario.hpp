@@ -35,6 +35,7 @@
 
 #include "core/experiment.hpp"
 #include "load/load_model.hpp"
+#include "simcore/step_series.hpp"
 #include "strategy/strategy.hpp"
 #include "swap/policy.hpp"
 
@@ -81,7 +82,10 @@ enum class Kind {
   kDecisionHistogram,  ///< decision-trace rejection histogram per policy
 };
 
-enum class LoadKind { kOnOff, kHyperExp, kReclaim };
+/// The kind's JSON name ("grid", "payback", ...).
+[[nodiscard]] const char* kind_name(Kind kind);
+
+enum class LoadKind { kOnOff, kHyperExp, kReclaim, kTrace };
 
 /// Declarative load model.  Only the fields of the active `kind` are
 /// meaningful (and serialized); a reclamation model may wrap a base model.
@@ -104,6 +108,12 @@ struct LoadSpec {
   double mean_reclaimed_s = 600.0;
   bool start_available = true;
   std::shared_ptr<LoadSpec> base;  ///< competing load while available
+
+  // kTrace: a measured load replayed inline (load::TraceModel), repeating
+  // every period_s; each host starts at a random phase unless switched off.
+  std::vector<sim::Sample> samples;
+  double period_s = 0.0;
+  bool random_phase = true;
 
   friend bool operator==(const LoadSpec& a, const LoadSpec& b);
   friend bool operator!=(const LoadSpec& a, const LoadSpec& b) {

@@ -1,8 +1,9 @@
-// Tests for the CLI flag parser and config builders.
+// Tests for the CLI flag parser and the flag overlays on scenario specs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -15,8 +16,10 @@
 #include "load/hyperexp.hpp"
 #include "load/onoff.hpp"
 #include "load/reclamation.hpp"
+#include "scenario/scenario.hpp"
 
 namespace cli = simsweep::cli;
+namespace scn = simsweep::scenario;
 
 TEST(Args, ParsesEqualsAndSpaceSeparatedFlags) {
   cli::Args args({"--alpha=3.5", "--beta", "7", "--gamma"});
@@ -150,9 +153,32 @@ TEST(Args, BooleanValueForms) {
   EXPECT_FALSE(args.get_bool("d"));
 }
 
+/// The paper spec with the platform flags laid over it, as `run` builds it.
+simsweep::core::ExperimentConfig build_config(cli::Args& args) {
+  scn::ScenarioSpec spec;
+  cli::apply_config_flags(args, spec);
+  return scn::base_config(spec);
+}
+
+/// A default load section with the load flags laid over it.
+std::shared_ptr<const simsweep::load::LoadModel> build_load_model(
+    cli::Args& args) {
+  scn::LoadSpec spec;
+  cli::apply_load_flags(args, spec);
+  return scn::make_load_model(spec);
+}
+
+/// `run`'s default strategy section (SWAP) with the strategy flags over it.
+std::unique_ptr<simsweep::strategy::Strategy> build_strategy(cli::Args& args) {
+  scn::StrategySpec spec;
+  spec.kind = scn::StrategyKind::kSwap;
+  cli::apply_strategy_flags(args, spec);
+  return scn::make_strategy(spec);
+}
+
 TEST(ConfigBuild, DefaultsMatchPaperPlatform) {
   cli::Args args({});
-  const auto cfg = cli::build_config(args);
+  const auto cfg = build_config(args);
   EXPECT_EQ(cfg.cluster.host_count, 32u);
   EXPECT_EQ(cfg.app.active_processes, 4u);
   EXPECT_EQ(cfg.spare_count, 28u);  // everything not active is a spare
@@ -163,7 +189,7 @@ TEST(ConfigBuild, DefaultsMatchPaperPlatform) {
 TEST(ConfigBuild, FlagsOverrideAndValidate) {
   cli::Args args({"--hosts=16", "--active=8", "--spares=4", "--state-mb=100",
                   "--seed=99"});
-  const auto cfg = cli::build_config(args);
+  const auto cfg = build_config(args);
   EXPECT_EQ(cfg.cluster.host_count, 16u);
   EXPECT_EQ(cfg.spare_count, 4u);
   EXPECT_EQ(cfg.seed, 99u);
@@ -171,7 +197,7 @@ TEST(ConfigBuild, FlagsOverrideAndValidate) {
                    100.0 * simsweep::app::kMiB);
 
   cli::Args bad({"--hosts=4", "--active=4", "--spares=1"});
-  EXPECT_THROW((void)cli::build_config(bad), std::invalid_argument);
+  EXPECT_THROW((void)build_config(bad), std::invalid_argument);
 
   // Inputs that used to wrap size_t / uint64_t or run silently.
   for (const std::vector<std::string>& flags :
@@ -191,79 +217,79 @@ TEST(ConfigBuild, FlagsOverrideAndValidate) {
            {"--state-mb=1e308"},
        }) {
     cli::Args args_bad(flags);
-    EXPECT_THROW((void)cli::build_config(args_bad), std::invalid_argument)
+    EXPECT_THROW((void)build_config(args_bad), std::invalid_argument)
         << flags.front();
   }
   cli::Args nan_load({"--dynamism=nan"});
-  EXPECT_THROW((void)cli::build_load_model(nan_load), std::invalid_argument);
+  EXPECT_THROW((void)build_load_model(nan_load), std::invalid_argument);
 }
 
 TEST(ConfigBuild, AuditFlagSelectsMode) {
   namespace audit = simsweep::audit;
   cli::Args off({});
-  EXPECT_EQ(cli::build_config(off).audit, audit::AuditMode::kOff);
+  EXPECT_EQ(cli::parse_audit_flag(off), audit::AuditMode::kOff);
   cli::Args bare({"--audit"});  // bare flag means fail-fast
-  EXPECT_EQ(cli::build_config(bare).audit, audit::AuditMode::kFail);
+  EXPECT_EQ(cli::parse_audit_flag(bare), audit::AuditMode::kFail);
   cli::Args warn({"--audit=warn"});
-  EXPECT_EQ(cli::build_config(warn).audit, audit::AuditMode::kWarn);
+  EXPECT_EQ(cli::parse_audit_flag(warn), audit::AuditMode::kWarn);
   cli::Args fail({"--audit=fail"});
-  EXPECT_EQ(cli::build_config(fail).audit, audit::AuditMode::kFail);
+  EXPECT_EQ(cli::parse_audit_flag(fail), audit::AuditMode::kFail);
   cli::Args bad({"--audit=loud"});
-  EXPECT_THROW((void)cli::build_config(bad), std::invalid_argument);
+  EXPECT_THROW((void)cli::parse_audit_flag(bad), std::invalid_argument);
 }
 
 TEST(ConfigBuild, LoadModels) {
   cli::Args onoff({"--model=onoff", "--dynamism=0.3"});
-  const auto m1 = cli::build_load_model(onoff);
+  const auto m1 = build_load_model(onoff);
   const auto* onoff_model =
       dynamic_cast<const simsweep::load::OnOffModel*>(m1.get());
   ASSERT_NE(onoff_model, nullptr);
   EXPECT_DOUBLE_EQ(onoff_model->params().p, 0.3);
 
   cli::Args hyper({"--model=hyperexp", "--lifetime=150"});
-  const auto m2 = cli::build_load_model(hyper);
+  const auto m2 = build_load_model(hyper);
   const auto* hyper_model =
       dynamic_cast<const simsweep::load::HyperExpModel*>(m2.get());
   ASSERT_NE(hyper_model, nullptr);
   EXPECT_DOUBLE_EQ(hyper_model->params().mean_lifetime_s, 150.0);
 
   cli::Args reclaim({"--model=reclaim", "--reclaim-min=5"});
-  const auto m3 = cli::build_load_model(reclaim);
+  const auto m3 = build_load_model(reclaim);
   const auto* reclaim_model =
       dynamic_cast<const simsweep::load::ReclamationModel*>(m3.get());
   ASSERT_NE(reclaim_model, nullptr);
   EXPECT_DOUBLE_EQ(reclaim_model->params().mean_reclaimed_s, 300.0);
 
   cli::Args bad({"--model=nope"});
-  EXPECT_THROW((void)cli::build_load_model(bad), std::invalid_argument);
+  EXPECT_THROW((void)build_load_model(bad), std::invalid_argument);
 }
 
 TEST(ConfigBuild, Strategies) {
   cli::Args none({"--strategy=none"});
-  EXPECT_EQ(cli::build_strategy(none)->name(), "NONE");
+  EXPECT_EQ(build_strategy(none)->name(), "NONE");
 
   cli::Args swap({"--strategy=swap", "--policy=safe"});
-  EXPECT_EQ(cli::build_strategy(swap)->name(), "SWAP(safe)");
+  EXPECT_EQ(build_strategy(swap)->name(), "SWAP(safe)");
 
   cli::Args dlb({"--strategy=dlb"});
-  EXPECT_EQ(cli::build_strategy(dlb)->name(), "DLB");
+  EXPECT_EQ(build_strategy(dlb)->name(), "DLB");
 
   cli::Args cr({"--strategy=cr"});
-  EXPECT_EQ(cli::build_strategy(cr)->name(), "CR");
+  EXPECT_EQ(build_strategy(cr)->name(), "CR");
 
   cli::Args dlbswap({"--strategy=dlbswap", "--policy=greedy"});
-  EXPECT_EQ(cli::build_strategy(dlbswap)->name(), "DLB+SWAP(greedy)");
+  EXPECT_EQ(build_strategy(dlbswap)->name(), "DLB+SWAP(greedy)");
 
   cli::Args bad({"--strategy=warp"});
-  EXPECT_THROW((void)cli::build_strategy(bad), std::invalid_argument);
+  EXPECT_THROW((void)build_strategy(bad), std::invalid_argument);
   cli::Args badpol({"--strategy=swap", "--policy=reckless"});
-  EXPECT_THROW((void)cli::build_strategy(badpol), std::invalid_argument);
+  EXPECT_THROW((void)build_strategy(badpol), std::invalid_argument);
 }
 
 TEST(ConfigBuild, PolicyOverridesApply) {
   cli::Args args({"--strategy=swap", "--policy=greedy", "--payback=1.5",
                   "--min-process=0.1", "--history=120"});
-  auto s = cli::build_strategy(args);
+  auto s = build_strategy(args);
   const auto* swap_s = dynamic_cast<simsweep::strategy::SwapStrategy*>(s.get());
   ASSERT_NE(swap_s, nullptr);
   EXPECT_DOUBLE_EQ(swap_s->policy().payback_threshold_iters, 1.5);
@@ -274,10 +300,54 @@ TEST(ConfigBuild, PolicyOverridesApply) {
 TEST(ConfigBuild, PredictorSelection) {
   for (const char* p : {"window", "nws", "ewma", "median"}) {
     cli::Args args({"--strategy=swap", std::string("--predictor=") + p});
-    EXPECT_NO_THROW((void)cli::build_strategy(args)) << p;
+    EXPECT_NO_THROW((void)build_strategy(args)) << p;
   }
   cli::Args bad({"--strategy=swap", "--predictor=psychic"});
-  EXPECT_THROW((void)cli::build_strategy(bad), std::invalid_argument);
+  EXPECT_THROW((void)build_strategy(bad), std::invalid_argument);
+}
+
+TEST(ConfigBuild, KindFlagsRestartAndOtherFlagsOverlay) {
+  // A scenario's hyperexp section: parameter flags overlay it, and
+  // --lifetime resets the interarrival to twice the lifetime.
+  scn::LoadSpec load;
+  load.kind = scn::LoadKind::kHyperExp;
+  load.long_prob = 0.05;
+  cli::Args lifetime({"--lifetime=50"});
+  cli::apply_load_flags(lifetime, load);
+  EXPECT_EQ(load.long_prob, 0.05);
+  EXPECT_EQ(load.mean_lifetime_s, 50.0);
+  EXPECT_EQ(load.mean_interarrival_s, 100.0);
+  // Naming the model restarts from the CLI defaults for it.
+  cli::Args model({"--model=hyperexp"});
+  cli::apply_load_flags(model, load);
+  EXPECT_EQ(load.long_prob, 0.2);
+  EXPECT_EQ(load.mean_lifetime_s, 300.0);
+  EXPECT_EQ(load.mean_interarrival_s, 600.0);
+  // Flags of another model stay unread, so reject_unused reports them.
+  cli::Args other({"--p=0.5"});
+  cli::apply_load_flags(other, load);
+  EXPECT_THROW(cli::reject_unused(other), cli::UnknownFlagError);
+
+  // A scenario's CR variant keeps its policy overrides under --policy;
+  // --strategy restarts the section.
+  scn::StrategySpec strategy;
+  strategy.kind = scn::StrategyKind::kCr;
+  strategy.policy.history_window_s = 60.0;
+  cli::Args safe({"--policy=safe", "--payback=0.5"});
+  cli::apply_strategy_flags(safe, strategy);
+  EXPECT_EQ(strategy.policy.base, "safe");
+  EXPECT_EQ(strategy.policy.payback_threshold_iters, 0.5);
+  EXPECT_EQ(strategy.policy.history_window_s, 60.0);
+  cli::Args restart({"--strategy=cr"});
+  cli::apply_strategy_flags(restart, strategy);
+  scn::StrategySpec fresh_cr;
+  fresh_cr.kind = scn::StrategyKind::kCr;
+  EXPECT_EQ(strategy, fresh_cr);
+  // Policy flags mean nothing to NONE.
+  strategy.kind = scn::StrategyKind::kNone;
+  cli::Args ignored({"--payback=2"});
+  cli::apply_strategy_flags(ignored, strategy);
+  EXPECT_THROW(cli::reject_unused(ignored), cli::UnknownFlagError);
 }
 
 // ---------------------------------------------------------------------------

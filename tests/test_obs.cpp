@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/sweep_runner.hpp"
 #include "golden_scenarios.hpp"
 #include "load/hyperexp.hpp"
 #include "load/misc_models.hpp"
@@ -393,7 +394,8 @@ TEST(Provenance, ModelDescriptionsAreCanonical) {
 TEST(Provenance, RunProvenanceCarriesSeedAndDigest) {
   core::ExperimentConfig cfg;
   cfg.seed = 17;
-  const obs::Provenance prov = core::make_run_provenance(cfg);
+  const obs::Provenance prov =
+      obs::make_provenance(cfg.seed, core::config_digest(cfg));
   EXPECT_EQ(prov.seed, 17u);
   EXPECT_EQ(prov.config_digest, core::config_digest(cfg));
   EXPECT_FALSE(prov.version.empty());
@@ -405,7 +407,8 @@ TEST(Provenance, RunProvenanceCarriesSeedAndDigest) {
 TEST(Provenance, StatsJsonLeadsWithMeta) {
   core::TrialStats stats;
   stats.trials = 1;
-  const obs::Provenance prov = core::make_run_provenance({});
+  const obs::Provenance prov =
+      obs::make_provenance(0, core::config_digest({}));
   std::ostringstream with_meta;
   stats.print_json(with_meta, &prov);
   EXPECT_EQ(with_meta.str().rfind("{\"meta\":{", 0), 0u);
@@ -481,15 +484,21 @@ TEST(ObsIdentity, MergedMetricsIdenticalAcrossJobs) {
 }
 
 TEST(ObsIdentity, ProfilerRecordsEveryTrial) {
-  auto cfg = golden::config_for("calm");
-  cfg.seed = 1;
-  const auto model = golden::model_for("calm");
-  const auto strategy = golden::make_technique("none");
+  // The calm golden cell for NONE as a one-cell grid: the sweep runner's
+  // unit of work is the trial, so its profile records each one.
+  simsweep::cli::SweepPlan plan;
+  plan.spec = golden::spec_for("calm");
+  plan.spec.seed = 1;
+  plan.spec.variants.resize(1);
+  ASSERT_EQ(plan.spec.variants.front().name, "none");
+  plan.trials = 3;
+  plan.jobs = 2;
+  plan.hooks.interrupted = [] { return false; };
   obs::TrialProfiler profiler;
-  const auto results = core::run_trials_results(cfg, *model, *strategy,
-                                                /*trials=*/3, /*jobs=*/2,
-                                                &profiler);
-  EXPECT_EQ(results.size(), 3u);
+  plan.profiler = &profiler;
+  const auto result = simsweep::cli::run_sweep(plan);
+  ASSERT_TRUE(result.stats.front().has_value());
+  EXPECT_EQ(result.stats.front()->trials, 3u);
   const auto report = profiler.report();
   EXPECT_EQ(report.tasks, 3u);
   EXPECT_GT(report.wall_s, 0.0);

@@ -23,6 +23,7 @@
 #include "cli/sweep_runner.hpp"
 #include "core/experiment.hpp"
 #include "core/trial_runner.hpp"
+#include "obs/profiler.hpp"
 #include "obs/provenance.hpp"
 #include "report/artifact.hpp"
 #include "resilience/journal.hpp"
@@ -581,6 +582,63 @@ TEST(SweepInterrupt, SignalFlushesJournalAndMarksPartial) {
   EXPECT_EQ(result.cells_skipped, 8u);
   // The journal was still published durably (header line, zero cells).
   EXPECT_EQ(journal_cells(journal.str()), 0u);
+}
+
+TEST(SweepTrials, OneCellSpreadsItsTrialsOverTheWorkers) {
+  // The trial, not the cell, is the unit of work: a one-cell grid at
+  // --jobs=2 runs its four trials as four tasks on two workers, and the
+  // worker that finishes the last one reduces the cell exactly as a serial
+  // run does.
+  cli::SweepPlan plan = small_plan();
+  plan.spec.axis.x = {0.3};
+  plan.spec.variants = {plan.spec.variants[1]};  // SWAP(greedy)
+  plan.trials = 4;
+  plan.metrics = true;
+  plan.timeline = true;
+  plan.trace_decisions = true;
+  const cli::SweepResult serial = cli::run_sweep(plan);
+
+  plan.jobs = 2;
+  simsweep::obs::TrialProfiler profiler;
+  plan.profiler = &profiler;
+  const cli::SweepResult pooled = cli::run_sweep(plan);
+  const auto report = profiler.report();
+  EXPECT_EQ(report.tasks, 4u);
+  EXPECT_LE(report.workers.size(), 2u);
+  std::size_t recorded = 0;
+  for (const auto& w : report.workers) recorded += w.tasks;
+  EXPECT_EQ(recorded, 4u);
+
+  ASSERT_TRUE(pooled.stats.front().has_value());
+  EXPECT_EQ(pooled.stats.front()->trials, 4u);
+  EXPECT_EQ(report_json(serial), report_json(pooled));
+  EXPECT_EQ(serial.metrics_json, pooled.metrics_json);
+  EXPECT_EQ(serial.timeline_json, pooled.timeline_json);
+  EXPECT_FALSE(serial.decisions_jsonl.empty());
+  EXPECT_EQ(serial.decisions_jsonl, pooled.decisions_jsonl);
+}
+
+TEST(SweepTrials, ExhaustedTrialQuarantinesItsCellOnce) {
+  // Retries count per trial; the first trial out of attempts quarantines
+  // the cell, and its other trials are dropped rather than reported.
+  cli::SweepPlan plan = small_plan();
+  plan.trials = 3;
+  plan.jobs = 3;
+  plan.trial_retries = 1;
+  plan.retry_backoff_s = 0.0;
+  plan.hooks.inject_fail = {2, 5};
+  const cli::SweepResult result = cli::run_sweep(plan);
+  ASSERT_EQ(result.quarantined.size(), 2u);
+  EXPECT_EQ(result.quarantined[0].index, 2u);
+  EXPECT_EQ(result.quarantined[1].index, 5u);
+  for (const auto& record : result.quarantined) {
+    EXPECT_EQ(record.attempts, 2u);
+    EXPECT_EQ(record.trials, 3u);
+  }
+  EXPECT_EQ(result.cells_executed, 8u);
+  EXPECT_FALSE(result.stats[2].has_value());
+  ASSERT_TRUE(result.stats[3].has_value());
+  EXPECT_EQ(result.stats[3]->trials, 3u);
 }
 
 TEST(SweepPlanValidation, RejectsMalformedPlans) {

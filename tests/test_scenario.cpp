@@ -103,6 +103,42 @@ TEST(ScenarioRoundTrip, NumbersSurviveBitwise) {
   EXPECT_EQ(reparsed.state_mb, 1e-320);
 }
 
+TEST(ScenarioRoundTrip, TraceLoadSamplesSurviveBitwise) {
+  // A replayed trace is part of the spec, so `run --model=trace` is a
+  // scenario like any other and its digest covers every sample.
+  scn::ScenarioSpec spec;
+  spec.name = "trace";
+  spec.load.kind = scn::LoadKind::kTrace;
+  spec.load.samples = {{0.0, 1.0}, {0.1 + 0.2, 2.0}, {1.0 / 3.0, 0.5},
+                       {1e22, 3.0}};
+  spec.load.period_s = 2e22;
+  spec.load.random_phase = false;
+  spec.axis.x = {0.0};
+  spec.variants.push_back({"none", {}, std::nullopt, std::nullopt,
+                           std::nullopt});
+  const std::string canonical = scn::serialize_scenario(spec);
+  const scn::ScenarioSpec reparsed = scn::parse_scenario(canonical, "trace");
+  EXPECT_TRUE(spec == reparsed);
+  EXPECT_EQ(reparsed.load.samples[1].time, 0.30000000000000004);
+  EXPECT_EQ(scn::serialize_scenario(reparsed), canonical);
+
+  scn::ScenarioSpec moved = spec;
+  moved.load.samples[2].value = 0.25;
+  EXPECT_NE(spec.digest(), moved.digest());
+  // The period defaults to one second past the last sample, like --period.
+  const scn::ScenarioSpec defaulted = scn::parse_scenario(
+      R"({"name":"t","load":{"model":"trace","samples":[[0,1],[5,0]]},)"
+      R"("variants":[{"name":"none","strategy":{"kind":"none"}}]})",
+      "defaulted");
+  EXPECT_EQ(defaulted.load.period_s, 6.0);
+  EXPECT_TRUE(defaulted.load.random_phase);
+  EXPECT_THROW((void)scn::parse_scenario(
+                   R"({"name":"t","load":{"model":"trace","samples":[]},)"
+                   R"("variants":[{"name":"none","strategy":{"kind":"none"}}]})",
+                   "empty"),
+               scn::ScenarioError);
+}
+
 // ---------------------------------------------------------------------------
 // Strict parsing
 
@@ -222,6 +258,100 @@ TEST(ScenarioDigest, SeedDoesNotChangeDigest) {
   scn::ScenarioSpec b = a;
   b.seed = 99;
   EXPECT_EQ(a.digest(), b.digest());
+}
+
+// ---------------------------------------------------------------------------
+// Value checks before any trial runs
+
+/// Expects `body` to throw E whose message names `field`.
+template <typename E, typename Body>
+void expect_error_naming(Body body, const std::string& field) {
+  try {
+    body();
+    ADD_FAILURE() << field << ": accepted";
+  } catch (const E& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ScenarioMaterialize, OutOfRangePolicyAndStrategyValuesAreRejected) {
+  // Every command builds its strategies through make_policy/make_strategy,
+  // so flags and scenario files meet the same checks.
+  struct Case {
+    std::optional<double> scn::PolicySpec::*field;
+    const char* name;
+    double value;
+  };
+  for (const Case& c : {
+           Case{&scn::PolicySpec::payback_threshold_iters,
+                "payback_threshold_iters", -3.0},
+           Case{&scn::PolicySpec::history_window_s, "history_window_s", -5.0},
+           Case{&scn::PolicySpec::min_process_improvement,
+                "min_process_improvement", -1.0},
+           Case{&scn::PolicySpec::min_app_improvement, "min_app_improvement",
+                -1.0},
+           Case{&scn::PolicySpec::max_swaps_per_decision,
+                "max_swaps_per_decision", -1.0},
+           Case{&scn::PolicySpec::max_swaps_per_decision,
+                "max_swaps_per_decision", 1e300},
+           Case{&scn::PolicySpec::max_swaps_per_decision,
+                "max_swaps_per_decision", 2.5},
+       }) {
+    SCOPED_TRACE(std::string(c.name) + "=" + std::to_string(c.value));
+    scn::PolicySpec policy;
+    policy.*c.field = c.value;
+    expect_error_naming<scn::ScenarioError>(
+        [&] { (void)scn::make_policy(policy); }, c.name);
+    // The same value in a scenario fails at materialize, before any cell.
+    scn::ScenarioSpec spec = scn::sweep_scenario();
+    spec.variants[1].strategy.policy = policy;  // SWAP(greedy)
+    expect_error_naming<scn::ScenarioError>(
+        [&] { (void)scn::materialize(spec); }, c.name);
+  }
+  scn::PolicySpec edge;
+  edge.payback_threshold_iters = 0.0;
+  edge.max_swaps_per_decision = 4.0;
+  EXPECT_EQ(scn::make_policy(edge).max_swaps_per_decision, 4u);
+
+  for (const double stall_factor : {-1.0, 0.0}) {
+    scn::StrategySpec guard;
+    guard.kind = scn::StrategyKind::kSwap;
+    guard.guard = true;
+    guard.stall_factor = stall_factor;
+    expect_error_naming<scn::ScenarioError>(
+        [&] { (void)scn::make_strategy(guard); }, "stall_factor");
+  }
+}
+
+TEST(ScenarioMaterialize, NonPositiveHorizonIsRejected) {
+  for (const double hours : {0.0, -1.0}) {
+    scn::ScenarioSpec spec = scn::sweep_scenario();
+    spec.horizon_hours = hours;
+    expect_error_naming<std::invalid_argument>(
+        [&] { (void)scn::base_config(spec); }, "horizon_hours");
+    expect_error_naming<std::invalid_argument>(
+        [&] { (void)scn::materialize(spec); }, "horizon_hours");
+  }
+}
+
+TEST(ScenarioMaterialize, SparesAxisPointIsCheckedBeforeTheCast) {
+  // A percentage that is negative or over-allocates fails with the axis
+  // point named, instead of casting into a wrapped spare count.
+  scn::ScenarioSpec spec = scn::find_scenario("fig5", scenario_dir());
+  for (const double x : {-100.0, -1e300, 1e300, 400.0}) {
+    SCOPED_TRACE(x);
+    spec.axis.x = {0.0, x};
+    try {
+      (void)scn::materialize(spec);
+      ADD_FAILURE() << "accepted";
+    } catch (const scn::ScenarioError& e) {
+      EXPECT_NE(std::string(e.what()).find("axis point"), std::string::npos)
+          << e.what();
+    }
+  }
+  spec.axis.x = {300.0};  // 24 spares for 8 active on 32 hosts: fits
+  EXPECT_EQ(scn::materialize(spec).cells.front().config.spare_count, 24u);
 }
 
 // ---------------------------------------------------------------------------
@@ -403,6 +533,50 @@ TEST(BenchCli, MissingNameIsAnError) {
       << output;
 }
 
+/// Runs `bench <scenario> <flags>` and expects the refusal of `flag` for
+/// the scenario's `kind`, before anything ran or was written.
+void expect_bench_refuses(const std::string& scenario,
+                          const std::string& flags, const std::string& flag,
+                          const std::string& kind) {
+  int exit_code = -1;
+  const std::string output = run_command(
+      binary_invocation() + " bench " + scenario + " " + flags, exit_code);
+  EXPECT_EQ(exit_code, 1) << output;
+  EXPECT_NE(output.find("--" + flag + " does not apply to " + kind),
+            std::string::npos)
+      << output;
+  EXPECT_EQ(output.find("===="), std::string::npos) << output;
+}
+
+TEST(BenchCli, PaybackScenarioRefusesTheFlagsItIgnores) {
+  TempPath metrics("bench_payback_metrics");
+  expect_bench_refuses("fig1", "--metrics=" + metrics.str(), "metrics",
+                       "payback");
+  EXPECT_FALSE(std::filesystem::exists(metrics.str()));
+}
+
+TEST(BenchCli, LoadTraceScenarioRefusesTheFlagsItIgnores) {
+  TempPath profile("bench_trace_profile");
+  expect_bench_refuses("fig2", "--profile-json=" + profile.str(),
+                       "profile-json", "load_trace");
+  EXPECT_FALSE(std::filesystem::exists(profile.str()));
+}
+
+TEST(BenchCli, DecisionHistogramRefusesTheFlagsItIgnores) {
+  TempPath metrics("bench_hist_metrics");
+  TempPath journal("bench_hist_journal");
+  TempPath status("bench_hist_status");
+  expect_bench_refuses("abl_decision_trace",
+                       "--trials=1 --jobs=1 --audit --metrics=" +
+                           metrics.str() + " --journal=" + journal.str() +
+                           " --status=" + status.str(),
+                       "metrics", "decision_histogram");
+  for (const TempPath* path : {&metrics, &journal, &status})
+    EXPECT_FALSE(std::filesystem::exists(path->str())) << path->str();
+  expect_bench_refuses("abl_decision_trace", "--profile", "profile",
+                       "decision_histogram");
+}
+
 // ---------------------------------------------------------------------------
 // run / sweep / trace through the binary, pinned to recorded outputs
 
@@ -435,6 +609,17 @@ TEST(CliGolden, SweepAndItsJournalMatchRecordedOutput) {
   EXPECT_EQ(read_file(journal.str()), golden_cli("sweep.journal"));
 }
 
+TEST(CliGolden, RunOnTraceModel) {
+  // The recorded trace doubles as the replayed load.
+  int exit_code = -1;
+  const std::string output = run_command(
+      binary_invocation() + " run --model=trace --trace-file=" +
+          SIMSWEEP_GOLDEN_CLI_DIR + "/trace.txt --strategy=swap --trials=2",
+      exit_code);
+  EXPECT_EQ(exit_code, 0);
+  EXPECT_EQ(output, golden_cli("run_trace.txt"));
+}
+
 TEST(CliGolden, TraceMatchesRecordedOutput) {
   int exit_code = -1;
   const std::string output = run_command(
@@ -443,6 +628,31 @@ TEST(CliGolden, TraceMatchesRecordedOutput) {
       exit_code);
   EXPECT_EQ(exit_code, 0);
   EXPECT_EQ(output, golden_cli("trace.txt"));
+}
+
+TEST(CliRun, ScenarioTakesLoadAndPolicyFlags) {
+  // fig4's platform is the paper default and its first variant is NONE, so
+  // its one-cell run with a dynamism flag is the plain NONE run.
+  int scenario_code = -1;
+  const std::string scenario = run_command(
+      binary_invocation() + " run --scenario=fig4 --dynamism=0.5 --trials=2",
+      scenario_code);
+  int flags_code = -1;
+  const std::string flags = run_command(
+      binary_invocation() + " run --strategy=none --dynamism=0.5 --trials=2",
+      flags_code);
+  EXPECT_EQ(scenario_code, 0) << scenario;
+  EXPECT_EQ(flags_code, 0) << flags;
+  EXPECT_EQ(scenario, flags);
+
+  int policy_code = -1;
+  const std::string policy = run_command(
+      binary_invocation() +
+          " run --scenario=abl_payback_threshold --policy=safe --payback=0.5"
+          " --trials=1",
+      policy_code);
+  EXPECT_EQ(policy_code, 0) << policy;
+  EXPECT_EQ(policy.rfind("strategy        SWAP(safe)\n", 0), 0u) << policy;
 }
 
 TEST(CliRun, ResourceExhaustionIsNotReportedAsDeadlock) {
