@@ -19,10 +19,8 @@
 #include "load/trace_io.hpp"
 #include "obs/atomic_write.hpp"
 #include "obs/status.hpp"
-#include "platform/host.hpp"
 #include "resilience/quarantine.hpp"
 #include "resilience/signal.hpp"
-#include "simcore/simulator.hpp"
 #include "strategy/decision_trace.hpp"
 #include "swap/payback.hpp"
 #include "swap/policy.hpp"
@@ -177,11 +175,8 @@ int run_load_trace(const scenario::ScenarioSpec& spec, std::ostream& out) {
         "scenario '" + spec.name +
         "': load_trace supports onoff and hyperexp models");
 
-  sim::Simulator simulator;
-  platform::Host host(simulator, 0, 300.0e6, "traced");
-  auto source = model->make_source(sim::Rng(spec.trace_seed));
-  source->start(simulator, host);
-  simulator.run_until(horizon);
+  const std::vector<sim::Sample> history =
+      load::trace_single_host(*model, spec.trace_seed, horizon);
 
   out << "==== " << spec.title << " ====\n";
   if (hyperexp != nullptr)
@@ -189,7 +184,6 @@ int run_load_trace(const scenario::ScenarioSpec& spec, std::ostream& out) {
             hyperexp->offered_load(), hyperexp->lifetime_cv2());
   write_expectation(out, spec.expectation);
 
-  const std::vector<sim::Sample>& history = host.load_history();
   out << "-- csv --\n";
   load::write_step_trace_csv(out, history, horizon);
 

@@ -19,11 +19,9 @@
 #include "cli/sweep_runner.hpp"
 #include "load/trace_io.hpp"
 #include "obs/profiler.hpp"
-#include "platform/host.hpp"
 #include "resilience/quarantine.hpp"
 #include "resilience/signal.hpp"
 #include "scenario/scenario.hpp"
-#include "simcore/simulator.hpp"
 
 namespace cli = simsweep::cli;
 namespace core = simsweep::core;
@@ -305,19 +303,17 @@ int cmd_sweep(cli::Args& args) {
 
 int cmd_trace(cli::Args& args) {
   const double duration = args.get_double("duration", 2000.0);
+  if (!(duration > 0.0))
+    throw std::invalid_argument("trace: --duration must be > 0, got " +
+                                simsweep::load::describe_number(duration));
   scenario::LoadSpec load;
   cli::apply_load_flags(args, load);
   const auto model = scenario::make_load_model(load);
   const auto seed = args.get_count("seed", 1);
   cli::reject_unused(args);
-
-  simsweep::sim::Simulator simulator;
-  simsweep::platform::Host host(simulator, 0, 300.0e6, "traced");
-  auto source = model->make_source(simsweep::sim::Rng(seed));
-  source->start(simulator, host);
-  simulator.run_until(duration);
-  simsweep::load::write_step_trace_csv(std::cout, host.load_history(),
-                                       duration);
+  simsweep::load::write_step_trace_csv(
+      std::cout, simsweep::load::trace_single_host(*model, seed, duration),
+      duration);
   return 0;
 }
 

@@ -7,6 +7,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "load/load_model.hpp"
+
 namespace simsweep::load {
 
 namespace {
@@ -107,6 +109,17 @@ void write_step_trace_csv(std::ostream& out,
   }
   row(horizon, last);
   out << buffer.str();
+}
+
+std::vector<sim::Sample> trace_single_host(const LoadModel& model,
+                                           std::uint64_t seed,
+                                           double horizon) {
+  sim::Simulator simulator;
+  platform::Host host(simulator, 0, 300.0e6, "traced");
+  auto source = model.make_source(sim::Rng(seed));
+  source->start(simulator, host);
+  simulator.run_until(horizon);
+  return host.load_history();
 }
 
 }  // namespace simsweep::load

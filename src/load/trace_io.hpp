@@ -7,6 +7,7 @@
 // (fractional values are rounded by the replay source).
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -14,6 +15,8 @@
 #include "simcore/step_series.hpp"
 
 namespace simsweep::load {
+
+class LoadModel;  // load/load_model.hpp
 
 /// Parses a CSV trace.  Throws std::invalid_argument on malformed rows or
 /// decreasing times.  Skips blank lines and a leading header row.
@@ -34,5 +37,11 @@ void write_trace_csv(std::ostream& out, const std::vector<sim::Sample>& trace);
 void write_step_trace_csv(std::ostream& out,
                           const std::vector<sim::Sample>& history,
                           double horizon);
+
+/// The load history of one 300 MFlop/s host named `traced`, driven by a
+/// source of `model` seeded with `seed` and simulated up to `horizon`: what
+/// `simsweep trace` and the load_trace scenarios plot.
+[[nodiscard]] std::vector<sim::Sample> trace_single_host(
+    const LoadModel& model, std::uint64_t seed, double horizon);
 
 }  // namespace simsweep::load

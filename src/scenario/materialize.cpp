@@ -127,20 +127,30 @@ swap::PolicyParams make_policy(const PolicySpec& spec) {
 
 namespace {
 
+/// The estimator's parameter is checked here, before any trial builds the
+/// forecaster that would reject it mid-run.
 std::shared_ptr<strategy::SpeedEstimator> make_estimator(
     const EstimatorSpec& spec) {
   switch (spec.kind) {
     case EstimatorKind::kPolicy:
       return nullptr;  // policy window semantics
     case EstimatorKind::kWindow:
+      if (!(spec.window_s >= 0.0))
+        throw ScenarioError("estimator: 'window_s' must be >= 0, got " +
+                            load::describe_number(spec.window_s));
       return strategy::make_window_estimator(spec.window_s);
     case EstimatorKind::kEwma: {
+      if (!(spec.tau_s > 0.0))
+        throw ScenarioError("estimator: 'tau_s' must be > 0, got " +
+                            load::describe_number(spec.tau_s));
       const double tau = spec.tau_s;
       return strategy::make_forecast_estimator(
           [tau] { return forecast::make_ewma(tau); },
           "ewma_" + std::to_string(static_cast<int>(tau)) + "s");
     }
     case EstimatorKind::kMedian: {
+      if (spec.k < 1)
+        throw ScenarioError("estimator: 'k' must be >= 1, got 0");
       const std::size_t k = spec.k;
       return strategy::make_forecast_estimator(
           [k] { return forecast::make_sliding_median(k); },

@@ -1,8 +1,8 @@
 #include "strategy/decision_trace.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <ostream>
+
+#include "obs/json.hpp"
 
 namespace simsweep::strategy {
 
@@ -18,25 +18,17 @@ const char* to_string(TraceKind kind) noexcept {
 
 namespace {
 
-/// Shortest round-trip representation; non-finite values (an infinite
-/// payback means "no gain at all") become null, which JSON can carry.
-void append_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
+/// `,"key":value` through the shared JSON writer: shortest round-trip
+/// form, and null for a non-finite value (an infinite payback means "no
+/// gain at all").
+void number(std::ostream& os, const char* key, double value) {
+  os << ",\"" << key << "\":";
+  obs::write_json_number(os, value);
 }
 
-void append_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
+void count(std::ostream& os, const char* key, std::uint64_t value) {
+  os << ",\"" << key << "\":";
+  obs::write_json_number(os, value);
 }
 
 }  // namespace
@@ -44,59 +36,44 @@ void append_string(std::string& out, const std::string& s) {
 void write_trace_jsonl(std::ostream& os, const std::string& strategy,
                        std::uint64_t seed, std::size_t trial,
                        const std::vector<DecisionRecord>& trace) {
-  std::string line;
   for (const DecisionRecord& rec : trace) {
-    line.clear();
-    line += "{\"strategy\":";
-    append_string(line, strategy);
-    line += ",\"trial\":" + std::to_string(trial);
-    line += ",\"seed\":" + std::to_string(seed);
-    line += ",\"kind\":\"";
-    line += to_string(rec.kind);
-    line += "\",\"iteration\":" + std::to_string(rec.iteration);
-    line += ",\"time_s\":";
-    append_number(line, rec.time_s);
+    os << "{\"strategy\":";
+    obs::write_json_string(os, strategy);
+    count(os, "trial", trial);
+    count(os, "seed", seed);
+    os << ",\"kind\":\"" << to_string(rec.kind) << '"';
+    count(os, "iteration", rec.iteration);
+    number(os, "time_s", rec.time_s);
     if (rec.kind == TraceKind::kBoundary) {
-      line += ",\"measured_iter_time_s\":";
-      append_number(line, rec.measured_iter_time_s);
-      line += ",\"predicted_iter_time_s\":";
-      append_number(line, rec.predicted_iter_time_s);
-      line += ",\"adaptation_cost_s\":";
-      append_number(line, rec.adaptation_cost_s);
-      line += ",\"active\":" + std::to_string(rec.active_count);
-      line += ",\"spares\":" + std::to_string(rec.spare_count);
-      line += ",\"swaps_planned\":" + std::to_string(rec.swaps_planned);
-      line += ",\"swaps_applied\":" + std::to_string(rec.swaps_applied);
-      line += ",\"considered\":[";
+      number(os, "measured_iter_time_s", rec.measured_iter_time_s);
+      number(os, "predicted_iter_time_s", rec.predicted_iter_time_s);
+      number(os, "adaptation_cost_s", rec.adaptation_cost_s);
+      count(os, "active", rec.active_count);
+      count(os, "spares", rec.spare_count);
+      count(os, "swaps_planned", rec.swaps_planned);
+      count(os, "swaps_applied", rec.swaps_applied);
+      os << ",\"considered\":[";
       bool first = true;
       for (const swap::CandidateEvaluation& c : rec.considered) {
-        if (!first) line += ',';
+        os << (first ? "{\"slot\":" : ",{\"slot\":");
         first = false;
-        line += "{\"slot\":" + std::to_string(c.slot);
-        line += ",\"from\":" + std::to_string(c.from);
-        line += ",\"to\":" + std::to_string(c.to);
-        line += ",\"from_est_speed\":";
-        append_number(line, c.from_est_speed);
-        line += ",\"to_est_speed\":";
-        append_number(line, c.to_est_speed);
-        line += ",\"payback_iters\":";
-        append_number(line, c.payback_iters);
-        line += ",\"process_gain\":";
-        append_number(line, c.process_gain);
-        line += ",\"app_gain\":";
-        append_number(line, c.app_gain);
-        line += ",\"rejection\":\"";
-        line += swap::to_string(c.rejection);
-        line += "\"}";
+        obs::write_json_number(os, static_cast<std::uint64_t>(c.slot));
+        count(os, "from", c.from);
+        count(os, "to", c.to);
+        number(os, "from_est_speed", c.from_est_speed);
+        number(os, "to_est_speed", c.to_est_speed);
+        number(os, "payback_iters", c.payback_iters);
+        number(os, "process_gain", c.process_gain);
+        number(os, "app_gain", c.app_gain);
+        os << ",\"rejection\":\"" << swap::to_string(c.rejection) << "\"}";
       }
-      line += ']';
+      os << ']';
     } else {
-      line += ",\"action\":";
-      append_string(line, rec.action);
-      line += ",\"processes\":" + std::to_string(rec.processes);
+      os << ",\"action\":";
+      obs::write_json_string(os, rec.action);
+      count(os, "processes", rec.processes);
     }
-    line += "}\n";
-    os << line;
+    os << "}\n";
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
+#include "strategy/runtime.hpp"
 
 namespace simsweep::strategy {
 
@@ -33,6 +34,12 @@ IterativeExecution::IterativeExecution(
   for (platform::HostId h : placement_)
     if (h >= cluster_.size())
       throw std::invalid_argument("IterativeExecution: placement host out of range");
+}
+
+IterativeExecution::~IterativeExecution() = default;
+
+void IterativeExecution::adopt(std::unique_ptr<TechniqueRuntime> technique) {
+  technique_ = std::move(technique);
 }
 
 void IterativeExecution::start(double startup_cost_s) {

@@ -20,6 +20,8 @@
 
 namespace simsweep::strategy {
 
+class TechniqueRuntime;  // strategy/runtime.hpp
+
 class IterativeExecution {
  public:
   /// Called after each completed iteration (and not after the last).  The
@@ -32,6 +34,14 @@ class IterativeExecution {
                      net::SharedLinkNetwork& network, const app::AppSpec& spec,
                      std::vector<platform::HostId> placement,
                      app::WorkPartition partition, BoundaryHook hook);
+  ~IterativeExecution();
+  IterativeExecution(const IterativeExecution&) = delete;
+  IterativeExecution& operator=(const IterativeExecution&) = delete;
+
+  /// Takes ownership of the technique that adapts this run.  Everything the
+  /// technique schedules borrows it, so it lives exactly as long as the
+  /// execution.
+  void adopt(std::unique_ptr<TechniqueRuntime> technique);
 
   /// Schedules the run: `startup_cost_s` of startup delay, then iterations.
   /// Call once, then run the simulator.
@@ -132,6 +142,7 @@ class IterativeExecution {
   // the two phases never overlap).
   std::vector<std::shared_ptr<sim::FairShare::Member>> phase_;
   std::function<void(IterativeExecution&)> iteration_start_observer_;
+  std::unique_ptr<TechniqueRuntime> technique_;
 };
 
 }  // namespace simsweep::strategy

@@ -1,10 +1,12 @@
 #include "strategy/runtime.hpp"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
+#include "swap/payback.hpp"
 #include "swap/planner.hpp"
 
 namespace simsweep::strategy {
@@ -17,59 +19,109 @@ double estimate_comm_time(const app::AppSpec& spec,
                             static_cast<double>(spec.active_processes));
 }
 
-void Remediation::at_boundary(TechniqueRuntime& /*rt*/,
-                              std::function<void()> resume) {
-  resume();
+app::WorkPartition proportional_to_effective_speeds(
+    const platform::Cluster& cluster,
+    const std::vector<platform::HostId>& hosts) {
+  std::vector<double> speeds;
+  speeds.reserve(hosts.size());
+  for (platform::HostId h : hosts)
+    speeds.push_back(cluster.host(h).effective_speed());
+  return app::WorkPartition::proportional(speeds);
 }
 
-void Remediation::on_host_crashed(TechniqueRuntime& /*rt*/,
-                                  platform::HostId /*host*/) {}
-
-std::function<void(IterativeExecution&)> Remediation::iteration_start_observer(
-    TechniqueRuntime& /*rt*/) {
-  return {};
-}
-
-IterativeExecution::BoundaryHook TechniqueRuntime::boundary_hook(
-    std::shared_ptr<TechniqueRuntime> rt) {
-  return [rt = std::move(rt)](IterativeExecution&,
-                              std::function<void()> resume) {
-    rt->on_boundary(std::move(resume));
-  };
+std::unique_ptr<IterativeExecution> TechniqueRuntime::launch(
+    StrategyContext& ctx, std::unique_ptr<TechniqueRuntime> technique,
+    std::vector<platform::HostId> active, app::WorkPartition partition,
+    double startup_cost_s) {
+  TechniqueRuntime& rt = *technique;
+  auto exec = std::make_unique<IterativeExecution>(
+      ctx.simulator, ctx.cluster, ctx.network, ctx.spec, std::move(active),
+      std::move(partition),
+      [&rt](IterativeExecution&, std::function<void()> resume) {
+        rt.on_boundary(std::move(resume));
+      });
+  rt.exec_ = exec.get();
+  if (rt.faults_ != nullptr)
+    rt.faults_->on_crash([&rt](platform::HostId host) {
+      rt.on_host_crashed(host);
+      rt.react_to_crash();
+    });
+  exec->set_iteration_start_observer([&rt](IterativeExecution&) {
+    rt.on_iteration_start();
+    if (rt.faults_ != nullptr) rt.react_to_crash();
+  });
+  exec->adopt(std::move(technique));
+  exec->start(startup_cost_s);
+  return exec;
 }
 
 void TechniqueRuntime::on_boundary(std::function<void()> resume) {
   watchdog_.cancel();  // boundary reached: the iteration completed
-  remediation_->at_boundary(*this, std::move(resume));
-}
-
-void TechniqueRuntime::wire(IterativeExecution& exec,
-                            std::unique_ptr<Remediation> remediation) {
-  exec_ = &exec;
-  remediation_ = std::move(remediation);
-  auto arm = remediation_->iteration_start_observer(*this);
-  if (faults_ == nullptr) {
-    if (arm) exec_->set_iteration_start_observer(std::move(arm));
-    return;
-  }
-  auto self = shared_from_this();
-  faults_->on_crash([self](platform::HostId host) {
-    self->remediation_->on_host_crashed(*self, host);
-    self->react_to_crash();
-  });
-  exec_->set_iteration_start_observer(
-      [self, arm = std::move(arm)](IterativeExecution& e) {
-        if (arm) arm(e);
-        self->react_to_crash();
-      });
+  at_boundary(std::move(resume));
 }
 
 void TechniqueRuntime::react_to_crash() {
   IterativeExecution& e = *exec_;
   if (recovering_ || e.done() || e.result().resource_exhausted) return;
   if (!e.iteration_in_flight() || !placement_hit_by_crash()) return;
-  abort_for_crash();
-  remediation_->recover(*this);
+  // The abandoned partial work is failure-induced lost time on top of the
+  // adaptation charge.
+  e.result().failures.time_lost_s += e.abort_iteration();
+  recover();
+}
+
+// ------------------------------------------------------------------ planning
+
+std::vector<platform::HostId> TechniqueRuntime::fastest_first(
+    std::vector<platform::HostId> hosts) {
+  const sim::SimTime t = now();
+  std::stable_sort(hosts.begin(), hosts.end(),
+                   [&](platform::HostId a, platform::HostId b) {
+                     return estimator_->estimate(exec_->cluster().host(a), t) >
+                            estimator_->estimate(exec_->cluster().host(b), t);
+                   });
+  return hosts;
+}
+
+std::vector<swap::ActiveProcess> TechniqueRuntime::active_estimates() {
+  IterativeExecution& e = *exec_;
+  // Each slot's share of one iteration's work.
+  std::vector<double> chunk_flops;
+  chunk_flops.reserve(e.partition().slots());
+  for (std::size_t slot = 0; slot < e.partition().slots(); ++slot)
+    chunk_flops.push_back(e.spec().work_per_iteration_flops *
+                          e.partition().fraction(slot));
+  return make_active_estimates(e.cluster(), e.placement(), chunk_flops, now(),
+                               *estimator_);
+}
+
+TechniqueRuntime::BoundaryPlan TechniqueRuntime::plan_swaps(
+    const swap::PolicyParams& policy,
+    const std::vector<platform::HostId>& spare_hosts,
+    std::optional<double> adaptation_cost_s) {
+  IterativeExecution& e = *exec_;
+  const auto active = active_estimates();
+  const auto spares =
+      make_spare_estimates(e.cluster(), spare_hosts, now(), *estimator_);
+  const platform::LinkSpec& link = e.cluster().link();
+  const swap::PlanContext plan_ctx{
+      .measured_iter_time_s = e.last_iteration_time(),
+      .state_bytes = e.spec().state_bytes_per_process,
+      .link_latency_s = link.latency_s,
+      .link_bandwidth_Bps = link.bandwidth_Bps,
+      .comm_time_s = estimate_comm_time(e.spec(), link),
+      .adaptation_cost_s = adaptation_cost_s,
+  };
+  BoundaryPlan out;
+  out.plan = swap::evaluate_swaps(policy, active, spares, plan_ctx);
+  const double cost =
+      adaptation_cost_s
+          ? *adaptation_cost_s
+          : swap::estimate_swap_time(plan_ctx.state_bytes, link.latency_s,
+                                     link.bandwidth_Bps);
+  out.trace_index = trace_boundary(out.plan, plan_ctx.measured_iter_time_s,
+                                   cost, active.size(), spares.size());
+  return out;
 }
 
 // --------------------------------------------------------- fault primitives
@@ -78,10 +130,6 @@ bool TechniqueRuntime::placement_hit_by_crash() {
   for (platform::HostId h : exec_->placement())
     if (exec_->cluster().host(h).crashed()) return true;
   return false;
-}
-
-void TechniqueRuntime::abort_for_crash() {
-  exec_->result().failures.time_lost_s += exec_->abort_iteration();
 }
 
 void TechniqueRuntime::mark_resource_exhausted() {
@@ -108,16 +156,15 @@ void TechniqueRuntime::start_faulty_transfer(
   ++exec.result().failures.transfers_failed;
   const double partial = bytes * faults_->draw_failure_fraction();
   const sim::SimTime begin = exec.simulator().now();
-  auto self = shared_from_this();
   transfers_.push_back(exec.network().start_transfer(
-      partial, [self, bytes, attempt, begin,
+      partial, [this, bytes, attempt, begin,
                 on_attempt_failed = std::move(on_attempt_failed),
                 done = std::move(done)] {
-        IterativeExecution& e = *self->exec_;
+        IterativeExecution& e = *exec_;
         auto& fs = e.result().failures;
         fs.time_lost_s += e.simulator().now() - begin;
         if (on_attempt_failed) on_attempt_failed();
-        if (attempt >= self->faults_->spec().max_transfer_retries) {
+        if (attempt >= faults_->spec().max_transfer_retries) {
           ++fs.transfers_abandoned;
           if (obs::MetricsRegistry* metrics = e.simulator().metrics())
             metrics->add("strategy.transfers_abandoned");
@@ -127,12 +174,12 @@ void TechniqueRuntime::start_faulty_transfer(
         ++fs.transfers_retried;
         if (obs::MetricsRegistry* metrics = e.simulator().metrics())
           metrics->add("strategy.transfer_retries");
-        const double backoff = self->faults_->retry_backoff(attempt);
+        const double backoff = faults_->retry_backoff(attempt);
         fs.time_lost_s += backoff;
         e.simulator().after(backoff,
-                            [self, bytes, attempt, on_attempt_failed, done] {
-                              self->start_faulty_transfer(
-                                  bytes, attempt + 1, on_attempt_failed, done);
+                            [this, bytes, attempt, on_attempt_failed, done] {
+                              start_faulty_transfer(bytes, attempt + 1,
+                                                    on_attempt_failed, done);
                             });
       }));
 }
@@ -144,7 +191,6 @@ void TechniqueRuntime::transfer_moves(
     std::function<void(std::size_t)> done) {
   pending_ = moves.size();
   transfers_.clear();
-  auto self = shared_from_this();
   auto landed = std::make_shared<std::size_t>(0);
   for (const PlannedMove& move : moves) {
     start_faulty_transfer(
@@ -152,13 +198,13 @@ void TechniqueRuntime::transfer_moves(
         on_strike ? std::function<void()>(
                         [on_strike, to = move.to] { on_strike(to); })
                   : std::function<void()>{},
-        [self, landed, apply, done, slot = move.slot, to = move.to](bool ok) {
+        [this, landed, apply, done, slot = move.slot, to = move.to](bool ok) {
           if (ok) {
             ++*landed;
             apply(slot, to);
           }
-          if (--self->pending_ == 0) {
-            self->transfers_.clear();
+          if (--pending_ == 0) {
+            transfers_.clear();
             done(*landed);
           }
         });
@@ -169,12 +215,11 @@ void TechniqueRuntime::reliable_broadcast(std::size_t count,
                                           std::function<void()> done) {
   pending_ = count;
   transfers_.clear();
-  auto self = shared_from_this();
   for (std::size_t i = 0; i < count; ++i) {
     transfers_.push_back(exec_->network().start_transfer(
-        exec_->spec().state_bytes_per_process, [self, done] {
-          if (--self->pending_ == 0) {
-            self->transfers_.clear();
+        exec_->spec().state_bytes_per_process, [this, done] {
+          if (--pending_ == 0) {
+            transfers_.clear();
             done();
           }
         }));

@@ -1,30 +1,35 @@
 // Shared technique runtime: the one place that drives the common
 // measure → estimate → decide → act → recover loop for every technique.
 //
-// A launched run is an IterativeExecution (the BSP iteration driver) plus a
-// TechniqueRuntime (the shared adaptation/fault machinery) plus one
-// Remediation (the technique-specific part: what to do at an iteration
-// boundary and how to recover from a crash).  The runtime owns:
+// The strategy layer has two tiers.  TechniqueRuntime (this file) owns:
 //
 //   - the boundary dispatch (cancel any stall watchdog, delegate to the
-//     remediation, which must eventually resume the application);
+//     technique, which must eventually resume the application);
 //   - the fault-recovery ladder from the fault-injection subsystem: the
 //     crash callback and the iteration-start observer both funnel into one
 //     guarded react path that aborts the in-flight iteration and hands the
-//     crash to the remediation;
+//     crash to the technique;
 //   - faulty state transfers (partial payload on failure, capped
 //     exponential backoff, abandonment) and reliable central-store
 //     transfers, with the flow keep-alive bookkeeping;
 //   - pause accounting (adaptation overhead vs. failure-induced lost time);
 //   - decision-trace collection (strategy.hpp's trace_decisions flag).
 //
-// Techniques (technique_*.cpp) combine the components in components.hpp
-// behind a Remediation; none of them re-implements any of the above.
+// Each technique is one subclass (technique_*.cpp) that implements the
+// virtual hooks below: what to do at an iteration boundary and how to
+// recover from a crash.  None of them re-implements any of the above.
+//
+// Ownership: launch() hands the technique to the IterativeExecution it
+// drives, which is its only owner.  Every callback the technique schedules
+// (the boundary hook, the crash callback, the iteration-start observer,
+// transfer completions, timers) borrows it through `this`, which is why a
+// run's events must never fire after its execution is destroyed.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -35,62 +40,40 @@
 
 namespace simsweep::strategy {
 
-class TechniqueRuntime;
+/// Work split in proportion to the hosts' current effective speeds: DLB's
+/// rebalance, and the initial partition of DLB and DLB+SWAP.
+[[nodiscard]] app::WorkPartition proportional_to_effective_speeds(
+    const platform::Cluster& cluster,
+    const std::vector<platform::HostId>& hosts);
 
-/// The narrow per-technique interface: how to adapt at an iteration
-/// boundary and how to recover from a crash that hit the placement.  The
-/// runtime aborts the in-flight iteration before calling recover(); the
-/// remediation repairs the placement and restarts (or gives up via
-/// TechniqueRuntime::mark_resource_exhausted).
-class Remediation {
+/// Shared state and machinery for one launched run; subclassed once per
+/// technique.
+class TechniqueRuntime {
  public:
-  virtual ~Remediation() = default;
-
-  /// Boundary adaptation.  Must eventually invoke `resume` exactly once
-  /// (possibly after scheduling simulated work).  Default: do nothing.
-  virtual void at_boundary(TechniqueRuntime& rt, std::function<void()> resume);
-
-  /// Crash recovery; runs with the iteration already aborted.
-  virtual void recover(TechniqueRuntime& rt) = 0;
-
-  /// Candidate-pool pruning when `host` crashes, before recovery fires.
-  /// Default: nothing to prune.
-  virtual void on_host_crashed(TechniqueRuntime& rt, platform::HostId host);
-
-  /// Optional observer chained before the crash check at every iteration
-  /// start (the eviction guard arms its stall watchdog here).  Default:
-  /// none.
-  [[nodiscard]] virtual std::function<void(IterativeExecution&)>
-  iteration_start_observer(TechniqueRuntime& rt);
-};
-
-/// Shared state and machinery for one launched run.  Created via
-/// std::make_shared (the boundary hook and fault callbacks keep it alive);
-/// holds a non-owning pointer to the IterativeExecution that owns the run.
-class TechniqueRuntime
-    : public std::enable_shared_from_this<TechniqueRuntime> {
- public:
-  TechniqueRuntime(fault::FaultInjector* faults,
-                   std::shared_ptr<SpeedEstimator> estimator,
-                   bool trace_decisions)
-      : faults_(faults),
+  /// `estimator` may be null for techniques that never plan (NONE, DLB).
+  explicit TechniqueRuntime(const StrategyContext& ctx,
+                            std::shared_ptr<SpeedEstimator> estimator = nullptr)
+      : faults_(ctx.faults),
         estimator_(std::move(estimator)),
-        trace_enabled_(trace_decisions) {}
+        trace_enabled_(ctx.trace_decisions) {}
+  virtual ~TechniqueRuntime() = default;
+  TechniqueRuntime(const TechniqueRuntime&) = delete;
+  TechniqueRuntime& operator=(const TechniqueRuntime&) = delete;
 
-  /// The boundary hook to construct the IterativeExecution with: cancels
-  /// any armed stall watchdog (the boundary proves the iteration finished)
-  /// and delegates to the remediation.
-  [[nodiscard]] static IterativeExecution::BoundaryHook boundary_hook(
-      std::shared_ptr<TechniqueRuntime> rt);
+  /// The launch sequence behind every Strategy::launch: builds the
+  /// execution on `active` with `partition`, gives it `technique` to own,
+  /// installs the boundary hook and the fault-recovery ladder, and starts
+  /// the run after `startup_cost_s`.  Both recovery triggers (the
+  /// injector's crash callback and the iteration-start observer) only act
+  /// while an iteration is in flight — begin_iteration starts tasks before
+  /// the observer runs, so a crash in any other window (startup, boundary
+  /// pause, recovery) is caught at the next iteration start.
+  [[nodiscard]] static std::unique_ptr<IterativeExecution> launch(
+      StrategyContext& ctx, std::unique_ptr<TechniqueRuntime> technique,
+      std::vector<platform::HostId> active, app::WorkPartition partition,
+      double startup_cost_s);
 
-  /// Binds the execution and remediation and installs the fault-recovery
-  /// ladder: both triggers (the injector's crash callback and the
-  /// iteration-start observer) only act while an iteration is in flight —
-  /// begin_iteration starts tasks before the observer runs, so a crash in
-  /// any other window (startup, boundary pause, recovery) is caught at the
-  /// next iteration start.  Call once, before IterativeExecution::start.
-  void wire(IterativeExecution& exec, std::unique_ptr<Remediation> remediation);
-
+ protected:
   // --- accessors ----------------------------------------------------------
 
   [[nodiscard]] IterativeExecution& exec() noexcept { return *exec_; }
@@ -102,15 +85,35 @@ class TechniqueRuntime
   [[nodiscard]] bool recovering() const noexcept { return recovering_; }
   [[nodiscard]] sim::EventHandle& watchdog() noexcept { return watchdog_; }
 
+  /// `hosts` ordered fastest first by the estimator (stable on ties).
+  [[nodiscard]] std::vector<platform::HostId> fastest_first(
+      std::vector<platform::HostId> hosts);
+
+  // --- planning -----------------------------------------------------------
+
+  static constexpr std::size_t kNoTrace = static_cast<std::size_t>(-1);
+
+  /// Planner inputs for the current placement and partition.
+  [[nodiscard]] std::vector<swap::ActiveProcess> active_estimates();
+
+  /// One boundary planning round: the planner's full output plus the index
+  /// of the trace record it produced (kNoTrace when tracing is off).
+  struct BoundaryPlan {
+    swap::SwapPlan plan;
+    std::size_t trace_index = kNoTrace;
+  };
+
+  /// Runs the policy planner against the current placement and
+  /// `spare_hosts`, and records the round in the decision trace.
+  /// `adaptation_cost_s` overrides the planner's per-process transfer
+  /// estimate (checkpoint/restart's whole-application cost); unset selects
+  /// the estimate.
+  [[nodiscard]] BoundaryPlan plan_swaps(
+      const swap::PolicyParams& policy,
+      const std::vector<platform::HostId>& spare_hosts,
+      std::optional<double> adaptation_cost_s = std::nullopt);
+
   // --- fault primitives ---------------------------------------------------
-
-  /// True when any active process currently sits on a crashed host.
-  [[nodiscard]] bool placement_hit_by_crash();
-
-  /// Aborts the in-flight iteration because of a crash; the abandoned
-  /// partial work is failure-induced lost time on top of the adaptation
-  /// charge.
-  void abort_for_crash();
 
   /// The technique gives up: no usable host remains to recover onto.  The
   /// give-up instant is recorded as the makespan here because the
@@ -120,18 +123,6 @@ class TechniqueRuntime
 
   // --- transfers ----------------------------------------------------------
 
-  /// Runs one logical state transfer of `bytes` over the shared link,
-  /// subject to fault injection: an attempt may die partway (the partial
-  /// payload still occupied the link), failed attempts retry after capped
-  /// exponential backoff, and the move is abandoned once retries run out.
-  /// `done(true)` fires when the full payload lands, `done(false)` on
-  /// abandonment; `on_attempt_failed` fires once per failed attempt
-  /// (blacklist strikes).  With a null injector this is exactly one clean
-  /// start_transfer.
-  void start_faulty_transfer(double bytes, std::size_t attempt,
-                             std::function<void()> on_attempt_failed,
-                             std::function<void(bool)> done);
-
   /// One planned process relocation (partition slot -> destination host).
   struct PlannedMove {
     std::size_t slot = 0;
@@ -139,10 +130,13 @@ class TechniqueRuntime
   };
 
   /// Transfers every move's state concurrently over the shared link, each
-  /// via start_faulty_transfer with the process state size.  `apply` fires
-  /// per landed payload (an abandoned move leaves the process in place),
-  /// `on_strike(to)` per failed attempt, and `done(landed)` once after the
-  /// last transfer completes or is abandoned.
+  /// subject to fault injection: an attempt may die partway (the partial
+  /// payload still occupied the link), failed attempts retry after capped
+  /// exponential backoff, and a move is abandoned once retries run out.
+  /// `apply` fires per landed payload (an abandoned move leaves the process
+  /// in place), `on_strike(to)` per failed attempt, and `done(landed)` once
+  /// after the last transfer completes or is abandoned.  With a null
+  /// injector each move is exactly one clean transfer.
   void transfer_moves(
       const std::vector<PlannedMove>& moves,
       std::function<void(platform::HostId)> on_strike,
@@ -175,16 +169,6 @@ class TechniqueRuntime
 
   // --- decision traces ----------------------------------------------------
 
-  static constexpr std::size_t kNoTrace = static_cast<std::size_t>(-1);
-
-  /// Appends a boundary record (stamped with iteration/time) and returns
-  /// its index for later trace_swaps_applied; kNoTrace when disabled.
-  std::size_t trace_boundary(const swap::SwapPlan& plan,
-                             double measured_iter_time_s,
-                             double adaptation_cost_s,
-                             std::size_t active_count,
-                             std::size_t spare_count);
-
   /// Back-fills how many planned moves actually landed.
   void trace_swaps_applied(std::size_t index, std::size_t applied);
 
@@ -192,16 +176,45 @@ class TechniqueRuntime
   void trace_recovery(const char* action, std::size_t processes);
 
  private:
+  // --- the technique ------------------------------------------------------
+
+  /// Boundary adaptation.  Must eventually invoke `resume` exactly once
+  /// (possibly after scheduling simulated work).  Default: do nothing.
+  virtual void at_boundary(std::function<void()> resume) { resume(); }
+
+  /// Crash recovery; runs with the iteration already aborted.  Repairs the
+  /// placement and restarts, or gives up via mark_resource_exhausted.
+  virtual void recover() = 0;
+
+  /// Candidate-pool pruning when `host` crashes, before recovery fires.
+  virtual void on_host_crashed(platform::HostId /*host*/) {}
+
+  /// Runs at every iteration start, before the crash check (the eviction
+  /// guard arms its stall watchdog here).
+  virtual void on_iteration_start() {}
+
+  // --- the shared machinery -----------------------------------------------
+
   void on_boundary(std::function<void()> resume);
   void react_to_crash();
+  [[nodiscard]] bool placement_hit_by_crash();
+  void start_faulty_transfer(double bytes, std::size_t attempt,
+                             std::function<void()> on_attempt_failed,
+                             std::function<void(bool)> done);
+  std::size_t trace_boundary(const swap::SwapPlan& plan,
+                             double measured_iter_time_s,
+                             double adaptation_cost_s,
+                             std::size_t active_count,
+                             std::size_t spare_count);
   double audited_pause(const char* kind);
 
   IterativeExecution* exec_ = nullptr;
-  std::unique_ptr<Remediation> remediation_;
   fault::FaultInjector* faults_ = nullptr;
   std::shared_ptr<SpeedEstimator> estimator_;
 
-  std::vector<std::shared_ptr<net::Flow>> transfers_;  // flow keep-alive
+  // Owns each in-flight transfer's flow: the link holds a flow only weakly
+  // during its latency phase.
+  std::vector<std::shared_ptr<net::Flow>> transfers_;
   std::size_t pending_ = 0;
   sim::SimTime pause_start_ = 0.0;
   sim::EventHandle watchdog_;

@@ -55,7 +55,13 @@ class Strategy {
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Schedules the run onto ctx.simulator.  The returned execution owns the
-  /// run state; read result() after the simulator drains.
+  /// run state, including the technique; read result() after the simulator
+  /// drains.
+  ///
+  /// Ownership rule: a run's events never fire after its execution is
+  /// destroyed.  They borrow the execution and its technique without owning
+  /// them, so the simulator must not run again once the execution is gone;
+  /// core::run_single destroys the execution before the simulator.
   [[nodiscard]] virtual std::unique_ptr<IterativeExecution> launch(
       StrategyContext& ctx) = 0;
 };

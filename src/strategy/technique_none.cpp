@@ -13,31 +13,32 @@ namespace simsweep::strategy {
 
 namespace {
 
-/// NONE's failure semantics: the job is resubmitted from scratch — pay
-/// startup again and recompute every iteration on the fastest hosts still
-/// alive.  No spare pool exists, so too few online hosts is terminal.
-class NoneRemediation final : public Remediation {
+class NoneTechnique final : public TechniqueRuntime {
  public:
-  void recover(TechniqueRuntime& rt) override {
-    rt.begin_recovery();
-    IterativeExecution& exec = rt.exec();
-    exec.rollback_to_iteration(0);
-    const std::size_t n = exec.spec().active_processes;
-    auto self = rt.shared_from_this();
-    exec.simulator().after(exec.cluster().startup_cost(n), [self, n] {
-      IterativeExecution& e = self->exec();
+  using TechniqueRuntime::TechniqueRuntime;
+
+ private:
+  /// NONE's failure semantics: the job is resubmitted from scratch — pay
+  /// startup again and recompute every iteration on the fastest hosts still
+  /// alive.  No spare pool exists, so too few online hosts is terminal.
+  void recover() override {
+    begin_recovery();
+    exec().rollback_to_iteration(0);
+    const std::size_t n = exec().spec().active_processes;
+    exec().simulator().after(exec().cluster().startup_cost(n), [this, n] {
+      IterativeExecution& e = exec();
       std::vector<platform::HostId> fastest;
       for (platform::HostId h : e.cluster().by_effective_speed())
         if (e.cluster().host(h).online()) fastest.push_back(h);
       if (fastest.size() < n) {
-        self->mark_resource_exhausted();
+        mark_resource_exhausted();
         return;
       }
       fastest.resize(n);
       e.set_placement(std::move(fastest));
       ++e.result().failures.crash_recoveries;
-      self->charge_recovery_pause();
-      self->trace_recovery("restart_from_scratch", n);
+      charge_recovery_pause();
+      trace_recovery("restart_from_scratch", n);
       e.restart_iteration();
     });
   }
@@ -46,17 +47,12 @@ class NoneRemediation final : public Remediation {
 }  // namespace
 
 std::unique_ptr<IterativeExecution> NoneStrategy::launch(StrategyContext& ctx) {
-  Allocation alloc = pick_allocation(ctx.cluster, ctx.spec.active_processes, 0,
-                                     ctx.initial_schedule);
-  auto rt = std::make_shared<TechniqueRuntime>(ctx.faults, nullptr,
-                                               ctx.trace_decisions);
-  auto exec = std::make_unique<IterativeExecution>(
-      ctx.simulator, ctx.cluster, ctx.network, ctx.spec, alloc.active,
-      app::WorkPartition::equal(ctx.spec.active_processes),
-      TechniqueRuntime::boundary_hook(rt));
-  rt->wire(*exec, std::make_unique<NoneRemediation>());
-  exec->start(ctx.cluster.startup_cost(ctx.spec.active_processes));
-  return exec;
+  const std::size_t n = ctx.spec.active_processes;
+  Allocation alloc = pick_allocation(ctx.cluster, n, 0, ctx.initial_schedule);
+  return TechniqueRuntime::launch(ctx, std::make_unique<NoneTechnique>(ctx),
+                                  std::move(alloc.active),
+                                  app::WorkPartition::equal(n),
+                                  ctx.cluster.startup_cost(n));
 }
 
 }  // namespace simsweep::strategy

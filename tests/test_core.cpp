@@ -12,6 +12,7 @@
 #include "core/trial_runner.hpp"
 #include "load/misc_models.hpp"
 #include "load/onoff.hpp"
+#include "obs/metrics.hpp"
 #include "strategy/schedule.hpp"
 #include "swap/policy.hpp"
 
@@ -118,6 +119,47 @@ TEST(RunSingle, HorizonCapsRunaways) {
   const auto r = core::run_single(cfg, quiet, none);
   EXPECT_FALSE(r.finished);
   EXPECT_DOUBLE_EQ(r.makespan_s, 10.0);
+}
+
+namespace {
+
+/// Ends `strategy`'s run at a horizon that falls while a state transfer is
+/// in flight and checks the horizon outcome.  200 MB of state takes about
+/// 35 s per transfer on the 6 MB/s link.  With no
+/// per-iteration communication every flow is a state transfer, so more
+/// flows started than finished means one was cut off.  The execution that
+/// owned the run is gone once run_single returns, so under LeakSanitizer a
+/// transfer that keeps its run alive fails the test at exit.
+void expect_horizon_cuts_a_transfer(strat::Strategy& strategy) {
+  core::ExperimentConfig cfg;
+  cfg.cluster.host_count = 16;
+  cfg.app = app::AppSpec::with_iteration_minutes(/*active=*/4,
+                                                 /*iterations=*/100,
+                                                 /*minutes=*/1.0);
+  cfg.app.comm_bytes_per_process = 0.0;
+  cfg.app.state_bytes_per_process = 200.0 * app::kMiB;
+  cfg.spare_count = 12;
+  cfg.horizon_s = 1800.0;
+  cfg.obs.metrics = true;
+  load::OnOffModel model(load::OnOffParams::dynamism(0.3));
+  const auto r = core::run_single(cfg, model, strategy);
+  EXPECT_FALSE(r.finished);
+  EXPECT_EQ(r.makespan_s, cfg.horizon_s);
+  ASSERT_NE(r.metrics, nullptr);
+  EXPECT_GT(r.metrics->counter_value("net.flows_started"),
+            r.metrics->counter_value("net.flows_completed"));
+}
+
+}  // namespace
+
+TEST(RunSingle, SwapCutOffMidTransferReleasesItsRun) {
+  strat::SwapStrategy swap{simsweep::swap::greedy_policy()};
+  expect_horizon_cuts_a_transfer(swap);
+}
+
+TEST(RunSingle, CrCutOffMidCheckpointReleasesItsRun) {
+  strat::CrStrategy cr{simsweep::swap::greedy_policy()};
+  expect_horizon_cuts_a_transfer(cr);
 }
 
 TEST(RunTrials, StatisticsAreConsistent) {

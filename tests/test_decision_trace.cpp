@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -329,4 +330,22 @@ TEST(TraceJsonl, NonFiniteNumbersBecomeNull) {
   std::ostringstream os;
   strat::write_trace_jsonl(os, "SWAP", 1, 0, {rec});
   EXPECT_NE(os.str().find("\"payback_iters\":null"), std::string::npos);
+}
+
+TEST(TraceJsonl, NumbersUseTheSharedShortestRoundTripForm) {
+  // The same number text as every other artifact, and it re-reads bitwise.
+  strat::DecisionRecord rec;
+  rec.kind = strat::TraceKind::kRecovery;
+  rec.time_s = 286.65171530921788;
+  rec.action = "stall_force_swap";
+  std::ostringstream os;
+  strat::write_trace_jsonl(os, "SWAP(greedy)", 1, 0, {rec});
+  const std::string line = os.str();
+  const std::string key = "\"time_s\":";
+  const std::size_t begin = line.find(key);
+  ASSERT_NE(begin, std::string::npos) << line;
+  const std::size_t from = begin + key.size();
+  const std::string text = line.substr(from, line.find(',', from) - from);
+  EXPECT_EQ(text, "286.6517153092179");
+  EXPECT_EQ(std::strtod(text.c_str(), nullptr), rec.time_s);
 }

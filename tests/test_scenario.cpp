@@ -322,6 +322,37 @@ TEST(ScenarioMaterialize, OutOfRangePolicyAndStrategyValuesAreRejected) {
     expect_error_naming<scn::ScenarioError>(
         [&] { (void)scn::make_strategy(guard); }, "stall_factor");
   }
+
+  // Estimator parameters fail here too, not in the middle of a trial.
+  struct EstimatorCase {
+    scn::EstimatorSpec estimator;
+    const char* name;
+  };
+  for (const EstimatorCase& c : {
+           EstimatorCase{{.kind = scn::EstimatorKind::kMedian, .k = 0}, "'k'"},
+           EstimatorCase{{.kind = scn::EstimatorKind::kEwma, .tau_s = 0.0},
+                         "'tau_s'"},
+           EstimatorCase{{.kind = scn::EstimatorKind::kEwma, .tau_s = -1.0},
+                         "'tau_s'"},
+           EstimatorCase{{.kind = scn::EstimatorKind::kWindow, .window_s = -5.0},
+                         "'window_s'"},
+       }) {
+    SCOPED_TRACE(c.name);
+    scn::StrategySpec swap;
+    swap.kind = scn::StrategyKind::kSwap;
+    swap.estimator = c.estimator;
+    expect_error_naming<scn::ScenarioError>(
+        [&] { (void)scn::make_strategy(swap); }, c.name);
+    scn::ScenarioSpec spec = scn::sweep_scenario();
+    spec.variants[1].strategy = swap;
+    expect_error_naming<scn::ScenarioError>(
+        [&] { (void)scn::materialize(spec); }, c.name);
+  }
+  scn::StrategySpec instantaneous;
+  instantaneous.kind = scn::StrategyKind::kSwap;
+  instantaneous.estimator = {.kind = scn::EstimatorKind::kWindow,
+                             .window_s = 0.0};
+  EXPECT_NE(scn::make_strategy(instantaneous), nullptr);
 }
 
 TEST(ScenarioMaterialize, NonPositiveHorizonIsRejected) {
@@ -628,6 +659,17 @@ TEST(CliGolden, TraceMatchesRecordedOutput) {
       exit_code);
   EXPECT_EQ(exit_code, 0);
   EXPECT_EQ(output, golden_cli("trace.txt"));
+}
+
+TEST(CliGolden, TraceRejectsNonPositiveDuration) {
+  for (const char* duration : {"0", "-5"}) {
+    int exit_code = -1;
+    const std::string output = run_command(
+        binary_invocation() + " trace --duration=" + duration, exit_code);
+    EXPECT_EQ(exit_code, 1) << output;
+    EXPECT_NE(output.find("--duration"), std::string::npos) << output;
+    EXPECT_EQ(output.find("time,cpu_load"), std::string::npos) << output;
+  }
 }
 
 TEST(CliRun, ScenarioTakesLoadAndPolicyFlags) {
