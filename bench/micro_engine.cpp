@@ -1,11 +1,19 @@
 // Microbenchmarks (google-benchmark) for the simulation substrate: event
-// queue throughput, host re-planning, link re-sharing, full small runs.
+// queue throughput, host re-planning and availability windows, link
+// re-sharing, full small runs.
 #include <benchmark/benchmark.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "load/onoff.hpp"
 #include "net/shared_link.hpp"
 #include "platform/host.hpp"
+#include "simcore/event_queue.hpp"
+#include "simcore/rng.hpp"
 #include "simcore/simulator.hpp"
 #include "swap/policy.hpp"
 
@@ -44,6 +52,55 @@ static void BM_EventQueueSelfScheduling(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueSelfScheduling);
 
+// The hold model at a fixed depth: pop the earliest event, run it, schedule
+// one more.  The callback captures one pointer, like the engine's hot ones.
+// 32 and 1024 are about paper_grid's and scale_comm's queue depths.
+static void BM_EventQueueHold(benchmark::State& state) {
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  sim::Rng rng(1);
+  std::vector<double> gaps(4096);
+  for (double& gap : gaps)
+    gap = rng.exponential_mean(static_cast<double>(depth));
+  sim::EventQueue q;
+  std::uint64_t fired = 0;
+  for (std::size_t i = 0; i < depth; ++i)
+    (void)q.schedule(gaps[i], [&fired] { ++fired; });
+  std::size_t next = depth;
+  for (auto _ : state) {
+    auto [t, cb] = q.pop();
+    cb();
+    (void)q.schedule(t + gaps[next++ % gaps.size()], [&fired] { ++fired; });
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueHold)->Arg(32)->Arg(1024);
+
+// FairShare::rerate's pattern under load churn: each busy host's load flip
+// schedules the next flip, then cancels the host's completion event and
+// reschedules it.  Items are fired events; every one moves a completion.
+static void BM_EventQueueCancelChurn(benchmark::State& state) {
+  struct BusyHost {
+    sim::Simulator* simulator;
+    double period;
+    sim::EventHandle completion;
+    void flip() {
+      (void)simulator->after(period, [this] { flip(); });
+      completion.cancel();
+      completion = simulator->after(1.5 * period, [] {});
+    }
+  };
+  sim::Simulator s;
+  std::vector<BusyHost> hosts;
+  for (std::size_t i = 0; i < 32; ++i)
+    hosts.push_back(
+        BusyHost{&s, 1.0 + 0.37 * static_cast<double>(i % 11), {}});
+  for (BusyHost& host : hosts) (void)s.after(0.0, [&host] { host.flip(); });
+  for (auto _ : state) s.run_until(s.now() + 100.0);
+  state.SetItemsProcessed(static_cast<std::int64_t>(s.events_fired()));
+}
+BENCHMARK(BM_EventQueueCancelChurn);
+
 static void BM_HostReplanUnderLoadChurn(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator s;
@@ -59,6 +116,28 @@ static void BM_HostReplanUnderLoadChurn(benchmark::State& state) {
   state.SetItemsProcessed(5000 * state.iterations());
 }
 BENCHMARK(BM_HostReplanUnderLoadChurn);
+
+// An estimator's window over a host's load history: the last 60 s of a
+// history of `samples` one-second load changes.
+static void BM_MeanAvailability(benchmark::State& state) {
+  const auto samples = static_cast<int>(state.range(0));
+  sim::Simulator s;
+  pf::Host h(s, 0, 1.0e8, "bench");
+  for (int i = 1; i <= samples; ++i)
+    (void)s.at(static_cast<double>(i), [&h, i] {
+      h.set_external_load(i % 3);
+    });
+  s.run();
+  const double end = s.now();
+  double offset = 0.0;
+  for (auto _ : state) {
+    offset = offset < 0.9 ? offset + 0.01 : 0.0;
+    benchmark::DoNotOptimize(
+        h.mean_availability(end - 60.0 - offset, end - offset));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MeanAvailability)->Arg(256)->Arg(16384);
 
 static void BM_LinkReshare(benchmark::State& state) {
   const auto flows = static_cast<std::size_t>(state.range(0));

@@ -1,5 +1,7 @@
 #include "platform/host.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -96,18 +98,18 @@ double Host::mean_availability(SimTime t0, SimTime t1) const {
   // time-averaged count into availability segment by segment.
   if (t1 < t0) throw std::invalid_argument("mean_availability: t1 < t0");
   if (sim::time_close(t0, t1)) return availability();
+  // History times never decrease (the auditor checks it), so the walk starts
+  // after the last sample at or before t0, whose value is in effect at t0.
+  auto next = std::upper_bound(
+      load_history_.begin(), load_history_.end(), t0,
+      [](SimTime t, const sim::Sample& s) { return t < s.time; });
   double area = 0.0;
-  double value = 0.0;
+  double value = next == load_history_.begin() ? 0.0 : std::prev(next)->value;
   SimTime cursor = t0;
-  for (const sim::Sample& s : load_history_) {
-    if (s.time <= t0) {
-      value = s.value;
-      continue;
-    }
-    if (s.time >= t1) break;
-    area += (s.time - cursor) * availability_of_sample(value);
-    cursor = s.time;
-    value = s.value;
+  for (; next != load_history_.end() && next->time < t1; ++next) {
+    area += (next->time - cursor) * availability_of_sample(value);
+    cursor = next->time;
+    value = next->value;
   }
   area += (t1 - cursor) * availability_of_sample(value);
   const double mean = area / (t1 - t0);

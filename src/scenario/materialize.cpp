@@ -143,6 +143,10 @@ std::shared_ptr<strategy::SpeedEstimator> make_estimator(
       if (!(spec.tau_s > 0.0))
         throw ScenarioError("estimator: 'tau_s' must be > 0, got " +
                             load::describe_number(spec.tau_s));
+      // The label truncates tau to an int, which a larger tau overflows.
+      if (!(spec.tau_s < 2147483648.0))
+        throw ScenarioError("estimator: 'tau_s' must be < 2147483648, got " +
+                            load::describe_number(spec.tau_s));
       const double tau = spec.tau_s;
       return strategy::make_forecast_estimator(
           [tau] { return forecast::make_ewma(tau); },

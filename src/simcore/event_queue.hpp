@@ -5,18 +5,37 @@
 // deterministic.  Cancellation is lazy — a cancelled entry stays in the heap
 // until it bubbles to the top — keeping push/pop at O(log n) with no
 // auxiliary index structure.
+//
+// Callbacks live in a pool of slots recycled through a free list, and the
+// heap holds trivially copyable 24-byte (time, seq, slot) entries, so sifting
+// moves no std::function.  Each slot carries a 64-bit generation, odd while
+// its event is pending: scheduling, firing and cancelling each bump it once.
+// A handle records (queue, slot, generation), so pending() is one comparison,
+// and a handle whose event fired or was cancelled never matches again, even
+// after its slot is reused.  A cancelled slot returns to the free list when
+// its entry surfaces.  Once the heap, the pool and the free list have grown
+// to the run's depth, scheduling allocates nothing.
+//
+// Lifetime rule: a handle holds its queue's address, so cancel() and
+// pending() may be called only while the queue (its Simulator) lives.
+// Copying, overwriting or destroying a handle is always safe.  Queues are
+// neither copyable nor movable, so the address stays valid for their life.
 #pragma once
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <limits>
+#include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "simcore/sim_time.hpp"
 
 namespace simsweep::sim {
+
+class EventQueue;
 
 /// Handle to a scheduled event; lets the scheduler cancel it later.
 class EventHandle {
@@ -25,34 +44,41 @@ class EventHandle {
 
   /// Cancels the event if it has not fired yet.  Safe to call repeatedly and
   /// on default-constructed handles.
-  void cancel() {
-    if (auto p = flag_.lock()) *p = true;
-  }
+  void cancel();
 
   /// True when this handle refers to an event that is still pending
   /// (scheduled, not yet fired, not cancelled).
-  [[nodiscard]] bool pending() const {
-    auto p = flag_.lock();
-    return p != nullptr && !*p;
-  }
+  [[nodiscard]] bool pending() const;
 
  private:
   friend class EventQueue;
-  explicit EventHandle(std::weak_ptr<bool> flag) : flag_(std::move(flag)) {}
-  std::weak_ptr<bool> flag_;
+  EventHandle(EventQueue* queue, std::uint32_t slot,
+              std::uint64_t generation) noexcept
+      : queue_(queue), generation_(generation), slot_(slot) {}
+
+  EventQueue* queue_ = nullptr;
+  std::uint64_t generation_ = 0;
+  std::uint32_t slot_ = 0;
 };
 
-/// Min-heap of (time, seq, callback) with lazy cancellation.
+/// Min-heap of (time, seq, callback slot) with lazy cancellation.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
 
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+
   /// Schedules `cb` at absolute simulated time `at`.
   EventHandle schedule(SimTime at, Callback cb) {
-    auto cancelled = std::make_shared<bool>(false);
-    heap_.push_back(Entry{at, next_seq_++, std::move(cb), cancelled});
-    std::push_heap(heap_.begin(), heap_.end(), FiresAfter{});
-    return EventHandle(cancelled);
+    const std::uint32_t slot = acquire_slot();
+    Slot& s = slots_[slot];
+    s.callback = std::move(cb);
+    ++s.generation;  // odd: pending
+    heap_.push_back(Entry{at, next_seq_++, slot});
+    sift_up(heap_.size() - 1, heap_.back());
+    return EventHandle(this, slot, s.generation);
   }
 
   /// True when no live (non-cancelled) event remains.  Lazily purges
@@ -82,40 +108,104 @@ class EventQueue {
   /// Precondition: !empty().
   [[nodiscard]] std::pair<SimTime, Callback> pop() {
     drop_cancelled();
-    std::pop_heap(heap_.begin(), heap_.end(), FiresAfter{});
-    Entry top = std::move(heap_.back());
-    heap_.pop_back();
-    *top.cancelled = true;  // fired events report pending() == false
-    return {top.time, std::move(top.callback)};
+    const Entry top = heap_.front();
+    remove_front();
+    Slot& s = slots_[top.slot];
+    ++s.generation;  // even: fired events report pending() == false
+    free_.push_back(top.slot);
+    return {top.time, std::exchange(s.callback, nullptr)};
   }
 
  private:
+  friend class EventHandle;
+
+  struct Slot {
+    Callback callback;
+    std::uint64_t generation = 0;  // odd while the slot's event is pending
+  };
+
   struct Entry {
     SimTime time;
     std::uint64_t seq;
-    Callback callback;
-    std::shared_ptr<bool> cancelled;
+    std::uint32_t slot;
   };
+  static_assert(std::is_trivially_copyable_v<Entry> && sizeof(Entry) <= 24);
 
-  /// The heap comparator: `a` fires after `b`, so heap_.front() is next.
-  /// A function object, not a function pointer, so the heap algorithms
-  /// inline it.
-  struct FiresAfter {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
+  /// The heap order: `a` fires before `b`.  Branch-free, so picking the
+  /// earlier of two children costs no mispredicted jump.
+  static bool fires_before(const Entry& a, const Entry& b) noexcept {
+    return (a.time < b.time) | ((a.time == b.time) & (a.seq < b.seq));
+  }
+
+  /// Moves `e` from heap_[hole] up to its place.
+  void sift_up(std::size_t hole, const Entry e) {
+    while (hole > 0) {
+      const std::size_t parent = (hole - 1) / 2;
+      if (!fires_before(e, heap_[parent])) break;
+      heap_[hole] = heap_[parent];
+      hole = parent;
     }
-  };
+    heap_[hole] = e;
+  }
+
+  /// Removes heap_.front(): the last entry sifts down from the root.
+  void remove_front() {
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0) return;
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+      if (child + 1 < n)
+        child += static_cast<std::size_t>(
+            fires_before(heap_[child + 1], heap_[child]));
+      if (!fires_before(heap_[child], last)) break;
+      heap_[hole] = heap_[child];
+      hole = child;
+    }
+    heap_[hole] = last;
+  }
+
+  [[nodiscard]] bool slot_pending(std::uint32_t slot) const noexcept {
+    return (slots_[slot].generation & 1U) != 0;
+  }
+
+  std::uint32_t acquire_slot() {
+    if (!free_.empty()) {
+      const std::uint32_t slot = free_.back();
+      free_.pop_back();
+      return slot;
+    }
+    if (slots_.size() > std::numeric_limits<std::uint32_t>::max())
+      throw std::length_error("EventQueue: too many pending events");
+    slots_.emplace_back();
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+  }
 
   void drop_cancelled() {
-    while (!heap_.empty() && *heap_.front().cancelled) {
-      std::pop_heap(heap_.begin(), heap_.end(), FiresAfter{});
-      heap_.pop_back();
+    while (!heap_.empty() && !slot_pending(heap_.front().slot)) {
+      const std::uint32_t slot = heap_.front().slot;
+      remove_front();
+      // The callback dies after its slot is free, so a destructor that
+      // schedules finds the queue consistent.
+      free_.push_back(slot);
+      const Callback dropped = std::exchange(slots_[slot].callback, nullptr);
     }
   }
 
   std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;  // slots holding no heap entry
   std::uint64_t next_seq_ = 0;
 };
+
+inline bool EventHandle::pending() const {
+  return queue_ != nullptr &&
+         queue_->slots_[slot_].generation == generation_;
+}
+
+inline void EventHandle::cancel() {
+  if (pending()) ++queue_->slots_[slot_].generation;  // even: cancelled
+}
 
 }  // namespace simsweep::sim

@@ -41,9 +41,17 @@ class RunCancelled : public std::runtime_error {
             "Simulator: run cancelled (wall-clock deadline exceeded)") {}
 };
 
+/// Event handles hold the address of the simulator's queue, so a handle may
+/// be cancelled or queried only while its simulator lives, and a simulator
+/// is neither copyable nor movable.  Models that cancel in their destructor
+/// (FairShare) must be destroyed before the simulator they were built on.
 class Simulator {
  public:
   using Callback = EventQueue::Callback;
+
+  Simulator() = default;
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
   /// Current simulated time.
   [[nodiscard]] SimTime now() const noexcept { return now_; }

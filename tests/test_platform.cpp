@@ -2,11 +2,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "platform/cluster.hpp"
 #include "platform/host.hpp"
+#include "simcore/rng.hpp"
 #include "simcore/simulator.hpp"
+#include "simcore/step_series.hpp"
 
 namespace sim = simsweep::sim;
 namespace pf = simsweep::platform;
@@ -154,6 +160,79 @@ TEST(Host, MeanAvailabilityIntegratesLoadHistory) {
   // 1*1 + 0.5*2 + 1*1 = 3 over 4 seconds = 0.75.
   EXPECT_DOUBLE_EQ(h.mean_availability(0.0, 4.0), 0.75);
   EXPECT_DOUBLE_EQ(h.mean_availability(1.0, 3.0), 0.5);
+}
+
+namespace {
+
+/// mean_availability's window walk from the first sample on, as it was
+/// before the walk started at t0.
+double linear_mean_availability(const std::vector<sim::Sample>& history,
+                                double t0, double t1) {
+  double area = 0.0;
+  double value = 0.0;
+  double cursor = t0;
+  for (const sim::Sample& s : history) {
+    if (s.time <= t0) {
+      value = s.value;
+      continue;
+    }
+    if (s.time >= t1) break;
+    area += (s.time - cursor) * pf::Host::availability_of_sample(value);
+    cursor = s.time;
+    value = s.value;
+  }
+  area += (t1 - cursor) * pf::Host::availability_of_sample(value);
+  return area / (t1 - t0);
+}
+
+}  // namespace
+
+TEST(Host, MeanAvailabilityMatchesTheLinearWalkBitwise) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::Rng rng(seed);
+    sim::Simulator s;
+    // The host is built at t=2, so windows can start before its first
+    // sample.
+    (void)s.at(2.0, [] {});
+    s.run();
+    pf::Host h(s, 0, 100.0, "h");
+    // Changes on a quarter-second grid, several at one instant at times;
+    // every fifth is an outage or a return.
+    const auto changes = rng.uniform_int(0, 200);
+    for (std::int64_t i = 0; i < changes; ++i) {
+      const double at =
+          2.0 + 0.25 * static_cast<double>(rng.uniform_int(0, 120));
+      const bool flip_online = rng.uniform_int(0, 4) == 0;
+      const int load = static_cast<int>(rng.uniform_int(0, 3));
+      (void)s.at(at, [&h, flip_online, load] {
+        if (flip_online)
+          h.set_online(!h.online());
+        else
+          h.set_external_load(load);
+      });
+    }
+    s.run();
+    std::vector<double> times{0.0, 1.5, 2.0, 40.0, 50.0};
+    for (const sim::Sample& sample : h.load_history())
+      times.push_back(sample.time);
+    for (int k = 0; k < 200; ++k) {
+      double t0 = times[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(times.size()) - 1))];
+      double t1 = rng.uniform_int(0, 3) == 0
+                      ? rng.uniform(0.0, 45.0)
+                      : times[static_cast<std::size_t>(rng.uniform_int(
+                            0, static_cast<std::int64_t>(times.size()) - 1))];
+      if (t1 < t0) std::swap(t0, t1);
+      const double expected = sim::time_close(t0, t1)
+                                  ? h.availability()
+                                  : linear_mean_availability(
+                                        h.load_history(), t0, t1);
+      EXPECT_EQ(h.mean_availability(t0, t1), expected)
+          << "[" << t0 << ", " << t1 << "]";
+      EXPECT_EQ(h.mean_availability(t0, t0), h.availability());
+    }
+  }
 }
 
 TEST(Host, RejectsInvalidArguments) {

@@ -334,6 +334,12 @@ TEST(ScenarioMaterialize, OutOfRangePolicyAndStrategyValuesAreRejected) {
                          "'tau_s'"},
            EstimatorCase{{.kind = scn::EstimatorKind::kEwma, .tau_s = -1.0},
                          "'tau_s'"},
+           // The label's int cast is undefined from 2^31 s on.
+           EstimatorCase{
+               {.kind = scn::EstimatorKind::kEwma, .tau_s = 2147483648.0},
+               "'tau_s'"},
+           EstimatorCase{{.kind = scn::EstimatorKind::kEwma, .tau_s = 1e300},
+                         "'tau_s'"},
            EstimatorCase{{.kind = scn::EstimatorKind::kWindow, .window_s = -5.0},
                          "'window_s'"},
        }) {
@@ -353,6 +359,11 @@ TEST(ScenarioMaterialize, OutOfRangePolicyAndStrategyValuesAreRejected) {
   instantaneous.estimator = {.kind = scn::EstimatorKind::kWindow,
                              .window_s = 0.0};
   EXPECT_NE(scn::make_strategy(instantaneous), nullptr);
+  scn::StrategySpec slowest;
+  slowest.kind = scn::StrategyKind::kSwap;
+  slowest.estimator = {.kind = scn::EstimatorKind::kEwma,
+                       .tau_s = 2147483647.5};
+  EXPECT_NE(scn::make_strategy(slowest), nullptr);
 }
 
 TEST(ScenarioMaterialize, NonPositiveHorizonIsRejected) {
@@ -711,6 +722,20 @@ TEST(CliRun, ResourceExhaustionIsNotReportedAsDeadlock) {
             std::string::npos)
       << output;
   EXPECT_EQ(output.find("deadlock"), std::string::npos) << output;
+}
+
+TEST(CliRun, EwmaTauPastIntMaxIsRejected) {
+  // The estimator's label truncates tau to an int, so a tau of 2^31 s or
+  // more fails before any trial instead of building an undefined label.
+  int exit_code = -1;
+  const std::string output = run_command(
+      binary_invocation() +
+          " run --strategy=swap --predictor=ewma --ewma-tau=1e300 --trials=1",
+      exit_code);
+  EXPECT_EQ(exit_code, 1) << output;
+  EXPECT_NE(output.find("'tau_s' must be < 2147483648"), std::string::npos)
+      << output;
+  EXPECT_EQ(output.find("makespan"), std::string::npos) << output;
 }
 
 TEST(CliGolden, SweepWithMoreActiveThanHostsFailsBeforeAnyCell) {

@@ -4,9 +4,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <set>
+#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "audit/auditor.hpp"
@@ -87,6 +92,153 @@ TEST(EventQueue, PopDoesNotCopyTheCallback) {
     (void)q.schedule(static_cast<double>(8 - i), CopyCounter(&copies));
   while (!q.empty()) q.pop().second();
   EXPECT_EQ(copies, 0);
+}
+
+// Handles hold the queue's address, so neither may be copied or moved.
+static_assert(!std::is_copy_constructible_v<sim::EventQueue> &&
+              !std::is_copy_assignable_v<sim::EventQueue> &&
+              !std::is_move_constructible_v<sim::EventQueue> &&
+              !std::is_move_assignable_v<sim::EventQueue>);
+static_assert(!std::is_copy_constructible_v<sim::Simulator> &&
+              !std::is_copy_assignable_v<sim::Simulator> &&
+              !std::is_move_constructible_v<sim::Simulator> &&
+              !std::is_move_assignable_v<sim::Simulator>);
+
+TEST(EventQueue, StaleHandleLeavesTheEventReusingItsSlotAlone) {
+  sim::EventQueue q;
+  sim::EventHandle fired = q.schedule(1.0, [] {});
+  q.pop().second();
+  int second_fired = 0;
+  // The only free slot is the one the first event left.
+  sim::EventHandle second = q.schedule(2.0, [&] { ++second_fired; });
+  EXPECT_FALSE(fired.pending());
+  EXPECT_TRUE(second.pending());
+  fired.cancel();
+  EXPECT_TRUE(second.pending());
+  ASSERT_FALSE(q.empty());
+  q.pop().second();
+  EXPECT_EQ(second_fired, 1);
+  // The same holds for a cancelled event's handle once its slot is reused.
+  sim::EventHandle cancelled = q.schedule(3.0, [] {});
+  cancelled.cancel();
+  EXPECT_TRUE(q.empty());  // the cancelled entry surfaces and frees its slot
+  sim::EventHandle third = q.schedule(4.0, [] {});
+  cancelled.cancel();
+  EXPECT_FALSE(cancelled.pending());
+  EXPECT_TRUE(third.pending());
+  EXPECT_FALSE(q.empty());
+}
+
+TEST(EventQueue, HandleIsNotPendingInsideItsOwnCallback) {
+  // FairShare::rerate's pattern: the completion event's callback cancels
+  // the resource's handle (its own) and schedules the next completion.  In
+  // either order, the event scheduled from the callback stays scheduled.
+  for (const bool cancel_first : {true, false}) {
+    SCOPED_TRACE(cancel_first ? "cancel, then schedule"
+                              : "schedule, then cancel");
+    sim::Simulator s;
+    sim::EventHandle event;
+    int completions = 0;
+    std::function<void()> complete = [&] {
+      ++completions;
+      EXPECT_FALSE(event.pending());
+      if (completions == 3) return;
+      if (cancel_first) {
+        event.cancel();
+        event = s.after(1.0, complete);
+      } else {
+        sim::EventHandle next = s.after(1.0, complete);
+        event.cancel();
+        EXPECT_TRUE(next.pending());
+        event = next;
+      }
+      EXPECT_TRUE(event.pending());
+    };
+    event = s.after(1.0, complete);
+    s.run();
+    EXPECT_EQ(completions, 3);
+    EXPECT_DOUBLE_EQ(s.now(), 3.0);
+  }
+}
+
+TEST(EventQueue, BuriedCancelledEntryCountsUntilItSurfaces) {
+  sim::EventQueue q;
+  (void)q.schedule(1.0, [] {});
+  sim::EventHandle middle = q.schedule(2.0, [] {});
+  (void)q.schedule(3.0, [] {});
+  middle.cancel();
+  EXPECT_EQ(q.size_bound(), 3u);  // buried under the entry at t=1
+  EXPECT_DOUBLE_EQ(q.next_time(), 1.0);
+  EXPECT_EQ(q.size_bound(), 3u);
+  EXPECT_DOUBLE_EQ(q.pop().first, 1.0);
+  EXPECT_EQ(q.size_bound(), 2u);  // at the top now, but not yet dropped
+  EXPECT_DOUBLE_EQ(q.next_time(), 3.0);
+  EXPECT_EQ(q.size_bound(), 1u);
+  EXPECT_EQ(q.scheduled_total(), 3u);
+}
+
+TEST(EventQueue, MatchesAReferenceUnderRandomScheduleCancelAndPop) {
+  // The reference keeps every (time, seq) entry, cancelled or not, and
+  // drops cancelled entries from the front exactly where drop_cancelled
+  // does: in empty(), next_time() and pop().
+  using Key = std::pair<double, std::uint64_t>;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::Rng rng(seed);
+    sim::EventQueue q;
+    std::set<Key> entries;
+    std::vector<bool> cancelled;  // by seq
+    std::vector<bool> done;       // fired or cancelled, by seq
+    std::vector<sim::EventHandle> handles;  // every handle ever issued
+    std::vector<std::uint64_t> fired;
+    auto drop = [&] {
+      while (!entries.empty() && cancelled[entries.begin()->second])
+        entries.erase(entries.begin());
+    };
+    for (int step = 0; step < 1500; ++step) {
+      const std::int64_t op = rng.uniform_int(0, 9);
+      if (op < 4) {
+        // Quarter-second grid: many equal times.
+        const double at = 0.25 * static_cast<double>(rng.uniform_int(0, 40));
+        const std::uint64_t seq = handles.size();
+        handles.push_back(
+            q.schedule(at, [&fired, seq] { fired.push_back(seq); }));
+        entries.insert({at, seq});
+        cancelled.push_back(false);
+        done.push_back(false);
+      } else if (op < 7 && !handles.empty()) {
+        // Live and stale handles alike.
+        const auto seq = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(handles.size()) - 1));
+        handles[seq].cancel();
+        if (!done[seq]) {
+          cancelled[seq] = true;
+          done[seq] = true;
+        }
+      } else if (op < 9) {
+        drop();
+        ASSERT_EQ(q.empty(), entries.empty());
+        if (!entries.empty()) {
+          const Key top = *entries.begin();
+          entries.erase(entries.begin());
+          done[top.second] = true;
+          auto [t, cb] = q.pop();
+          cb();
+          EXPECT_EQ(t, top.first);
+          ASSERT_FALSE(fired.empty());
+          EXPECT_EQ(fired.back(), top.second);
+        }
+      } else {
+        drop();
+        EXPECT_EQ(q.next_time(), entries.empty() ? sim::kTimeInfinity
+                                                 : entries.begin()->first);
+      }
+      ASSERT_EQ(q.size_bound(), entries.size());
+      ASSERT_EQ(q.scheduled_total(), handles.size());
+      for (std::size_t seq = 0; seq < handles.size(); ++seq)
+        ASSERT_EQ(handles[seq].pending(), !done[seq]) << "seq " << seq;
+    }
+  }
 }
 
 TEST(Simulator, AdvancesTimeToEvent) {
