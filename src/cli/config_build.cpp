@@ -71,12 +71,6 @@ void apply_load_flags(Args& args, scenario::LoadSpec& spec) {
                                   {"hyperexp", LoadKind::kHyperExp},
                                   {"reclaim", LoadKind::kReclaim},
                                   {"trace", LoadKind::kTrace}});
-    // The CLI defaults differ from the JSON ones for these two.
-    if (spec.kind == LoadKind::kHyperExp) {
-      spec.mean_lifetime_s = 300.0;
-      spec.mean_interarrival_s = 600.0;
-    }
-    if (spec.kind == LoadKind::kReclaim) spec.mean_available_s = 3600.0;
   }
   switch (spec.kind) {
     case LoadKind::kOnOff:

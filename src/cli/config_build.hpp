@@ -24,9 +24,10 @@ namespace simsweep::cli {
 void apply_config_flags(Args& args, scenario::ScenarioSpec& spec);
 
 /// Lays the load flags over `spec`: --model=onoff|hyperexp|reclaim|trace
-/// restarts the section from that model's CLI defaults, then the flags of
-/// the section's model overlay it (--lifetime also resets the interarrival
-/// to twice the lifetime; --trace-file reads its samples into the spec).
+/// restarts the section from that model's defaults in scenario::LoadSpec
+/// (the JSON defaults), then the flags of the section's model overlay it
+/// (--lifetime also resets the interarrival to twice the lifetime;
+/// --trace-file reads its samples into the spec).
 void apply_load_flags(Args& args, scenario::LoadSpec& spec);
 
 /// Lays the strategy flags over `spec`: --strategy=none|swap|dlb|dlbswap|cr

@@ -151,8 +151,8 @@ resilience flags:
 
 load model flags (run, trace; with --scenario they overlay its load):
   --model=onoff   --dynamism=0.2 | --p=0.3 --q=0.08 [--step=100]
-  --model=hyperexp --lifetime=300 [--long-prob=0.2] [--interarrival=600]
-  --model=reclaim --avail-min=60 --reclaim-min=10 [--dynamism=...]
+  --model=hyperexp [--lifetime=100] [--long-prob=0.2] [--interarrival=200]
+  --model=reclaim [--avail-min=120] [--reclaim-min=10] [--dynamism=...]
   --model=trace --trace-file=FILE [--period=...] [--no-phase]
 
 strategy flags (run; with --scenario they overlay its first strategy):

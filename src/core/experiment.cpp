@@ -200,7 +200,6 @@ strategy::RunResult run_single(const ExperimentConfig& config,
     if (exec->done()) break;
   }
   strategy::RunResult result = exec->result();
-  if (injector) result.failures.host_crashes = injector->crashes_injected();
   if (!result.finished) {
     // Distinct failure shapes: the run outlived the horizon (slow but
     // live), the event queue drained with iterations outstanding (the

@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "simcore/step_series.hpp"
+
 namespace simsweep::forecast {
 
 namespace {
@@ -44,35 +46,24 @@ class WindowedMean final : public Forecaster {
       throw std::invalid_argument("WindowedMean: window must be positive");
   }
   void observe(double t, double value) override {
-    if (!samples_.empty() && t < samples_.back().first)
+    if (!samples_.empty() && t < samples_.back().time)
       throw std::invalid_argument("Forecaster: time went backwards");
-    samples_.emplace_back(t, value);
+    samples_.push_back(sim::Sample{t, value});
     // Keep one sample older than the window (its value is in effect at the
     // window's left edge).
-    while (samples_.size() > 1 && samples_[1].first <= t - window_)
+    while (samples_.size() > 1 && samples_[1].time <= t - window_)
       samples_.pop_front();
   }
   [[nodiscard]] double predict(double fallback) const override {
     if (samples_.empty()) return fallback;
-    const double now = samples_.back().first;
-    const double t0 = now - window_;
-    if (samples_.size() == 1 || samples_.front().first >= now)
-      return samples_.back().second;
-    double area = 0.0;
-    double value = samples_.front().second;
-    double cursor = t0;
-    for (const auto& [st, sv] : samples_) {
-      if (st <= t0) {
-        value = sv;
-        continue;
-      }
-      if (st >= now) break;
-      area += value * (st - cursor);
-      cursor = st;
-      value = sv;
-    }
-    area += value * (now - cursor);
-    return area / window_;
+    const double now = samples_.back().time;
+    if (samples_.front().time >= now) return samples_.back().value;
+    // Before the first sample the series takes the first sample's value
+    // (there is no older information).
+    return sim::integrate_step_series(samples_.begin(), samples_.end(),
+                                      now - window_, now,
+                                      samples_.front().value) /
+           window_;
   }
   [[nodiscard]] std::unique_ptr<Forecaster> clone() const override {
     return std::make_unique<WindowedMean>(*this);
@@ -83,7 +74,7 @@ class WindowedMean final : public Forecaster {
 
  private:
   double window_;
-  std::deque<std::pair<double, double>> samples_;
+  std::deque<sim::Sample> samples_;
 };
 
 class Ewma final : public Forecaster {

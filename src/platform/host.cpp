@@ -1,7 +1,5 @@
 #include "platform/host.hpp"
 
-#include <algorithm>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -94,25 +92,15 @@ std::shared_ptr<ComputeTask> Host::start_compute(double work,
 }
 
 double Host::mean_availability(SimTime t0, SimTime t1) const {
-  // load_history_ is a step series of competing-process counts; convert the
-  // time-averaged count into availability segment by segment.
   if (t1 < t0) throw std::invalid_argument("mean_availability: t1 < t0");
   if (sim::time_close(t0, t1)) return availability();
-  // History times never decrease (the auditor checks it), so the walk starts
-  // after the last sample at or before t0, whose value is in effect at t0.
-  auto next = std::upper_bound(
-      load_history_.begin(), load_history_.end(), t0,
-      [](SimTime t, const sim::Sample& s) { return t < s.time; });
-  double area = 0.0;
-  double value = next == load_history_.begin() ? 0.0 : std::prev(next)->value;
-  SimTime cursor = t0;
-  for (; next != load_history_.end() && next->time < t1; ++next) {
-    area += (next->time - cursor) * availability_of_sample(value);
-    cursor = next->time;
-    value = next->value;
-  }
-  area += (t1 - cursor) * availability_of_sample(value);
-  const double mean = area / (t1 - t0);
+  // load_history_ is a time-ordered step series of competing-process counts
+  // (the auditor checks the order); average the availability each implies.
+  const double mean =
+      sim::integrate_step_series(
+          load_history_.begin(), load_history_.end(), t0, t1, 0.0,
+          [](double value) { return availability_of_sample(value); }) /
+      (t1 - t0);
   audit::InvariantAuditor* auditor = simulator_.auditor();
   if (auditor != nullptr && auditor->enabled()) {
     // The integral of a step series bounded to [0, 1] must itself land in

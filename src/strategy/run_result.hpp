@@ -18,7 +18,8 @@ namespace simsweep::strategy {
 /// Failure accounting for one run under fault injection.  All zero when
 /// faults are disabled.
 struct FailureStats {
-  /// Permanent host crashes that fired during the run (cluster-wide).
+  /// Permanent host crashes (cluster-wide) that fired while the run was
+  /// live: before it finished or gave up on exhausted resources.
   std::size_t host_crashes = 0;
 
   /// State-transfer attempts that died partway.

@@ -43,6 +43,11 @@ std::unique_ptr<IterativeExecution> TechniqueRuntime::launch(
   rt.exec_ = exec.get();
   if (rt.faults_ != nullptr)
     rt.faults_->on_crash([&rt](platform::HostId host) {
+      // The injector fires until the simulation stops; the run counts only
+      // the crashes it lives through.
+      IterativeExecution& e = *rt.exec_;
+      if (!e.done() && !e.result().resource_exhausted)
+        ++e.result().failures.host_crashes;
       rt.on_host_crashed(host);
       rt.react_to_crash();
     });

@@ -43,8 +43,12 @@ SwapContext::SwapContext(Comm& world, SwapConfig config)
   const bool active = world_.rank() < config_.active_count;
   role_ = Role{.active = active, .slot = active ? world_.rank() : -1};
   if (world_.rank() == 0) {
-    history_.resize(static_cast<std::size_t>(world_.size()));
-    for (policy::PerfHistory& h : history_) h.attach_auditor(config_.auditor);
+    // The paper's history window: the latest measurement when it is 0.
+    const double window = config_.policy.history_window_s;
+    for (Rank r = 0; r < world_.size(); ++r)
+      history_.push_back(window > 0.0
+                             ? simsweep::forecast::make_windowed_mean(window)
+                             : simsweep::forecast::make_last_value());
   }
 }
 
@@ -172,12 +176,9 @@ std::vector<SwapEvent> SwapContext::manager_plan(
     const std::vector<Report>& reports) {
   const double now = config_.clock();
   for (std::size_t r = 0; r < reports.size(); ++r)
-    history_[r].record(now, reports[r].speed);
-
-  const double window = config_.policy.history_window_s;
+    history_[r]->observe(now, reports[r].speed);
   auto estimate = [&](Rank r) {
-    return history_[static_cast<std::size_t>(r)].windowed_mean(
-        now, window, reports[static_cast<std::size_t>(r)].speed);
+    return history_[static_cast<std::size_t>(r)]->predict();
   };
 
   // Active processes: equal chunks (the paper's fixed data distribution).

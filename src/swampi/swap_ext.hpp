@@ -20,13 +20,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "audit/auditor.hpp"
+#include "forecast/forecaster.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "swap/payback.hpp"
-#include "swap/perf_history.hpp"
 #include "swap/planner.hpp"
 #include "swap/policy.hpp"
 #include "swampi/comm.hpp"
@@ -91,9 +92,10 @@ struct SwapConfig {
   /// Optional invariant auditor (may be shared between ranks — reporting
   /// is mutex-protected).  When set, every swap_point checks that the
   /// slot→rank table stays a valid partial permutation, that roles agree
-  /// with it, and that registered-state bytes are conserved across swaps;
-  /// the manager's perf histories are audited too.  Null disables all
-  /// checks.
+  /// with it, and that registered-state bytes are conserved across swaps.
+  /// The manager's performance histories need no audit: a forecaster
+  /// throws on a sample older than its last, so they stay time-ordered.
+  /// Null disables all checks.
   simsweep::audit::InvariantAuditor* auditor = nullptr;
 
   /// Optional metrics registry (may be shared between ranks — counter
@@ -247,8 +249,9 @@ class SwapContext {
   std::size_t transfer_retries_ = 0;
   std::size_t transfers_abandoned_ = 0;
 
-  // Manager-side state (only used on world rank 0).
-  std::vector<policy::PerfHistory> history_;
+  // Manager-side state (only used on world rank 0): one performance
+  // history per world rank, averaged over the policy's history window.
+  std::vector<std::unique_ptr<simsweep::forecast::Forecaster>> history_;
   std::chrono::steady_clock::time_point epoch_;
 };
 

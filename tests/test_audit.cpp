@@ -16,13 +16,11 @@
 #include "simcore/simulator.hpp"
 #include "swampi/runtime.hpp"
 #include "swampi/swap_ext.hpp"
-#include "swap/perf_history.hpp"
 
 namespace audit = simsweep::audit;
 namespace sim = simsweep::sim;
 namespace net = simsweep::net;
 namespace pf = simsweep::platform;
-namespace swp = simsweep::swap;
 
 // ------------------------------------------------------------ the registry
 
@@ -124,20 +122,6 @@ TEST(AuditedSubsystems, HostRunsClean) {
   EXPECT_TRUE(done);
   EXPECT_EQ(auditor.violation_count(), 0u)
       << audit::to_string(auditor.take_violations().front());
-}
-
-TEST(AuditedSubsystems, PerfHistoryWindowWalkRunsClean) {
-  audit::InvariantAuditor auditor(audit::AuditMode::kWarn);
-  swp::PerfHistory h;
-  h.attach_auditor(&auditor);
-  for (int i = 0; i < 50; ++i)
-    h.record(static_cast<double>(i), 1.0 + 0.1 * static_cast<double>(i % 7));
-  (void)h.windowed_mean(49.5, 10.0);
-  (void)h.windowed_mean(49.5, 200.0);  // window extends past the history
-  (void)h.windowed_mean(10.0, 0.0);
-  h.prune_before(30.0);
-  (void)h.windowed_mean(49.5, 10.0);
-  EXPECT_EQ(auditor.violation_count(), 0u);
 }
 
 TEST(AuditedSubsystems, SwampiSwapPointRunsClean) {

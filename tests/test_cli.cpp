@@ -317,12 +317,12 @@ TEST(ConfigBuild, KindFlagsRestartAndOtherFlagsOverlay) {
   EXPECT_EQ(load.long_prob, 0.05);
   EXPECT_EQ(load.mean_lifetime_s, 50.0);
   EXPECT_EQ(load.mean_interarrival_s, 100.0);
-  // Naming the model restarts from the CLI defaults for it.
+  // Naming the model restarts from the scenario defaults for it.
   cli::Args model({"--model=hyperexp"});
   cli::apply_load_flags(model, load);
   EXPECT_EQ(load.long_prob, 0.2);
-  EXPECT_EQ(load.mean_lifetime_s, 300.0);
-  EXPECT_EQ(load.mean_interarrival_s, 600.0);
+  EXPECT_EQ(load.mean_lifetime_s, 100.0);
+  EXPECT_EQ(load.mean_interarrival_s, 200.0);
   // Flags of another model stay unread, so reject_unused reports them.
   cli::Args other({"--p=0.5"});
   cli::apply_load_flags(other, load);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "app/app_spec.hpp"
@@ -53,6 +54,19 @@ core::ExperimentConfig faulty_config() {
   cfg.faults.checkpoint_fail_prob = 0.2;
   cfg.horizon_s = 48.0 * 3600.0;
   return cfg;
+}
+
+/// Crashes in `cfg`'s fault plan (run_single derives it from stream 2 of
+/// the trial seed) at or before `t`, and in total.
+std::pair<std::size_t, std::size_t> planned_crashes(
+    const core::ExperimentConfig& cfg, double t) {
+  const auto plan = fault::FaultPlan::generate(
+      cfg.faults, cfg.cluster.host_count, sim::derive_seed(cfg.seed, 2),
+      cfg.horizon_s);
+  std::size_t until = 0;
+  for (const auto& crash : plan.crashes())
+    if (crash.time_s <= t) ++until;
+  return {until, plan.crashes().size()};
 }
 
 std::vector<std::unique_ptr<strat::Strategy>> all_techniques() {
@@ -336,6 +350,46 @@ TEST(FaultRuns, SpareExhaustionIsDiagnosedNotDeadlocked) {
     EXPECT_FALSE(r.finished) << technique->name();
     EXPECT_TRUE(r.resource_exhausted) << technique->name();
     EXPECT_TRUE(r.stalled) << technique->name();
+  }
+}
+
+TEST(FaultRuns, FinishedRunCountsOnlyTheCrashesBeforeCompletion) {
+  // The injector keeps crashing hosts after the application finishes; the
+  // run counts the crashes up to its completion, mid-run ones included.
+  auto cfg = faulty_config();
+  cfg.app = app::AppSpec::with_iteration_minutes(2, 60, 1.0);
+  cfg.seed = 3;
+  load::OnOffModel model(load::OnOffParams::dynamism(0.2));
+  auto techniques = all_techniques();
+  for (auto& technique : techniques) {
+    const auto r = core::run_single(cfg, model, *technique);
+    ASSERT_TRUE(r.finished) << technique->name();
+    const auto [before, total] = planned_crashes(cfg, r.makespan_s);
+    EXPECT_GT(before, 0u) << technique->name();
+    EXPECT_LT(before, total) << technique->name();
+    EXPECT_EQ(r.failures.host_crashes, before) << technique->name();
+  }
+}
+
+TEST(FaultRuns, ExhaustedRunStopsCountingCrashesAtGiveUp) {
+  // 4 hosts, 2 active, no spares: crashes on the active hosts end every
+  // technique's run long before the horizon, and the idle hosts keep
+  // crashing after it.
+  core::ExperimentConfig cfg;
+  cfg.cluster.host_count = 4;
+  cfg.app = app::AppSpec::with_iteration_minutes(2, 50, 5.0);
+  cfg.spare_count = 0;
+  cfg.seed = 3;
+  cfg.faults.host_mtbf_s = 1800.0;
+  cfg.horizon_s = 48.0 * 3600.0;
+  load::OnOffModel model(load::OnOffParams::dynamism(0.1));
+  auto techniques = all_techniques();
+  for (auto& technique : techniques) {
+    const auto r = core::run_single(cfg, model, *technique);
+    ASSERT_TRUE(r.resource_exhausted) << technique->name();
+    const auto [until_give_up, total] = planned_crashes(cfg, r.makespan_s);
+    EXPECT_EQ(r.failures.host_crashes, until_give_up) << technique->name();
+    EXPECT_LT(r.failures.host_crashes, total) << technique->name();
   }
 }
 

@@ -48,6 +48,117 @@ TEST(WindowedMean, PrunesOldSamplesButKeepsEdgeValue) {
   EXPECT_THROW(fc::make_windowed_mean(0.0), std::invalid_argument);
 }
 
+// ------------------------------------------------------ performance history
+//
+// swampi's swap manager keeps one performance history per rank: the
+// windowed mean over the policy's history window, or the last value when the
+// window is 0 (the greedy policy).  A history's query time is its latest
+// observation, the manager's clock at the swap point.
+
+TEST(PerfHistory, LatestWhenWindowZero) {
+  auto h = fc::make_last_value();
+  EXPECT_DOUBLE_EQ(h->predict(42.0), 42.0);
+  h->observe(1.0, 5.0);
+  h->observe(2.0, 7.0);
+  EXPECT_DOUBLE_EQ(h->predict(), 7.0);
+}
+
+TEST(PerfHistory, WindowedMeanIsTimeWeighted) {
+  auto ten = fc::make_windowed_mean(10.0);
+  auto three = fc::make_windowed_mean(3.0);
+  for (auto* h : {ten.get(), three.get()}) {
+    h->observe(0.0, 1.0);
+    h->observe(10.0, 3.0);
+    h->observe(15.0, 3.0);
+  }
+  // Window [5, 15]: 5 s of 1.0 + 5 s of 3.0 = mean 2.0.
+  EXPECT_DOUBLE_EQ(ten->predict(), 2.0);
+  // Window [12, 15]: all 3.0.
+  EXPECT_DOUBLE_EQ(three->predict(), 3.0);
+}
+
+TEST(PerfHistory, ExtendsFirstSampleBackwards) {
+  auto h = fc::make_windowed_mean(10.0);
+  h->observe(8.0, 4.0);
+  h->observe(10.0, 6.0);
+  // Window [0, 10] has no data before t=8; the first value fills the gap,
+  // and the sample at the query time has not lasted yet.
+  EXPECT_DOUBLE_EQ(h->predict(), 4.0);
+}
+
+TEST(PerfHistory, PruneKeepsValueInEffect) {
+  auto h = fc::make_windowed_mean(10.0);
+  h->observe(0.0, 1.0);
+  h->observe(10.0, 2.0);
+  h->observe(20.0, 3.0);
+  h->observe(25.0, 3.0);
+  // The t=0 sample is pruned; the t=10 one is still in effect at the
+  // window's edge: [15, 25] is 5 s of 2.0 and 5 s of 3.0.
+  EXPECT_DOUBLE_EQ(h->predict(), 2.5);
+}
+
+TEST(PerfHistory, RejectsOutOfOrderSamples) {
+  auto mean = fc::make_windowed_mean(10.0);
+  auto last = fc::make_last_value();
+  for (auto* h : {mean.get(), last.get()}) {
+    h->observe(5.0, 1.0);
+    EXPECT_THROW(h->observe(1.0, 2.0), std::invalid_argument);
+    // Even a straggler within the simulator's time tolerance: the history
+    // is never stored out of order.
+    EXPECT_THROW(h->observe(5.0 - 0.5e-9, 2.0), std::invalid_argument);
+    h->observe(5.0, 3.0);  // a same-instant sample is in order
+  }
+}
+
+TEST(PerfHistory, WindowStraddlingFirstSampleBackfills) {
+  auto h = fc::make_windowed_mean(4.0);
+  h->observe(10.0, 4.0);
+  h->observe(11.0, 8.0);
+  h->observe(12.0, 1.0);
+  // Window [8, 12]: the first sample's value backfills [8, 10), then 1 s of
+  // 4.0 and 1 s of 8.0: (2*4 + 1*4 + 1*8) / 4 = 5.
+  EXPECT_DOUBLE_EQ(h->predict(), 5.0);
+}
+
+TEST(PerfHistory, SameInstantSamplesAnswerTheNewest) {
+  // Every sample sits at the query time, so none has lasted: the history
+  // answers with the newest measurement.
+  auto h = fc::make_windowed_mean(60.0);
+  h->observe(10.0, 6.0);
+  EXPECT_DOUBLE_EQ(h->predict(), 6.0);
+  h->observe(10.0, 9.0);
+  EXPECT_DOUBLE_EQ(h->predict(), 9.0);
+}
+
+TEST(PerfHistory, ZeroWidthWindowFallsBackWhenEmpty) {
+  auto last = fc::make_last_value();
+  auto mean = fc::make_windowed_mean(60.0);
+  EXPECT_DOUBLE_EQ(last->predict(9.5), 9.5);
+  EXPECT_DOUBLE_EQ(mean->predict(3.25), 3.25);
+  last->observe(0.0, 2.0);
+  EXPECT_DOUBLE_EQ(last->predict(9.5), 2.0);
+}
+
+TEST(PerfHistory, PruneAtExactSampleTimeKeepsStepValue) {
+  auto h = fc::make_windowed_mean(4.0);
+  h->observe(0.0, 1.0);
+  h->observe(10.0, 2.0);
+  h->observe(14.0, 5.0);
+  // The window's edge is t=10 exactly: the t=10 sample is the value in
+  // effect there, and the t=0 sample, which ended exactly there, is
+  // dropped without leaking into [10, 14].
+  EXPECT_DOUBLE_EQ(h->predict(), 2.0);
+}
+
+TEST(PerfHistory, PruneNeverEmptiesHistory) {
+  auto h = fc::make_windowed_mean(10.0);
+  h->observe(0.0, 1.0);
+  h->observe(1.0, 2.0);
+  // A long quiet stretch prunes everything but the value still in effect.
+  h->observe(1000.0, 7.0);
+  EXPECT_DOUBLE_EQ(h->predict(), 2.0);
+}
+
 TEST(Ewma, ConvergesToConstantSignal) {
   auto f = fc::make_ewma(10.0);
   f->observe(0.0, 0.0);

@@ -8,11 +8,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -515,6 +518,276 @@ TEST(Top, RanksJournalCellsBySimulatedMakespan) {
   report::Artifact timeline;
   timeline.kind = report::ArtifactKind::kTimeline;
   EXPECT_THROW((void)report::top_entries(timeline, 3), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Analysis over every artifact kind: flatten, diff, summary and top
+
+constexpr report::ArtifactKind kAllKinds[] = {
+    report::ArtifactKind::kMetrics,    report::ArtifactKind::kTimeline,
+    report::ArtifactKind::kProfile,    report::ArtifactKind::kJournal,
+    report::ArtifactKind::kQuarantine, report::ArtifactKind::kStatus,
+    report::ArtifactKind::kSeries,     report::ArtifactKind::kStats};
+
+/// A small artifact of `kind` whose model sets every field that flatten,
+/// the summary and top read.  Every kind but the journal carries meta.
+report::Artifact fixture(report::ArtifactKind kind) {
+  using report::ArtifactKind;
+  report::Artifact a;
+  a.kind = kind;
+  a.path = "fixture." + std::string(report::to_string(kind));
+  if (kind != ArtifactKind::kJournal)
+    a.meta = obs::Provenance{"t", "Release", 1, "0123456789abcdef"};
+  switch (kind) {
+    case ArtifactKind::kMetrics: {
+      a.metrics.counters["run.trials"] = 8;
+      a.metrics.gauges["run.makespan_s"] = {3.0, 2.0, 4.0};
+      obs::Histogram::Snapshot h;
+      h.bounds = {1.0, 2.0};
+      h.counts = {0, 5, 2};
+      h.count = 7;
+      h.sum = 10.5;
+      h.min = 1.25;
+      h.max = 2.5;
+      a.metrics.histograms["load"] = h;
+      break;
+    }
+    case ArtifactKind::kTimeline:
+      a.timeline = {120, 3, 4.5e6};
+      break;
+    case ArtifactKind::kProfile:
+      a.profile.tasks = 8;
+      a.profile.wall_s = 1.5;
+      a.profile.mean_task_s = 0.125;
+      a.profile.min_task_s = 0.0625;
+      a.profile.max_task_s = 0.25;
+      a.profile.workers = {{0, 5, 0.75, 0.5}, {1, 3, 0.375, 0.25}};
+      break;
+    case ArtifactKind::kJournal:
+      a.journal.scenario = "fig4";
+      a.journal.version = 1;
+      a.journal.trials = 2;
+      a.journal.points = 2;
+      a.journal.cells_total = 4;
+      for (const std::size_t index : {0u, 2u}) {
+        report::JournalModel::Cell cell;
+        cell.index = index;
+        cell.label = index == 0 ? "NONE" : "SWAP";
+        cell.stats.trials = 2;
+        cell.stats.mean = 100.0 + static_cast<double>(index);
+        a.journal.cells.push_back(cell);
+      }
+      break;
+    case ArtifactKind::kQuarantine:
+      a.quarantine.records.push_back(
+          {3, "00000000000000ab", "DLB", "crashed", "boom", 1, 2, 2});
+      break;
+    case ArtifactKind::kStatus:
+      a.status.scenario = "fig4";
+      a.status.state = "running";
+      a.status.jobs = 2;
+      a.status.cells_total = 8;
+      a.status.cells_done = 6;
+      a.status.retries = 1;
+      a.status.quarantined = 1;
+      a.status.groups = {{"NONE", 4, 4}, {"SWAP", 2, 4}};
+      a.status.elapsed_s = 3.0;
+      a.status.eta_s = 1.0;
+      a.status.ewma_cell_s = 0.5;
+      a.status.percent = 75.0;
+      a.status.workers = {{0, 4, 2.0, 0.5}};
+      break;
+    case ArtifactKind::kSeries:
+      a.series.title = "fig4";
+      a.series.x_label = "dynamism";
+      a.series.x = {0.0, 0.3};
+      a.series.series.push_back({"NONE", {1.5, kNaN}, {0.0, 0.0}});
+      break;
+    case ArtifactKind::kStats:
+      a.stats.trials = 4;
+      a.stats.mean = 2500.0;
+      a.stats.stddev = 10.0;
+      a.stats.unfinished = 1;
+      a.stats.mean_adaptations = 3.0;
+      break;
+  }
+  return a;
+}
+
+TEST(Analyze, EveryKindFlattensDiffsAndSummarizes) {
+  using report::ArtifactKind;
+  // Per kind: one flattened key, a change to it and the verdict that
+  // change earns, and one line of the human summary.
+  struct Case {
+    std::string key;
+    std::function<void(report::Artifact&)> change;
+    report::Verdict verdict;
+    std::string summary_line;
+  };
+  const std::map<ArtifactKind, Case> cases{
+      {ArtifactKind::kMetrics,
+       {"histograms/load/bucket1",
+        [](report::Artifact& a) { a.metrics.histograms["load"].counts[1] = 6; },
+        report::Verdict::kChanged, "  counter run.trials = 8\n"}},
+      {ArtifactKind::kTimeline,
+       {"timeline/events", [](report::Artifact& a) { a.timeline.events = 121; },
+        report::Verdict::kChanged,
+        "  120 event(s) across 3 process(es), span 4500000 us\n"}},
+      {ArtifactKind::kProfile,
+       {"profile/workers",
+        [](report::Artifact& a) { a.profile.workers.pop_back(); },
+        report::Verdict::kChanged,
+        "  worker 1: 3 task(s), busy 0.375 s (25%)\n"}},
+      {ArtifactKind::kJournal,
+       {"cells/2/mean",
+        [](report::Artifact& a) { a.journal.cells[1].stats.mean = 103.0; },
+        report::Verdict::kRegressed,
+        "  scenario fig4 v1: 2/4 cell(s) recorded, 2 trial(s)/cell, 2 "
+        "point(s)\n"}},
+      {ArtifactKind::kQuarantine,
+       {"quarantine/cell3",
+        [](report::Artifact& a) { a.quarantine.records[0].attempts = 3; },
+        report::Verdict::kRegressed,
+        "  cell 3 (DLB): crashed after 2 attempt(s)\n"}},
+      {ArtifactKind::kStatus,
+       {"status/group/SWAP/done",
+        [](report::Artifact& a) { a.status.groups[1].done = 3; },
+        report::Verdict::kChanged,
+        "  scenario fig4: running, 6/8 cell(s) (75%), 1 retry, 1 "
+        "quarantined\n"}},
+      {ArtifactKind::kSeries,
+       {"series/NONE/x=0.3/makespan",
+        [](report::Artifact& a) { a.series.series[0].makespan[1] = 2.0; },
+        report::Verdict::kRegressed,
+        "  fig4: 1 series over 2 point(s) of dynamism\n"}},
+      {ArtifactKind::kStats,
+       {"stats/unfinished", [](report::Artifact& a) { a.stats.unfinished = 2; },
+        report::Verdict::kRegressed,
+        "  4 trial(s): makespan mean 2500 s (stddev 10), 1 unfinished, 3 "
+        "adaptation(s) per run\n"}},
+  };
+  for (const ArtifactKind kind : kAllKinds) {
+    const std::string name(report::to_string(kind));
+    SCOPED_TRACE(name);
+    const Case& c = cases.at(kind);
+    const report::Artifact a = fixture(kind);
+
+    const auto flat = report::flatten(a);
+    const auto found =
+        std::find_if(flat.begin(), flat.end(),
+                     [&c](const auto& entry) { return entry.first == c.key; });
+    EXPECT_NE(found, flat.end()) << c.key;
+
+    const auto same = report::diff_artifacts(a, a, report::DiffOptions{});
+    EXPECT_EQ(same.compared, flat.size());
+    EXPECT_EQ(same.within_tol, flat.size());
+    EXPECT_TRUE(same.deltas.empty());
+
+    report::Artifact b = a;
+    c.change(b);
+    const auto changed = report::diff_artifacts(a, b, report::DiffOptions{});
+    ASSERT_EQ(changed.deltas.size(), 1u);
+    EXPECT_EQ(changed.deltas[0].key, c.key);
+    EXPECT_EQ(changed.deltas[0].verdict, c.verdict);
+    EXPECT_TRUE(changed.regression());
+
+    std::ostringstream summary;
+    report::print_summary(summary, a);
+    const std::string head =
+        a.path + ": " + name +
+        (a.meta ? " (seed 1, config 0123456789abcdef)\n" : "\n");
+    EXPECT_EQ(summary.str().rfind(head, 0), 0u) << summary.str();
+    EXPECT_NE(summary.str().find(c.summary_line), std::string::npos)
+        << summary.str();
+
+    std::ostringstream json;
+    report::write_summary_json(json, a);
+    EXPECT_EQ(json.str().rfind("{\"kind\":\"" + name + "\"", 0), 0u);
+    EXPECT_NE(json.str().find("\"" + c.key + "\":"), std::string::npos);
+  }
+}
+
+TEST(Analyze, DiffReportNotesDigestMismatchAndPartialArtifacts) {
+  const report::Artifact a = fixture(report::ArtifactKind::kStats);
+  report::Artifact b = a;
+  b.meta->config_digest = "fedcba9876543210";
+  b.meta->partial = true;
+  b.stats.unfinished = 2;
+  std::ostringstream os;
+  report::print_diff(os, a, b,
+                     report::diff_artifacts(a, b, report::DiffOptions{}));
+  const std::string text = os.str();
+  EXPECT_NE(text.find("note: config digests differ (0123456789abcdef vs "
+                      "fedcba9876543210)"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("note: B is a partial artifact"), std::string::npos);
+  EXPECT_NE(text.find("regressed  stats/unfinished  1 -> 2  (delta 1)\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("1 delta(s), 1 gating\nverdict: REGRESSION\n"),
+            std::string::npos)
+      << text;
+
+  // A partial A is named as such; a clean diff says ok.
+  report::Artifact partial = a;
+  partial.meta->partial = true;
+  std::ostringstream clean;
+  report::print_diff(
+      clean, partial, a,
+      report::diff_artifacts(partial, a, report::DiffOptions{}));
+  EXPECT_NE(clean.str().find("note: A is a partial artifact"),
+            std::string::npos);
+  EXPECT_EQ(clean.str().find("config digests differ"), std::string::npos);
+  EXPECT_NE(clean.str().find("verdict: ok\n"), std::string::npos);
+
+  // Keys only one side has: a missing key gates, an added one informs.
+  const auto before = metrics_artifact({{"g", 1.0}, {"h", 1.0}});
+  const auto after = metrics_artifact({{"g", 1.0}, {"k", 2.0}});
+  std::ostringstream keys;
+  report::print_diff(
+      keys, before, after,
+      report::diff_artifacts(before, after, report::DiffOptions{}));
+  EXPECT_NE(keys.str().find("missing  gauges/h/last  1 -> nan\n"),
+            std::string::npos)
+      << keys.str();
+  EXPECT_NE(keys.str().find("added  gauges/k/last  nan -> 2\n"),
+            std::string::npos)
+      << keys.str();
+  EXPECT_EQ(report::to_string(report::Verdict::kOk), "ok");
+}
+
+TEST(Analyze, TopRanksEveryKindWithSomethingToRank) {
+  using report::ArtifactKind;
+  const auto labels = [](const std::vector<report::TopEntry>& entries) {
+    std::vector<std::string> out;
+    for (const report::TopEntry& e : entries) out.push_back(e.label);
+    return out;
+  };
+  // Metrics: the non-empty histogram buckets, fullest first.
+  const auto buckets =
+      report::top_entries(fixture(ArtifactKind::kMetrics), 5);
+  EXPECT_EQ(labels(buckets),
+            (std::vector<std::string>{"load [1, 2)", "load [2, +inf)"}));
+  EXPECT_EQ(buckets[0].value, 5.0);
+  EXPECT_EQ(buckets[0].unit, "sample(s)");
+  // Journal: the slowest cells; profile and status: the busiest workers.
+  EXPECT_EQ(labels(report::top_entries(fixture(ArtifactKind::kJournal), 1)),
+            std::vector<std::string>{"cell 2 (SWAP)"});
+  EXPECT_EQ(labels(report::top_entries(fixture(ArtifactKind::kProfile), 5)),
+            (std::vector<std::string>{"worker 0", "worker 1"}));
+  EXPECT_EQ(labels(report::top_entries(fixture(ArtifactKind::kStatus), 5)),
+            std::vector<std::string>{"worker 0"});
+  // A status snapshot written without a profiler has nothing to rank.
+  report::Artifact bare = fixture(ArtifactKind::kStatus);
+  bare.status.workers.clear();
+  EXPECT_THROW((void)report::top_entries(bare, 5), std::invalid_argument);
+  for (const ArtifactKind kind :
+       {ArtifactKind::kTimeline, ArtifactKind::kQuarantine,
+        ArtifactKind::kSeries, ArtifactKind::kStats})
+    EXPECT_THROW((void)report::top_entries(fixture(kind), 5),
+                 std::invalid_argument)
+        << report::to_string(kind);
 }
 
 // ---------------------------------------------------------------------------

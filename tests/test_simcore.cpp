@@ -344,12 +344,15 @@ TEST(Rng, ExponentialMeanApproximatelyCorrect) {
 TEST(TraceRecorder, IntegratesStepSeries) {
   // value 0 until t=1, then 2 until t=3, then 1.
   std::vector<sim::Sample> s{{1.0, 2.0}, {3.0, 1.0}};
+  const auto integral = [&s](double t0, double t1) {
+    return sim::integrate_step_series(s.begin(), s.end(), t0, t1, 0.0);
+  };
   // over [0,4]: 0*1 + 2*2 + 1*1 = 5
-  EXPECT_DOUBLE_EQ(sim::integrate_step_series(s, 0.0, 4.0, 0.0), 5.0);
+  EXPECT_DOUBLE_EQ(integral(0.0, 4.0), 5.0);
   // window entirely before first sample
-  EXPECT_DOUBLE_EQ(sim::integrate_step_series(s, 0.0, 1.0, 0.0), 0.0);
+  EXPECT_DOUBLE_EQ(integral(0.0, 1.0), 0.0);
   // window after all samples
-  EXPECT_DOUBLE_EQ(sim::integrate_step_series(s, 3.0, 5.0, 0.0), 2.0);
+  EXPECT_DOUBLE_EQ(integral(3.0, 5.0), 2.0);
   // mean over [1,3] is 2
   EXPECT_DOUBLE_EQ(sim::mean_step_series(s, 1.0, 3.0, 0.0), 2.0);
 }
@@ -358,13 +361,86 @@ TEST(TraceRecorder, PointQueryReturnsValueInEffect) {
   std::vector<sim::Sample> s{{1.0, 2.0}, {3.0, 1.0}};
   EXPECT_DOUBLE_EQ(sim::mean_step_series(s, 0.5, 0.5, 7.0), 7.0);
   EXPECT_DOUBLE_EQ(sim::mean_step_series(s, 2.0, 2.0, 7.0), 2.0);
+  EXPECT_DOUBLE_EQ(sim::mean_step_series(s, 3.0, 3.0, 7.0), 1.0);
   EXPECT_DOUBLE_EQ(sim::mean_step_series(s, 3.5, 3.5, 7.0), 1.0);
 }
 
 TEST(TraceRecorder, IntegrateRejectsReversedWindow) {
   std::vector<sim::Sample> s;
-  EXPECT_THROW((void)sim::integrate_step_series(s, 2.0, 1.0, 0.0),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)sim::integrate_step_series(s.begin(), s.end(), 2.0, 1.0, 0.0),
+      std::invalid_argument);
+}
+
+namespace {
+
+/// The step-series walk without the binary search: from the first sample,
+/// skipping every sample at or before t0, with the same summation order.
+template <typename Transform>
+double linear_integral(const std::vector<sim::Sample>& samples, double t0,
+                       double t1, double initial, Transform f) {
+  double area = 0.0;
+  double value = initial;
+  double cursor = t0;
+  for (const sim::Sample& s : samples) {
+    if (s.time <= t0) {
+      value = s.value;
+      continue;
+    }
+    if (s.time >= t1) break;
+    area += f(value) * (s.time - cursor);
+    cursor = s.time;
+    value = s.value;
+  }
+  return area + f(value) * (t1 - cursor);
+}
+
+}  // namespace
+
+TEST(StepSeries, WalkMatchesTheLinearWalkBitwise) {
+  // The availability of a load sample, as platform::Host computes it (-1
+  // marks an offline host).
+  const auto availability = [](double v) {
+    return v < 0.0 ? 0.0 : 1.0 / (1.0 + v);
+  };
+  const auto identity = [](double v) { return v; };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::Rng rng(seed);
+    // A time-ordered series on a half-second grid; about a quarter of the
+    // samples repeat the previous time.
+    std::vector<sim::Sample> samples;
+    double t = 0.5 * static_cast<double>(rng.uniform_int(0, 10));
+    const auto count = rng.uniform_int(0, 60);
+    for (std::int64_t i = 0; i < count; ++i) {
+      if (rng.uniform_int(0, 3) != 0)
+        t += 0.5 * static_cast<double>(rng.uniform_int(1, 4));
+      samples.push_back(
+          sim::Sample{t, static_cast<double>(rng.uniform_int(-1, 4))});
+    }
+    // Window edges before, on, between and after the samples.
+    std::vector<double> edges{-3.0, 0.0, 0.25, t + 0.75, t + 20.0};
+    for (const sim::Sample& sample : samples) edges.push_back(sample.time);
+    const auto pick = [&] {
+      return rng.uniform_int(0, 2) == 0
+                 ? rng.uniform(-5.0, t + 5.0)
+                 : edges[static_cast<std::size_t>(rng.uniform_int(
+                       0, static_cast<std::int64_t>(edges.size()) - 1))];
+    };
+    for (int k = 0; k < 200; ++k) {
+      double t0 = pick();
+      double t1 = k % 8 == 0 ? t0 : pick();
+      if (t1 < t0) std::swap(t0, t1);
+      const double initial = rng.uniform(-1.0, 4.0);
+      SCOPED_TRACE(testing::Message() << "[" << t0 << ", " << t1 << "]");
+      EXPECT_EQ(sim::integrate_step_series(samples.begin(), samples.end(), t0,
+                                           t1, initial),
+                linear_integral(samples, t0, t1, initial, identity));
+      EXPECT_EQ(sim::integrate_step_series(samples.begin(), samples.end(), t0,
+                                           t1, initial, availability),
+                linear_integral(samples, t0, t1, initial, availability));
+    }
+  }
 }
 
 // ------------------------------------------------------------ FairShare

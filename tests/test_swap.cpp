@@ -6,7 +6,6 @@
 
 #include "simcore/rng.hpp"
 #include "swap/payback.hpp"
-#include "swap/perf_history.hpp"
 #include "swap/planner.hpp"
 #include "swap/policy.hpp"
 
@@ -108,117 +107,6 @@ TEST_P(PaybackProperty, PositiveIffImprovementAndMonotoneInGain) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PaybackProperty,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
-
-// ----------------------------------------------------------- perf history
-
-TEST(PerfHistory, LatestWhenWindowZero) {
-  swp::PerfHistory h;
-  EXPECT_DOUBLE_EQ(h.windowed_mean(10.0, 0.0, 42.0), 42.0);
-  h.record(1.0, 5.0);
-  h.record(2.0, 7.0);
-  EXPECT_DOUBLE_EQ(h.windowed_mean(10.0, 0.0), 7.0);
-  EXPECT_DOUBLE_EQ(h.latest(), 7.0);
-}
-
-TEST(PerfHistory, WindowedMeanIsTimeWeighted) {
-  swp::PerfHistory h;
-  h.record(0.0, 1.0);
-  h.record(10.0, 3.0);
-  // Window [5, 15]: 5 s of 1.0 + 5 s of 3.0 = mean 2.0.
-  EXPECT_DOUBLE_EQ(h.windowed_mean(15.0, 10.0), 2.0);
-  // Window [12, 15]: all 3.0.
-  EXPECT_DOUBLE_EQ(h.windowed_mean(15.0, 3.0), 3.0);
-}
-
-TEST(PerfHistory, ExtendsFirstSampleBackwards) {
-  swp::PerfHistory h;
-  h.record(8.0, 4.0);
-  // Window [0, 10] has no data before t=8; first value fills the gap.
-  EXPECT_DOUBLE_EQ(h.windowed_mean(10.0, 10.0), 4.0);
-}
-
-TEST(PerfHistory, PruneKeepsValueInEffect) {
-  swp::PerfHistory h;
-  h.record(0.0, 1.0);
-  h.record(10.0, 2.0);
-  h.record(20.0, 3.0);
-  h.prune_before(15.0);
-  EXPECT_EQ(h.size(), 2u);  // the t=10 sample is still in effect at 15
-  EXPECT_DOUBLE_EQ(h.windowed_mean(25.0, 10.0), 2.5);
-}
-
-TEST(PerfHistory, RejectsOutOfOrderSamples) {
-  swp::PerfHistory h;
-  h.record(5.0, 1.0);
-  EXPECT_THROW(h.record(1.0, 2.0), std::invalid_argument);
-}
-
-TEST(PerfHistory, ClampsInEpsilonEarlySampleToTail) {
-  // Clock jitter between subsystems can hand record() a timestamp a hair
-  // before the tail.  It must be stored AT the tail, not behind it: an
-  // out-of-order pair would make windowed_mean integrate a negative
-  // interval and could strand the wrong sample in prune_before.
-  swp::PerfHistory h;
-  h.record(5.0, 1.0);
-  h.record(5.0 - 0.5e-9, 2.0);  // within kTimeEpsilon of the tail
-  EXPECT_EQ(h.size(), 2u);
-  EXPECT_DOUBLE_EQ(h.latest(), 2.0);
-  // Window [4, 6]: 1 s of 1.0, then 1 s of 2.0 — the jittered sample
-  // contributes from t=5.0 exactly, never a negative slice.
-  EXPECT_DOUBLE_EQ(h.windowed_mean(6.0, 2.0), 1.5);
-  // Pruning at the clamped time keeps the value in effect.
-  h.prune_before(5.0);
-  EXPECT_DOUBLE_EQ(h.latest(), 2.0);
-}
-
-TEST(PerfHistory, WindowStraddlingFirstSampleBackfills) {
-  swp::PerfHistory h;
-  h.record(10.0, 4.0);
-  h.record(11.0, 8.0);
-  // Window [8, 12]: the first sample's value backfills [8, 10), then 1 s of
-  // 4.0 and 1 s of 8.0: (2*4 + 1*4 + 1*8) / 4 = 5.
-  EXPECT_DOUBLE_EQ(h.windowed_mean(12.0, 4.0), 5.0);
-}
-
-TEST(PerfHistory, NowBeforeFirstSampleReturnsFirstValue) {
-  swp::PerfHistory h;
-  h.record(10.0, 6.0);
-  // All the history is in the future of `now`; the only information we
-  // have is the first sample's value.
-  EXPECT_DOUBLE_EQ(h.windowed_mean(5.0, 3.0), 6.0);
-  EXPECT_DOUBLE_EQ(h.windowed_mean(10.0, 3.0), 6.0);
-}
-
-TEST(PerfHistory, ZeroWidthWindowFallsBackWhenEmpty) {
-  swp::PerfHistory h;
-  EXPECT_DOUBLE_EQ(h.windowed_mean(0.0, 0.0, 9.5), 9.5);
-  EXPECT_DOUBLE_EQ(h.latest(3.25), 3.25);
-  h.record(0.0, 2.0);
-  // Zero-width window at the exact sample time: the step value at t=0.
-  EXPECT_DOUBLE_EQ(h.windowed_mean(0.0, 0.0), 2.0);
-}
-
-TEST(PerfHistory, PruneAtExactSampleTimeKeepsStepValue) {
-  swp::PerfHistory h;
-  h.record(0.0, 1.0);
-  h.record(10.0, 2.0);
-  // At horizon 10 the t=10 sample is the value in effect; the t=0 sample
-  // ended exactly there and may be dropped.
-  h.prune_before(10.0);
-  EXPECT_EQ(h.size(), 1u);
-  EXPECT_DOUBLE_EQ(h.latest(), 2.0);
-  // The survivor's value extends backwards over the pruned region.
-  EXPECT_DOUBLE_EQ(h.windowed_mean(12.0, 4.0), 2.0);
-}
-
-TEST(PerfHistory, PruneNeverEmptiesHistory) {
-  swp::PerfHistory h;
-  h.record(0.0, 1.0);
-  h.record(1.0, 2.0);
-  h.prune_before(100.0);
-  EXPECT_EQ(h.size(), 1u);
-  EXPECT_DOUBLE_EQ(h.latest(), 2.0);
-}
 
 // ---------------------------------------------------------------- planner
 
