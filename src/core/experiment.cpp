@@ -290,7 +290,12 @@ std::vector<strategy::RunResult> run_trials_results(
     ExperimentConfig config, const load::LoadModel& model,
     strategy::Strategy& strategy, std::size_t trials, std::size_t jobs) {
   if (trials == 0) throw std::invalid_argument("run_trials: zero trials");
-  std::vector<strategy::RunResult> results(trials);
+  std::vector<strategy::RunResult> results;
+  if (trials > results.max_size())
+    throw std::invalid_argument(
+        "run_trials: trial count " + std::to_string(trials) +
+        " exceeds the limit of " + std::to_string(results.max_size()));
+  results.resize(trials);
   const std::function<void(std::size_t)> body = [&](std::size_t t) {
     ExperimentConfig trial_config = config;
     trial_config.seed = config.seed + t;

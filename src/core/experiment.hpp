@@ -145,7 +145,8 @@ struct TrialStats {
 /// many executors, so `jobs` == 1 runs every trial on the calling thread.
 /// Requires `strategy.launch` to be safe to call concurrently, which holds
 /// for all in-tree strategies (launch only reads configuration and builds
-/// per-run state).
+/// per-run state).  Throws std::invalid_argument for zero trials or more
+/// than a result vector can hold.
 [[nodiscard]] std::vector<strategy::RunResult> run_trials_results(
     ExperimentConfig config, const load::LoadModel& model,
     strategy::Strategy& strategy, std::size_t trials, std::size_t jobs = 1);

@@ -38,7 +38,8 @@ core::ExperimentConfig base_config(const ScenarioSpec& spec) {
   cfg.faults.retry_backoff_cap_s = spec.retry_backoff_cap_s;
   cfg.faults.blacklist_after = spec.blacklist_after;
   cfg.faults.validate();
-  if (spec.active + cfg.spare_count > cfg.cluster.host_count)
+  // Compared without the sum, which a spare count near 2^64 would wrap.
+  if (spec.active > spec.hosts || spec.spares > spec.hosts - spec.active)
     throw std::invalid_argument("config: active + spares exceeds --hosts");
   return cfg;
 }
@@ -312,6 +313,16 @@ MaterializedGrid materialize(const ScenarioSpec& spec,
       grid.cells.push_back(std::move(cell));
     }
   }
+
+  // Each cell keeps one result per trial, and the sweep schedules
+  // cells x trials tasks: past this count either would overflow.
+  const std::size_t limit =
+      std::vector<strategy::RunResult>().max_size() / grid.cells.size();
+  if (trials > limit)
+    throw std::invalid_argument(
+        "sweep: trial count " + std::to_string(trials) +
+        " exceeds the limit of " + std::to_string(limit) + " for " +
+        std::to_string(grid.cells.size()) + " cell(s)");
 
   grid.reports = spec.reports;
   if (grid.reports.empty()) {

@@ -1,16 +1,21 @@
-// ScenarioSpec JSON parsing and canonical serialization.
+// ScenarioSpec JSON parsing and canonical serialization, from one schema.
 //
-// Parsing is strict: every key must be known to the section that owns it
-// and every value must have the expected kind, with errors reported as
+// Each section of the schema is one walk(V&, Section&) naming its keys in
+// canonical order, with their types, defaults and kind gates.
+// parse_scenario runs the walks with a Reader and serialize_scenario with a
+// Writer, so the two cannot disagree about a key.  Parsing is strict:
+// every key must be known to the section that owns it, every value must
+// have the expected kind and no key may repeat, with errors reported as
 // "<source>:<line>:<col>: ...".  Numbers travel as raw tokens
 // (resilience::parse_json) and are re-read with std::from_chars, and the
-// serializer writes them back shortest-round-trip (obs::write_json_number),
-// so parse(serialize(s)) == s bitwise for every numeric field.
+// writer writes them back shortest-round-trip (obs::write_json_number), so
+// parse(serialize(s)) == s bitwise for every numeric field.
 #include "scenario/scenario.hpp"
 
+#include <concepts>
 #include <ostream>
-#include <set>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "obs/json.hpp"
@@ -21,6 +26,7 @@ namespace simsweep::scenario {
 namespace {
 
 using resilience::JsonValue;
+using JsonKind = JsonValue::Kind;
 
 // ---------------------------------------------------------------------------
 // Parse context: converts byte offsets into file:line:col error prefixes.
@@ -46,134 +52,6 @@ struct Ctx {
   [[noreturn]] void fail(std::size_t offset, const std::string& what) const {
     throw ScenarioError(where(offset) + ": " + what);
   }
-};
-
-/// One JSON object with strict key accounting: every member must be
-/// consumed by find()/require() before finish(), which reports the first
-/// untouched key as unknown — so each scenario kind only admits the keys it
-/// actually reads.
-class Section {
- public:
-  Section(const Ctx& ctx, const JsonValue& value, std::string what)
-      : ctx_(ctx), value_(value), what_(std::move(what)) {
-    if (value.kind != JsonValue::Kind::kObject)
-      ctx.fail(value.offset, what_ + " must be an object");
-  }
-
-  [[nodiscard]] const Ctx& ctx() const noexcept { return ctx_; }
-  [[nodiscard]] const JsonValue& value() const noexcept { return value_; }
-
-  const JsonValue* find(std::string_view key) {
-    for (const auto& [k, v] : value_.object) {
-      if (k == key) {
-        used_.insert(std::string(key));
-        return &v;
-      }
-    }
-    return nullptr;
-  }
-
-  const JsonValue& require(std::string_view key) {
-    const JsonValue* v = find(key);
-    if (v == nullptr)
-      ctx_.fail(value_.offset,
-                what_ + " is missing required key '" + std::string(key) + "'");
-    return *v;
-  }
-
-  double to_double(const JsonValue& v, std::string_view key) {
-    if (v.kind != JsonValue::Kind::kNumber)
-      ctx_.fail(v.offset, "'" + std::string(key) + "' must be a number");
-    return v.as_double();
-  }
-
-  std::uint64_t to_uint(const JsonValue& v, std::string_view key) {
-    if (v.kind != JsonValue::Kind::kNumber)
-      ctx_.fail(v.offset, "'" + std::string(key) + "' must be a number");
-    try {
-      return v.as_uint64();
-    } catch (const resilience::JsonError&) {
-      ctx_.fail(v.offset, "'" + std::string(key) +
-                              "' must be a non-negative integer, got '" +
-                              v.number + "'");
-    }
-  }
-
-  double get_double(std::string_view key, double fallback) {
-    const JsonValue* v = find(key);
-    return v == nullptr ? fallback : to_double(*v, key);
-  }
-
-  /// A present value must be > 0 (the fallback is trusted).
-  double get_positive(std::string_view key, double fallback) {
-    const JsonValue* v = find(key);
-    if (v == nullptr) return fallback;
-    const double out = to_double(*v, key);
-    if (!(out > 0.0))
-      ctx_.fail(v->offset, "'" + std::string(key) + "' must be > 0");
-    return out;
-  }
-
-  std::uint64_t get_uint(std::string_view key, std::uint64_t fallback) {
-    const JsonValue* v = find(key);
-    return v == nullptr ? fallback : to_uint(*v, key);
-  }
-
-  std::size_t get_size(std::string_view key, std::size_t fallback) {
-    return static_cast<std::size_t>(
-        get_uint(key, static_cast<std::uint64_t>(fallback)));
-  }
-
-  bool get_bool(std::string_view key, bool fallback) {
-    const JsonValue* v = find(key);
-    if (v == nullptr) return fallback;
-    if (v->kind != JsonValue::Kind::kBool)
-      ctx_.fail(v->offset, "'" + std::string(key) + "' must be a boolean");
-    return v->boolean;
-  }
-
-  std::string get_string(std::string_view key, std::string fallback) {
-    const JsonValue* v = find(key);
-    if (v == nullptr) return fallback;
-    if (v->kind != JsonValue::Kind::kString)
-      ctx_.fail(v->offset, "'" + std::string(key) + "' must be a string");
-    return v->string;
-  }
-
-  std::string require_string(std::string_view key) {
-    const JsonValue& v = require(key);
-    if (v.kind != JsonValue::Kind::kString)
-      ctx_.fail(v.offset, "'" + std::string(key) + "' must be a string");
-    return v.string;
-  }
-
-  /// Sets `out` only when the key is present (policy-override semantics).
-  void get_optional(std::string_view key, std::optional<double>& out) {
-    const JsonValue* v = find(key);
-    if (v != nullptr) out = to_double(*v, key);
-  }
-
-  std::vector<double> get_double_list(std::string_view key) {
-    const JsonValue* v = find(key);
-    std::vector<double> out;
-    if (v == nullptr) return out;
-    if (v->kind != JsonValue::Kind::kArray)
-      ctx_.fail(v->offset, "'" + std::string(key) + "' must be an array");
-    for (const JsonValue& e : v->array) out.push_back(to_double(e, key));
-    return out;
-  }
-
-  void finish() {
-    for (const auto& [k, v] : value_.object)
-      if (used_.find(k) == used_.end())
-        ctx_.fail(v.key_offset, what_ + ": unknown key '" + k + "'");
-  }
-
- private:
-  const Ctx& ctx_;
-  const JsonValue& value_;
-  std::string what_;
-  std::set<std::string, std::less<>> used_;
 };
 
 // ---------------------------------------------------------------------------
@@ -230,6 +108,9 @@ constexpr std::pair<LoadKind, const char*> kLoadNames[] = {
     {LoadKind::kTrace, "trace"},
 };
 
+/// Policy bases are kept as their names (PolicySpec::base).
+constexpr const char* kPolicyBases[] = {"greedy", "safe", "friendly"};
+
 template <typename E, std::size_t N>
 const char* enum_name(const std::pair<E, const char*> (&table)[N], E value) {
   for (const auto& [e, name] : table)
@@ -237,276 +118,602 @@ const char* enum_name(const std::pair<E, const char*> (&table)[N], E value) {
   return "?";
 }
 
-template <typename E, std::size_t N>
-E parse_enum(const Ctx& ctx, const JsonValue& v,
-             const std::pair<E, const char*> (&table)[N],
-             const std::string& what, const std::string& token) {
-  for (const auto& [e, name] : table)
-    if (token == name) return e;
-  std::string choices;
-  for (const auto& [e, name] : table) {
-    if (!choices.empty()) choices += '|';
-    choices += name;
-  }
-  ctx.fail(v.offset, "unknown " + what + " '" + token + "' (" + choices + ")");
+// A table entry is an (enum, name) pair, or a name standing for itself.
+constexpr const char* name_of(const char* entry) { return entry; }
+template <typename E>
+constexpr const char* name_of(const std::pair<E, const char*>& entry) {
+  return entry.second;
+}
+constexpr const char* value_of(const char* entry) { return entry; }
+template <typename E>
+constexpr E value_of(const std::pair<E, const char*>& entry) {
+  return entry.first;
 }
 
 // ---------------------------------------------------------------------------
-// Section parsers.
+// The two visitors the schema walks run with.
 
-LoadSpec parse_load(const Ctx& ctx, const JsonValue& value,
-                    const std::string& what) {
-  Section s(ctx, value, what);
-  LoadSpec out;
-  const JsonValue& model = s.require("model");
-  if (model.kind != JsonValue::Kind::kString)
-    ctx.fail(model.offset, "'model' must be a string");
-  out.kind = parse_enum(ctx, model, kLoadNames, "load model", model.string);
-  switch (out.kind) {
-    case LoadKind::kOnOff: {
-      const JsonValue* dynamism = s.find("dynamism");
-      if (dynamism != nullptr) {
+enum class Need { kOptional, kRequired };
+
+/// Walks one section: a spec struct through its walk() overload, or a
+/// callable that walks a group of ScenarioSpec fields.
+template <typename V, typename T>
+void visit(V& v, T& item) {
+  if constexpr (std::is_invocable_v<T&, V&>)
+    item(v);
+  else
+    walk(v, item);
+}
+
+/// The first repeated key met.  It is reported only once the rest of the
+/// document reads clean, so a document with another error keeps that
+/// error's message.
+struct Repeat {
+  std::size_t offset = 0;
+  std::string message;
+};
+
+/// Reads one JSON object strictly.  A key is marked used when the walk
+/// finds it; finish() reports the first unused key as unknown, so each
+/// scenario kind only admits the keys its walk reads.
+class Reader {
+ public:
+  static constexpr bool kReading = true;
+
+  /// The document itself: its sections are named by their key alone.
+  Reader(const Ctx& ctx, const JsonValue& value, Repeat& repeat)
+      : Reader(ctx, value, "scenario", "", repeat) {}
+
+  [[nodiscard]] const std::string& what() const noexcept { return what_; }
+
+  [[nodiscard]] bool has(std::string_view key) const {
+    return member(key) != nullptr;
+  }
+
+  /// A value of the type the walk hands in; an absent optional key keeps
+  /// the field's default.
+  template <typename T>
+  void operator()(std::string_view key, T& out, Need need = Need::kOptional) {
+    const JsonValue* v = get(key, need);
+    if (v == nullptr) return;
+    if constexpr (std::is_same_v<T, bool>) {
+      expect(*v, JsonKind::kBool, key, "a boolean");
+      out = v->boolean;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      expect(*v, JsonKind::kString, key, "a string");
+      out = v->string;
+    } else if constexpr (std::is_unsigned_v<T>) {
+      expect(*v, JsonKind::kNumber, key, "a number");
+      const std::optional<std::uint64_t> n = v->to_uint64();
+      if (!n) must(*v, key, "a non-negative integer, got '" + v->number + "'");
+      out = static_cast<T>(*n);
+    } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+      expect(*v, JsonKind::kArray, key, "an array");
+      for (const JsonValue& e : v->array) out.push_back(number(e, key));
+    } else if constexpr (std::is_same_v<T, std::vector<sim::Sample>>) {
+      if (v->kind != JsonKind::kArray || v->array.empty())
+        must(*v, key, "a non-empty array");
+      for (const JsonValue& pair : v->array) {
+        if (pair.kind != JsonKind::kArray || pair.array.size() != 2)
+          ctx_.fail(pair.offset, "'" + std::string(key) +
+                                     "' entries must be [time, load] pairs");
+        out.push_back({number(pair.array[0], key), number(pair.array[1], key)});
+      }
+    } else {
+      out = number(*v, key);  // a double, or an optional one
+    }
+  }
+
+  /// A name from `table`: an enum, or a string checked against the table.
+  template <typename T, typename Entry, std::size_t N>
+  void operator()(std::string_view key, T& out, const Entry (&table)[N],
+                  const char* noun, Need need = Need::kOptional) {
+    const JsonValue* v = get(key, need);
+    if (v == nullptr) return;
+    expect(*v, JsonKind::kString, key, "a string");
+    out = choose(*v, table, noun);
+  }
+
+  template <typename T, typename Entry, std::size_t N>
+  void operator()(std::string_view key, std::vector<T>& out,
+                  const Entry (&table)[N], const char* noun,
+                  Need need = Need::kOptional) {
+    const JsonValue* v = get(key, need);
+    if (v == nullptr) return;
+    expect(*v, JsonKind::kArray, key, "an array");
+    for (const JsonValue& e : v->array) {
+      if (e.kind != JsonKind::kString)
+        ctx_.fail(e.offset,
+                  "'" + std::string(key) + "' entries must be strings");
+      out.push_back(choose(e, table, noun));
+    }
+  }
+
+  /// A present value must be > 0 (the default is trusted).
+  void positive(std::string_view key, double& out) {
+    const JsonValue* v = find(key);
+    if (v == nullptr) return;
+    out = number(*v, key);
+    if (!(out > 0.0)) must(*v, key, "> 0");
+  }
+
+  template <typename T>
+  void section(std::string_view key, T&& item, Need need = Need::kOptional) {
+    if (const JsonValue* v = get(key, need)) read(*v, path(key), item);
+  }
+
+  template <typename T>
+  void section(std::string_view key, std::optional<T>& item) {
+    if (const JsonValue* v = find(key)) read(*v, path(key), item.emplace());
+  }
+
+  /// A null value leaves the pointer null.
+  template <typename T>
+  void section(std::string_view key, std::shared_ptr<T>& item) {
+    const JsonValue* v = find(key);
+    if (v == nullptr || v->is_null()) return;
+    item = std::make_shared<T>();
+    read(*v, path(key), *item);
+  }
+
+  /// A list of sections.  An optional list is only written when it is not
+  /// empty, so a present one must be a non-empty array.  `check_item`
+  /// returns the error text, if any, for an item just read.
+  template <typename T>
+  void list(std::string_view key, std::vector<T>& items,
+            Need need = Need::kOptional,
+            std::string (*check_item)(const std::vector<T>&,
+                                      std::size_t) = nullptr) {
+    const JsonValue* v = get(key, need);
+    if (v == nullptr) return;
+    const bool optional = need == Need::kOptional;
+    if (v->kind != JsonKind::kArray || (optional && v->array.empty()))
+      must(*v, key, optional ? "a non-empty array" : "an array");
+    const std::string name = path(key);
+    for (std::size_t i = 0; i < v->array.size(); ++i) {
+      const JsonValue& e = v->array[i];
+      read(e, name + "[" + std::to_string(i) + "]", items.emplace_back());
+      if (check_item == nullptr) continue;
+      if (const std::string error = check_item(items, i); !error.empty())
+        ctx_.fail(e.offset, error);
+    }
+  }
+
+  void check(std::string_view key, bool ok, std::string_view rule) const {
+    if (!ok) fail(key, rule);
+  }
+
+  /// Fails at `key`'s value, or at the section when the key is absent.
+  [[noreturn]] void fail(std::string_view key, std::string_view rule) const {
+    const auto* m = member(key);
+    ctx_.fail(m != nullptr ? m->second.offset : value_.offset,
+              std::string(rule));
+  }
+
+  void finish() {
+    const auto& members = value_.object;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      if (used_[i]) continue;
+      const auto& [key, v] = members[i];
+      if (member(key) == &members[i])
+        ctx_.fail(v.key_offset, what_ + ": unknown key '" + key + "'");
+      if (repeat_.message.empty())
+        repeat_ = {v.key_offset, what_ + ": duplicate key '" + key + "'"};
+    }
+  }
+
+ private:
+  using Member = std::pair<std::string, JsonValue>;
+
+  Reader(const Ctx& ctx, const JsonValue& value, std::string what,
+         std::string prefix, Repeat& repeat)
+      : ctx_(ctx),
+        value_(value),
+        what_(std::move(what)),
+        prefix_(std::move(prefix)),
+        repeat_(repeat) {
+    if (value.kind != JsonKind::kObject)
+      ctx.fail(value.offset, what_ + " must be an object");
+    used_.resize(value.object.size());
+  }
+
+  /// The first member named `key`: the one a repeated key resolves to.
+  [[nodiscard]] const Member* member(std::string_view key) const {
+    for (const Member& m : value_.object)
+      if (m.first == key) return &m;
+    return nullptr;
+  }
+
+  const JsonValue* find(std::string_view key) {
+    const Member* m = member(key);
+    if (m == nullptr) return nullptr;
+    used_[static_cast<std::size_t>(m - value_.object.data())] = true;
+    return &m->second;
+  }
+
+  const JsonValue* get(std::string_view key, Need need) {
+    const JsonValue* v = find(key);
+    if (v == nullptr && need == Need::kRequired)
+      ctx_.fail(value_.offset, what_ + " is missing required key '" +
+                                   std::string(key) + "'");
+    return v;
+  }
+
+  /// The name errors give the section under `key`.
+  [[nodiscard]] std::string path(std::string_view key) const {
+    std::string name = prefix_;
+    name += key;
+    return name;
+  }
+
+  template <typename T>
+  void read(const JsonValue& value, std::string name, T& item) {
+    Reader child(ctx_, value, name, name + ".", repeat_);
+    visit(child, item);
+    child.finish();
+  }
+
+  [[noreturn]] void must(const JsonValue& v, std::string_view key,
+                         const std::string& rule) const {
+    ctx_.fail(v.offset, "'" + std::string(key) + "' must be " + rule);
+  }
+
+  void expect(const JsonValue& v, JsonKind kind, std::string_view key,
+              const char* rule) const {
+    if (v.kind != kind) must(v, key, rule);
+  }
+
+  double number(const JsonValue& v, std::string_view key) const {
+    expect(v, JsonKind::kNumber, key, "a number");
+    return v.as_double();
+  }
+
+  /// The value of the `table` entry that string `v` names.
+  template <typename Entry, std::size_t N>
+  auto choose(const JsonValue& v, const Entry (&table)[N],
+              const char* noun) const {
+    for (const Entry& e : table)
+      if (v.string == name_of(e)) return value_of(e);
+    std::string choices;
+    for (const Entry& e : table) {
+      if (!choices.empty()) choices += '|';
+      choices += name_of(e);
+    }
+    ctx_.fail(v.offset, std::string("unknown ") + noun + " '" + v.string +
+                            "' (" + choices + ")");
+  }
+
+  const Ctx& ctx_;
+  const JsonValue& value_;
+  std::string what_;
+  std::string prefix_;  ///< what_ + "." for nested sections
+  Repeat& repeat_;
+  std::vector<bool> used_;  ///< per member, in document order
+};
+
+/// Writes one JSON object's members in walk order: optional values only
+/// when set.  The caller writes the braces.
+class Writer {
+ public:
+  static constexpr bool kReading = false;
+
+  explicit Writer(std::ostream& os) : os_(os) {}
+
+  template <typename T>
+  void operator()(std::string_view key, const T& value,
+                  Need = Need::kOptional) {
+    name(key);
+    write(value);
+  }
+
+  template <typename T>
+  void operator()(std::string_view key, const std::optional<T>& value) {
+    if (value) (*this)(key, *value);
+  }
+
+  /// An enum is written as its name in `table`; a string is its own name.
+  template <typename T, typename Entry, std::size_t N>
+  void operator()(std::string_view key, const T& value,
+                  const Entry (&table)[N], const char*,
+                  Need = Need::kOptional) {
+    name(key);
+    if constexpr (std::is_enum_v<T>)
+      os_ << '"' << enum_name(table, value) << '"';  // names need no escaping
+    else
+      write(value);
+  }
+
+  template <typename E, typename Entry, std::size_t N>
+  void operator()(std::string_view key, const std::optional<E>& value,
+                  const Entry (&table)[N], const char* noun) {
+    if (value) (*this)(key, *value, table, noun);
+  }
+
+  void positive(std::string_view key, double value) { (*this)(key, value); }
+
+  template <typename T>
+  void section(std::string_view key, T&& item, Need = Need::kOptional) {
+    name(key);
+    object(item);
+  }
+
+  template <typename T>
+  void section(std::string_view key, std::optional<T>& item) {
+    if (item) section(key, *item);
+  }
+
+  template <typename T>
+  void section(std::string_view key, std::shared_ptr<T>& item) {
+    if (item) section(key, *item);
+  }
+
+  template <typename T>
+  void list(std::string_view key, std::vector<T>& items,
+            Need need = Need::kOptional,
+            std::string (*)(const std::vector<T>&, std::size_t) = nullptr) {
+    if (need == Need::kOptional && items.empty()) return;
+    name(key);
+    os_ << '[';
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (i > 0) os_ << ',';
+      object(items[i]);
+    }
+    os_ << ']';
+  }
+
+  void check(std::string_view, bool, std::string_view) const {}
+
+  template <typename T>
+  void object(T& item) {
+    os_ << '{';
+    Writer child(os_);
+    visit(child, item);
+    os_ << '}';
+  }
+
+ private:
+  void name(std::string_view key) {
+    if (!first_) os_.put(',');
+    first_ = false;
+    os_.put('"').write(key.data(), static_cast<std::streamsize>(key.size()));
+    os_.write("\":", 2);
+  }
+
+  void write(double value) { obs::write_json_number(os_, value); }
+  template <std::unsigned_integral U>
+  void write(U value) {
+    obs::write_json_number(os_, static_cast<std::uint64_t>(value));
+  }
+  void write(bool value) { os_ << (value ? "true" : "false"); }
+  void write(std::string_view text) { obs::write_json_string(os_, text); }
+  void write(const sim::Sample& sample) {
+    os_ << '[';
+    write(sample.time);
+    os_ << ',';
+    write(sample.value);
+    os_ << ']';
+  }
+  template <typename T>
+  void write(const std::vector<T>& values) {
+    os_ << '[';
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (i > 0) os_ << ',';
+      write(values[i]);
+    }
+    os_ << ']';
+  }
+
+  std::ostream& os_;
+  bool first_ = true;
+};
+
+// ---------------------------------------------------------------------------
+// The schema: one walk per section, keys in canonical order.
+
+template <typename V>
+void walk(V& v, LoadSpec& l) {
+  v("model", l.kind, kLoadNames, "load model", Need::kRequired);
+  switch (l.kind) {
+    case LoadKind::kOnOff:
+      if constexpr (V::kReading) {
         // Shorthand for the paper's symmetric chain: p = q = dynamism.
-        if (s.find("p") != nullptr || s.find("q") != nullptr)
-          ctx.fail(dynamism->offset,
-                   "'dynamism' excludes explicit 'p'/'q' values");
-        out.p = out.q = s.to_double(*dynamism, "dynamism");
-      } else {
-        out.p = s.get_double("p", out.p);
-        out.q = s.get_double("q", out.q);
+        if (v.has("dynamism")) {
+          v.check("dynamism", !v.has("p") && !v.has("q"),
+                  "'dynamism' excludes explicit 'p'/'q' values");
+          v("dynamism", l.p);
+          l.q = l.p;
+        }
       }
-      out.step_s = s.get_double("step_s", out.step_s);
-      out.stationary_start = s.get_bool("stationary_start", out.stationary_start);
+      v("p", l.p);
+      v("q", l.q);
+      v("step_s", l.step_s);
+      v("stationary_start", l.stationary_start);
       break;
-    }
     case LoadKind::kHyperExp:
-      out.mean_lifetime_s = s.get_double("mean_lifetime_s", out.mean_lifetime_s);
-      out.long_prob = s.get_double("long_prob", out.long_prob);
-      out.mean_interarrival_s =
-          s.get_double("mean_interarrival_s", out.mean_interarrival_s);
+      v("mean_lifetime_s", l.mean_lifetime_s);
+      v("long_prob", l.long_prob);
+      v("mean_interarrival_s", l.mean_interarrival_s);
       break;
-    case LoadKind::kReclaim: {
-      out.mean_available_s = s.get_double("mean_available_s", out.mean_available_s);
-      out.mean_reclaimed_s = s.get_double("mean_reclaimed_s", out.mean_reclaimed_s);
-      out.start_available = s.get_bool("start_available", out.start_available);
-      const JsonValue* base = s.find("base");
-      if (base != nullptr && !base->is_null())
-        out.base = std::make_shared<LoadSpec>(
-            parse_load(ctx, *base, what + ".base"));
+    case LoadKind::kReclaim:
+      v("mean_available_s", l.mean_available_s);
+      v("mean_reclaimed_s", l.mean_reclaimed_s);
+      v("start_available", l.start_available);
+      v.section("base", l.base);
       break;
-    }
-    case LoadKind::kTrace: {
-      const JsonValue& samples = s.require("samples");
-      if (samples.kind != JsonValue::Kind::kArray || samples.array.empty())
-        ctx.fail(samples.offset, "'samples' must be a non-empty array");
-      for (const JsonValue& pair : samples.array) {
-        if (pair.kind != JsonValue::Kind::kArray || pair.array.size() != 2)
-          ctx.fail(pair.offset, "'samples' entries must be [time, load] pairs");
-        out.samples.push_back({s.to_double(pair.array[0], "samples"),
-                               s.to_double(pair.array[1], "samples")});
-      }
+    case LoadKind::kTrace:
+      v("samples", l.samples, Need::kRequired);
       // Same default as `--period`: one second past the last sample.
-      out.period_s = s.get_positive("period_s", out.samples.back().time + 1.0);
-      out.random_phase = s.get_bool("random_phase", out.random_phase);
-      break;
-    }
-  }
-  s.finish();
-  return out;
-}
-
-PolicySpec parse_policy(const Ctx& ctx, const JsonValue& value,
-                        const std::string& what) {
-  Section s(ctx, value, what);
-  PolicySpec out;
-  const JsonValue* base = s.find("base");
-  if (base != nullptr) {
-    if (base->kind != JsonValue::Kind::kString)
-      ctx.fail(base->offset, "'base' must be a string");
-    if (base->string != "greedy" && base->string != "safe" &&
-        base->string != "friendly")
-      ctx.fail(base->offset, "unknown policy base '" + base->string +
-                                 "' (greedy|safe|friendly)");
-    out.base = base->string;
-  }
-  s.get_optional("payback_threshold_iters", out.payback_threshold_iters);
-  s.get_optional("min_process_improvement", out.min_process_improvement);
-  s.get_optional("min_app_improvement", out.min_app_improvement);
-  s.get_optional("history_window_s", out.history_window_s);
-  s.get_optional("max_swaps_per_decision", out.max_swaps_per_decision);
-  s.finish();
-  return out;
-}
-
-EstimatorSpec parse_estimator(const Ctx& ctx, const JsonValue& value,
-                              const std::string& what) {
-  Section s(ctx, value, what);
-  EstimatorSpec out;
-  const JsonValue& kind = s.require("kind");
-  if (kind.kind != JsonValue::Kind::kString)
-    ctx.fail(kind.offset, "'kind' must be a string");
-  out.kind =
-      parse_enum(ctx, kind, kEstimatorNames, "estimator kind", kind.string);
-  switch (out.kind) {
-    case EstimatorKind::kWindow:
-      out.window_s = s.get_double("window_s", out.window_s);
-      break;
-    case EstimatorKind::kEwma:
-      out.tau_s = s.get_double("tau_s", out.tau_s);
-      break;
-    case EstimatorKind::kMedian:
-      out.k = s.get_size("k", out.k);
-      break;
-    case EstimatorKind::kPolicy:
-    case EstimatorKind::kNws:
+      if constexpr (V::kReading) l.period_s = l.samples.back().time + 1.0;
+      v.positive("period_s", l.period_s);
+      v("random_phase", l.random_phase);
       break;
   }
-  s.finish();
-  return out;
 }
 
-StrategySpec parse_strategy(const Ctx& ctx, const JsonValue& value,
-                            const std::string& what) {
-  Section s(ctx, value, what);
-  StrategySpec out;
-  const JsonValue& kind = s.require("kind");
-  if (kind.kind != JsonValue::Kind::kString)
-    ctx.fail(kind.offset, "'kind' must be a string");
-  out.kind =
-      parse_enum(ctx, kind, kStrategyNames, "strategy kind", kind.string);
-  const bool has_policy = out.kind == StrategyKind::kSwap ||
-                          out.kind == StrategyKind::kDlbSwap ||
-                          out.kind == StrategyKind::kCr;
-  if (has_policy) {
-    const JsonValue* policy = s.find("policy");
-    if (policy != nullptr)
-      out.policy = parse_policy(ctx, *policy, what + ".policy");
-  }
-  if (out.kind == StrategyKind::kSwap) {
-    const JsonValue* estimator = s.find("estimator");
-    if (estimator != nullptr)
-      out.estimator = parse_estimator(ctx, *estimator, what + ".estimator");
-    out.guard = s.get_bool("guard", out.guard);
-    out.stall_factor = s.get_double("stall_factor", out.stall_factor);
-  }
-  s.finish();
-  return out;
+template <typename V>
+void walk(V& v, PolicySpec& p) {
+  v("base", p.base, kPolicyBases, "policy base");
+  v("payback_threshold_iters", p.payback_threshold_iters);
+  v("min_process_improvement", p.min_process_improvement);
+  v("min_app_improvement", p.min_app_improvement);
+  v("history_window_s", p.history_window_s);
+  v("max_swaps_per_decision", p.max_swaps_per_decision);
 }
 
-AxisSpec parse_axis(const Ctx& ctx, const JsonValue& value) {
-  Section s(ctx, value, "axis");
-  AxisSpec out;
-  out.label = s.get_string("label", out.label);
-  const JsonValue* binds = s.find("binds");
-  if (binds != nullptr) {
-    if (binds->kind != JsonValue::Kind::kString)
-      ctx.fail(binds->offset, "'binds' must be a string");
-    out.binding =
-        parse_enum(ctx, *binds, kBindingNames, "axis binding", binds->string);
-  }
-  const JsonValue* x = s.find("x");
-  out.x = s.get_double_list("x");
-  if (out.x.empty())
-    ctx.fail(x != nullptr ? x->offset : value.offset, "'x' must not be empty");
-  out.interarrival_factor =
-      s.get_double("interarrival_factor", out.interarrival_factor);
-  out.on_positive_swap_fail_prob = s.get_double(
-      "on_positive_swap_fail_prob", out.on_positive_swap_fail_prob);
-  out.on_positive_checkpoint_fail_prob = s.get_double(
-      "on_positive_checkpoint_fail_prob", out.on_positive_checkpoint_fail_prob);
-  s.finish();
-  return out;
+template <typename V>
+void walk(V& v, EstimatorSpec& e) {
+  v("kind", e.kind, kEstimatorNames, "estimator kind", Need::kRequired);
+  if (e.kind == EstimatorKind::kWindow) v("window_s", e.window_s);
+  if (e.kind == EstimatorKind::kEwma) v("tau_s", e.tau_s);
+  if (e.kind == EstimatorKind::kMedian) v("k", e.k);
 }
 
-VariantSpec parse_variant(const Ctx& ctx, const JsonValue& value,
-                          std::size_t index) {
-  const std::string what = "variants[" + std::to_string(index) + "]";
-  Section s(ctx, value, what);
-  VariantSpec out;
-  out.name = s.require_string("name");
-  out.strategy = parse_strategy(ctx, s.require("strategy"), what + ".strategy");
-  const JsonValue* state = s.find("state_mb");
-  if (state != nullptr) out.state_mb = s.to_double(*state, "state_mb");
-  const JsonValue* load = s.find("load");
-  if (load != nullptr) out.load = parse_load(ctx, *load, what + ".load");
-  const JsonValue* schedule = s.find("initial_schedule");
-  if (schedule != nullptr) {
-    if (schedule->kind != JsonValue::Kind::kString)
-      ctx.fail(schedule->offset, "'initial_schedule' must be a string");
-    out.initial_schedule = parse_enum(ctx, *schedule, kScheduleNames,
-                                      "initial schedule", schedule->string);
+template <typename V>
+void walk(V& v, StrategySpec& s) {
+  v("kind", s.kind, kStrategyNames, "strategy kind", Need::kRequired);
+  if (s.kind == StrategyKind::kSwap || s.kind == StrategyKind::kDlbSwap ||
+      s.kind == StrategyKind::kCr)
+    v.section("policy", s.policy);
+  if (s.kind == StrategyKind::kSwap) {
+    v.section("estimator", s.estimator);
+    v("guard", s.guard);
+    v("stall_factor", s.stall_factor);
   }
-  s.finish();
-  return out;
 }
 
-ReportSpec parse_report(const Ctx& ctx, const JsonValue& value,
-                        std::size_t index) {
-  const std::string what = "reports[" + std::to_string(index) + "]";
-  Section s(ctx, value, what);
-  ReportSpec out;
-  out.title = s.require_string("title");
-  out.expectation = s.get_string("expectation", "");
-  const JsonValue& series = s.require("series");
-  if (series.kind != JsonValue::Kind::kArray)
-    ctx.fail(series.offset, "'series' must be an array");
-  for (std::size_t i = 0; i < series.array.size(); ++i) {
-    const std::string swhat = what + ".series[" + std::to_string(i) + "]";
-    Section e(ctx, series.array[i], swhat);
-    SeriesSpec entry;
-    entry.name = e.require_string("name");
-    entry.variant = e.get_size("variant", 0);
-    const JsonValue* metric = e.find("metric");
-    if (metric != nullptr) {
-      if (metric->kind != JsonValue::Kind::kString)
-        ctx.fail(metric->offset, "'metric' must be a string");
-      entry.metric =
-          parse_enum(ctx, *metric, kMetricNames, "metric", metric->string);
-    }
-    e.finish();
-    out.series.push_back(std::move(entry));
-  }
-  if (out.series.empty())
-    ctx.fail(series.offset, what + ": 'series' must not be empty");
-  s.finish();
-  return out;
+template <typename V>
+void walk(V& v, AxisSpec& a) {
+  v("label", a.label);
+  v("binds", a.binding, kBindingNames, "axis binding");
+  v("x", a.x);
+  v.check("x", !a.x.empty(), "'x' must not be empty");
+  v("interarrival_factor", a.interarrival_factor);
+  v("on_positive_swap_fail_prob", a.on_positive_swap_fail_prob);
+  v("on_positive_checkpoint_fail_prob", a.on_positive_checkpoint_fail_prob);
 }
 
-void parse_config(const Ctx& ctx, const JsonValue& value, ScenarioSpec& out) {
-  Section s(ctx, value, "config");
-  out.hosts = s.get_size("hosts", out.hosts);
-  out.active = s.get_size("active", out.active);
-  out.iterations = s.get_size("iterations", out.iterations);
-  out.iter_minutes = s.get_double("iter_minutes", out.iter_minutes);
-  out.state_mb = s.get_double("state_mb", out.state_mb);
-  out.comm_kb = s.get_double("comm_kb", out.comm_kb);
-  out.spares = s.get_size("spares", out.hosts - out.active);
-  out.seed = s.get_uint("seed", out.seed);
-  out.horizon_hours = s.get_double("horizon_hours", out.horizon_hours);
-  const JsonValue* schedule = s.find("initial_schedule");
-  if (schedule != nullptr) {
-    if (schedule->kind != JsonValue::Kind::kString)
-      ctx.fail(schedule->offset, "'initial_schedule' must be a string");
-    out.initial_schedule = parse_enum(ctx, *schedule, kScheduleNames,
-                                      "initial schedule", schedule->string);
-  }
-  out.max_events = s.get_uint("max_events", out.max_events);
-  s.finish();
+template <typename V>
+void walk(V& v, VariantSpec& var) {
+  v("name", var.name, Need::kRequired);
+  v.section("strategy", var.strategy, Need::kRequired);
+  v("state_mb", var.state_mb);
+  v.section("load", var.load);
+  v("initial_schedule", var.initial_schedule, kScheduleNames,
+    "initial schedule");
 }
 
-void parse_faults(const Ctx& ctx, const JsonValue& value, ScenarioSpec& out) {
-  Section s(ctx, value, "faults");
-  out.mtbf_hours = s.get_double("mtbf_hours", out.mtbf_hours);
-  out.swap_fail_prob = s.get_double("swap_fail_prob", out.swap_fail_prob);
-  out.checkpoint_fail_prob =
-      s.get_double("checkpoint_fail_prob", out.checkpoint_fail_prob);
-  out.max_transfer_retries =
-      s.get_size("max_transfer_retries", out.max_transfer_retries);
-  out.retry_backoff_s = s.get_double("retry_backoff_s", out.retry_backoff_s);
-  out.retry_backoff_cap_s =
-      s.get_double("retry_backoff_cap_s", out.retry_backoff_cap_s);
-  out.blacklist_after = s.get_size("blacklist_after", out.blacklist_after);
-  s.finish();
+template <typename V>
+void walk(V& v, SeriesSpec& s) {
+  v("name", s.name, Need::kRequired);
+  v("variant", s.variant);
+  v("metric", s.metric, kMetricNames, "metric");
+}
+
+template <typename V>
+void walk(V& v, ReportSpec& r) {
+  v("title", r.title, Need::kRequired);
+  v("expectation", r.expectation);
+  v.list("series", r.series, Need::kRequired);
+  if constexpr (V::kReading)
+    if (r.series.empty())
+      v.fail("series", v.what() + ": 'series' must not be empty");
+}
+
+/// Error text when variants[i] reuses an earlier variant's name.
+std::string repeated_name(const std::vector<VariantSpec>& variants,
+                          std::size_t i) {
+  for (std::size_t j = 0; j < i; ++j)
+    if (variants[j].name == variants[i].name)
+      return "variants[" + std::to_string(i) + "] duplicates name '" +
+             variants[i].name + "'";
+  return {};
+}
+
+template <typename V>
+void walk(V& v, ScenarioSpec& s) {
+  v("name", s.name, Need::kRequired);
+  v("kind", s.kind, kKindNames, "scenario kind");
+  v("title", s.title);
+  v("expectation", s.expectation);
+
+  if (s.kind == Kind::kGrid || s.kind == Kind::kDecisionHistogram) {
+    v.section("config", [&s](V& c) {
+      c("hosts", s.hosts);
+      c("active", s.active);
+      c("iterations", s.iterations);
+      c("iter_minutes", s.iter_minutes);
+      c("state_mb", s.state_mb);
+      c("comm_kb", s.comm_kb);
+      // Every host not active is a spare.  With more active processes than
+      // hosts there are none, and base_config rejects the shape.
+      if constexpr (V::kReading)
+        s.spares = s.hosts >= s.active ? s.hosts - s.active : 0;
+      c("spares", s.spares);
+      c("seed", s.seed);
+      c("horizon_hours", s.horizon_hours);
+      c("initial_schedule", s.initial_schedule, kScheduleNames,
+        "initial schedule");
+      c("max_events", s.max_events);
+    });
+    v.section("faults", [&s](V& f) {
+      f("mtbf_hours", s.mtbf_hours);
+      f("swap_fail_prob", s.swap_fail_prob);
+      f("checkpoint_fail_prob", s.checkpoint_fail_prob);
+      f("max_transfer_retries", s.max_transfer_retries);
+      f("retry_backoff_s", s.retry_backoff_s);
+      f("retry_backoff_cap_s", s.retry_backoff_cap_s);
+      f("blacklist_after", s.blacklist_after);
+    });
+    v("trials", s.trials);
+    v.check("trials", s.trials >= 1, "'trials' must be >= 1");
+  }
+
+  switch (s.kind) {
+    case Kind::kGrid:
+      v("forbid_stalls", s.forbid_stalls);
+      v.section("load", s.load);
+      v.section("axis", s.axis);
+      v.list("variants", s.variants, Need::kRequired, repeated_name);
+      v.check("variants", !s.variants.empty(), "'variants' must not be empty");
+      v.list("reports", s.reports);
+      if constexpr (V::kReading)
+        for (const ReportSpec& report : s.reports)
+          for (const SeriesSpec& series : report.series)
+            if (series.variant >= s.variants.size())
+              v.fail("reports", "report series '" + series.name +
+                                    "' references variant " +
+                                    std::to_string(series.variant) +
+                                    " but only " +
+                                    std::to_string(s.variants.size()) +
+                                    " variant(s) are defined");
+      break;
+    case Kind::kPayback:
+      v.section("payback", [&s](V& p) {
+        p.positive("iter_s", s.payback_iter_s);
+        p.positive("swap_s", s.payback_swap_s);
+      });
+      break;
+    case Kind::kLoadTrace:
+      v.section("load", s.load, Need::kRequired);
+      v.section("trace", [&s](V& t) {
+        t.positive("horizon_s", s.trace_horizon_s);
+        t("seed", s.trace_seed);
+      });
+      break;
+    case Kind::kDecisionHistogram:
+      v.section(
+          "histogram",
+          [&s](V& h) {
+            h("policies", s.histogram_policies, kPolicyBases, "policy",
+              Need::kRequired);
+            h("dynamisms", s.histogram_dynamisms);
+          },
+          Need::kRequired);
+      v.check("histogram",
+              !s.histogram_policies.empty() && !s.histogram_dynamisms.empty(),
+              "'histogram' needs non-empty policies and dynamisms");
+      break;
+  }
 }
 
 }  // namespace
@@ -548,409 +755,19 @@ ScenarioSpec parse_scenario(std::string_view text,
     throw ScenarioError(ctx.source + ": " + what);
   }
 
-  Section s(ctx, doc, "scenario");
+  Repeat repeat;
+  Reader reader(ctx, doc, repeat);
   ScenarioSpec out;
-  out.name = s.require_string("name");
-  const JsonValue* kind = s.find("kind");
-  if (kind != nullptr) {
-    if (kind->kind != JsonValue::Kind::kString)
-      ctx.fail(kind->offset, "'kind' must be a string");
-    out.kind =
-        parse_enum(ctx, *kind, kKindNames, "scenario kind", kind->string);
-  }
-  out.title = s.get_string("title", "");
-  out.expectation = s.get_string("expectation", "");
-
-  const bool has_platform = out.kind == Kind::kGrid ||
-                            out.kind == Kind::kDecisionHistogram;
-  if (has_platform) {
-    const JsonValue* config = s.find("config");
-    if (config != nullptr) {
-      parse_config(ctx, *config, out);
-    } else {
-      out.spares = out.hosts - out.active;
-    }
-    const JsonValue* faults = s.find("faults");
-    if (faults != nullptr) parse_faults(ctx, *faults, out);
-    const JsonValue* trials = s.find("trials");
-    out.trials = s.get_size("trials", out.trials);
-    if (trials != nullptr && out.trials == 0)
-      ctx.fail(trials->offset, "'trials' must be >= 1");
-  }
-
-  switch (out.kind) {
-    case Kind::kGrid: {
-      out.forbid_stalls = s.get_bool("forbid_stalls", out.forbid_stalls);
-      const JsonValue* load = s.find("load");
-      if (load != nullptr) out.load = parse_load(ctx, *load, "load");
-      const JsonValue* axis = s.find("axis");
-      if (axis != nullptr) out.axis = parse_axis(ctx, *axis);
-      const JsonValue& variants = s.require("variants");
-      if (variants.kind != JsonValue::Kind::kArray)
-        ctx.fail(variants.offset, "'variants' must be an array");
-      for (std::size_t i = 0; i < variants.array.size(); ++i) {
-        out.variants.push_back(parse_variant(ctx, variants.array[i], i));
-        for (std::size_t j = 0; j < i; ++j)
-          if (out.variants[j].name == out.variants[i].name)
-            ctx.fail(variants.array[i].offset,
-                     "variants[" + std::to_string(i) + "] duplicates name '" +
-                         out.variants[i].name + "'");
-      }
-      if (out.variants.empty())
-        ctx.fail(variants.offset, "'variants' must not be empty");
-      const JsonValue* reports = s.find("reports");
-      if (reports != nullptr) {
-        if (reports->kind != JsonValue::Kind::kArray || reports->array.empty())
-          ctx.fail(reports->offset, "'reports' must be a non-empty array");
-        for (std::size_t i = 0; i < reports->array.size(); ++i)
-          out.reports.push_back(parse_report(ctx, reports->array[i], i));
-        for (const ReportSpec& report : out.reports)
-          for (const SeriesSpec& series : report.series)
-            if (series.variant >= out.variants.size())
-              ctx.fail(reports->offset,
-                       "report series '" + series.name +
-                           "' references variant " +
-                           std::to_string(series.variant) + " but only " +
-                           std::to_string(out.variants.size()) +
-                           " variant(s) are defined");
-      }
-      break;
-    }
-    case Kind::kPayback: {
-      const JsonValue* payback = s.find("payback");
-      if (payback != nullptr) {
-        Section p(ctx, *payback, "payback");
-        out.payback_iter_s = p.get_positive("iter_s", out.payback_iter_s);
-        out.payback_swap_s = p.get_positive("swap_s", out.payback_swap_s);
-        p.finish();
-      }
-      break;
-    }
-    case Kind::kLoadTrace: {
-      out.load = parse_load(ctx, s.require("load"), "load");
-      const JsonValue* trace = s.find("trace");
-      if (trace != nullptr) {
-        Section t(ctx, *trace, "trace");
-        out.trace_horizon_s =
-            t.get_positive("horizon_s", out.trace_horizon_s);
-        out.trace_seed = t.get_uint("seed", out.trace_seed);
-        t.finish();
-      }
-      break;
-    }
-    case Kind::kDecisionHistogram: {
-      const JsonValue& histogram = s.require("histogram");
-      Section h(ctx, histogram, "histogram");
-      const JsonValue& policies = h.require("policies");
-      if (policies.kind != JsonValue::Kind::kArray)
-        ctx.fail(policies.offset, "'policies' must be an array");
-      for (const JsonValue& p : policies.array) {
-        if (p.kind != JsonValue::Kind::kString)
-          ctx.fail(p.offset, "'policies' entries must be strings");
-        if (p.string != "greedy" && p.string != "safe" &&
-            p.string != "friendly")
-          ctx.fail(p.offset, "unknown policy '" + p.string +
-                                 "' (greedy|safe|friendly)");
-        out.histogram_policies.push_back(p.string);
-      }
-      out.histogram_dynamisms = h.get_double_list("dynamisms");
-      h.finish();
-      if (out.histogram_policies.empty() || out.histogram_dynamisms.empty())
-        ctx.fail(histogram.offset,
-                 "'histogram' needs non-empty policies and dynamisms");
-      break;
-    }
-  }
-  s.finish();
+  walk(reader, out);
+  reader.finish();
+  if (!repeat.message.empty()) ctx.fail(repeat.offset, repeat.message);
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Canonical serialization.
-
-namespace {
-
-void write_num(std::ostream& os, double v) { obs::write_json_number(os, v); }
-void write_num(std::ostream& os, std::uint64_t v) {
-  obs::write_json_number(os, v);
-}
-void write_str(std::ostream& os, const std::string& s) {
-  obs::write_json_string(os, s);
-}
-void write_bool(std::ostream& os, bool b) { os << (b ? "true" : "false"); }
-
-void write_load(std::ostream& os, const LoadSpec& l) {
-  os << "{\"model\":\"" << enum_name(kLoadNames, l.kind) << '"';
-  switch (l.kind) {
-    case LoadKind::kOnOff:
-      os << ",\"p\":";
-      write_num(os, l.p);
-      os << ",\"q\":";
-      write_num(os, l.q);
-      os << ",\"step_s\":";
-      write_num(os, l.step_s);
-      os << ",\"stationary_start\":";
-      write_bool(os, l.stationary_start);
-      break;
-    case LoadKind::kHyperExp:
-      os << ",\"mean_lifetime_s\":";
-      write_num(os, l.mean_lifetime_s);
-      os << ",\"long_prob\":";
-      write_num(os, l.long_prob);
-      os << ",\"mean_interarrival_s\":";
-      write_num(os, l.mean_interarrival_s);
-      break;
-    case LoadKind::kReclaim:
-      os << ",\"mean_available_s\":";
-      write_num(os, l.mean_available_s);
-      os << ",\"mean_reclaimed_s\":";
-      write_num(os, l.mean_reclaimed_s);
-      os << ",\"start_available\":";
-      write_bool(os, l.start_available);
-      if (l.base != nullptr) {
-        os << ",\"base\":";
-        write_load(os, *l.base);
-      }
-      break;
-    case LoadKind::kTrace:
-      os << ",\"samples\":[";
-      for (std::size_t i = 0; i < l.samples.size(); ++i) {
-        os << (i > 0 ? ",[" : "[");
-        write_num(os, l.samples[i].time);
-        os << ',';
-        write_num(os, l.samples[i].value);
-        os << ']';
-      }
-      os << "],\"period_s\":";
-      write_num(os, l.period_s);
-      os << ",\"random_phase\":";
-      write_bool(os, l.random_phase);
-      break;
-  }
-  os << '}';
-}
-
-void write_policy(std::ostream& os, const PolicySpec& p) {
-  os << "{\"base\":";
-  write_str(os, p.base);
-  const auto field = [&os](const char* key, const std::optional<double>& v) {
-    if (!v.has_value()) return;
-    os << ",\"" << key << "\":";
-    write_num(os, *v);
-  };
-  field("payback_threshold_iters", p.payback_threshold_iters);
-  field("min_process_improvement", p.min_process_improvement);
-  field("min_app_improvement", p.min_app_improvement);
-  field("history_window_s", p.history_window_s);
-  field("max_swaps_per_decision", p.max_swaps_per_decision);
-  os << '}';
-}
-
-void write_estimator(std::ostream& os, const EstimatorSpec& e) {
-  os << "{\"kind\":\"" << enum_name(kEstimatorNames, e.kind) << '"';
-  switch (e.kind) {
-    case EstimatorKind::kWindow:
-      os << ",\"window_s\":";
-      write_num(os, e.window_s);
-      break;
-    case EstimatorKind::kEwma:
-      os << ",\"tau_s\":";
-      write_num(os, e.tau_s);
-      break;
-    case EstimatorKind::kMedian:
-      os << ",\"k\":";
-      write_num(os, e.k);
-      break;
-    case EstimatorKind::kPolicy:
-    case EstimatorKind::kNws:
-      break;
-  }
-  os << '}';
-}
-
-void write_strategy(std::ostream& os, const StrategySpec& s) {
-  os << "{\"kind\":\"" << enum_name(kStrategyNames, s.kind) << '"';
-  if (s.kind == StrategyKind::kSwap || s.kind == StrategyKind::kDlbSwap ||
-      s.kind == StrategyKind::kCr) {
-    os << ",\"policy\":";
-    write_policy(os, s.policy);
-  }
-  if (s.kind == StrategyKind::kSwap) {
-    os << ",\"estimator\":";
-    write_estimator(os, s.estimator);
-    os << ",\"guard\":";
-    write_bool(os, s.guard);
-    os << ",\"stall_factor\":";
-    write_num(os, s.stall_factor);
-  }
-  os << '}';
-}
-
-void write_variant(std::ostream& os, const VariantSpec& v) {
-  os << "{\"name\":";
-  write_str(os, v.name);
-  os << ",\"strategy\":";
-  write_strategy(os, v.strategy);
-  if (v.state_mb.has_value()) {
-    os << ",\"state_mb\":";
-    write_num(os, *v.state_mb);
-  }
-  if (v.load.has_value()) {
-    os << ",\"load\":";
-    write_load(os, *v.load);
-  }
-  if (v.initial_schedule.has_value())
-    os << ",\"initial_schedule\":\""
-       << enum_name(kScheduleNames, *v.initial_schedule) << '"';
-  os << '}';
-}
-
-void write_axis(std::ostream& os, const AxisSpec& a) {
-  os << "{\"label\":";
-  write_str(os, a.label);
-  os << ",\"binds\":\"" << enum_name(kBindingNames, a.binding)
-     << "\",\"x\":[";
-  for (std::size_t i = 0; i < a.x.size(); ++i) {
-    if (i > 0) os << ',';
-    write_num(os, a.x[i]);
-  }
-  os << "],\"interarrival_factor\":";
-  write_num(os, a.interarrival_factor);
-  os << ",\"on_positive_swap_fail_prob\":";
-  write_num(os, a.on_positive_swap_fail_prob);
-  os << ",\"on_positive_checkpoint_fail_prob\":";
-  write_num(os, a.on_positive_checkpoint_fail_prob);
-  os << '}';
-}
-
-void write_report(std::ostream& os, const ReportSpec& r) {
-  os << "{\"title\":";
-  write_str(os, r.title);
-  os << ",\"expectation\":";
-  write_str(os, r.expectation);
-  os << ",\"series\":[";
-  for (std::size_t i = 0; i < r.series.size(); ++i) {
-    if (i > 0) os << ',';
-    os << "{\"name\":";
-    write_str(os, r.series[i].name);
-    os << ",\"variant\":";
-    write_num(os, r.series[i].variant);
-    os << ",\"metric\":\"" << enum_name(kMetricNames, r.series[i].metric)
-       << "\"}";
-  }
-  os << "]}";
-}
-
-}  // namespace
-
 std::string serialize_scenario(const ScenarioSpec& spec) {
   std::ostringstream os;
-  os << "{\"name\":";
-  write_str(os, spec.name);
-  os << ",\"kind\":\"" << enum_name(kKindNames, spec.kind) << "\",\"title\":";
-  write_str(os, spec.title);
-  os << ",\"expectation\":";
-  write_str(os, spec.expectation);
-
-  const bool has_platform =
-      spec.kind == Kind::kGrid || spec.kind == Kind::kDecisionHistogram;
-  if (has_platform) {
-    os << ",\"config\":{\"hosts\":";
-    write_num(os, spec.hosts);
-    os << ",\"active\":";
-    write_num(os, spec.active);
-    os << ",\"iterations\":";
-    write_num(os, spec.iterations);
-    os << ",\"iter_minutes\":";
-    write_num(os, spec.iter_minutes);
-    os << ",\"state_mb\":";
-    write_num(os, spec.state_mb);
-    os << ",\"comm_kb\":";
-    write_num(os, spec.comm_kb);
-    os << ",\"spares\":";
-    write_num(os, spec.spares);
-    os << ",\"seed\":";
-    write_num(os, spec.seed);
-    os << ",\"horizon_hours\":";
-    write_num(os, spec.horizon_hours);
-    os << ",\"initial_schedule\":\""
-       << enum_name(kScheduleNames, spec.initial_schedule)
-       << "\",\"max_events\":";
-    write_num(os, spec.max_events);
-    os << "},\"faults\":{\"mtbf_hours\":";
-    write_num(os, spec.mtbf_hours);
-    os << ",\"swap_fail_prob\":";
-    write_num(os, spec.swap_fail_prob);
-    os << ",\"checkpoint_fail_prob\":";
-    write_num(os, spec.checkpoint_fail_prob);
-    os << ",\"max_transfer_retries\":";
-    write_num(os, spec.max_transfer_retries);
-    os << ",\"retry_backoff_s\":";
-    write_num(os, spec.retry_backoff_s);
-    os << ",\"retry_backoff_cap_s\":";
-    write_num(os, spec.retry_backoff_cap_s);
-    os << ",\"blacklist_after\":";
-    write_num(os, spec.blacklist_after);
-    os << "},\"trials\":";
-    write_num(os, spec.trials);
-  }
-
-  switch (spec.kind) {
-    case Kind::kGrid: {
-      os << ",\"forbid_stalls\":";
-      write_bool(os, spec.forbid_stalls);
-      os << ",\"load\":";
-      write_load(os, spec.load);
-      os << ",\"axis\":";
-      write_axis(os, spec.axis);
-      os << ",\"variants\":[";
-      for (std::size_t i = 0; i < spec.variants.size(); ++i) {
-        if (i > 0) os << ',';
-        write_variant(os, spec.variants[i]);
-      }
-      os << ']';
-      if (!spec.reports.empty()) {
-        os << ",\"reports\":[";
-        for (std::size_t i = 0; i < spec.reports.size(); ++i) {
-          if (i > 0) os << ',';
-          write_report(os, spec.reports[i]);
-        }
-        os << ']';
-      }
-      break;
-    }
-    case Kind::kPayback:
-      os << ",\"payback\":{\"iter_s\":";
-      write_num(os, spec.payback_iter_s);
-      os << ",\"swap_s\":";
-      write_num(os, spec.payback_swap_s);
-      os << '}';
-      break;
-    case Kind::kLoadTrace:
-      os << ",\"load\":";
-      write_load(os, spec.load);
-      os << ",\"trace\":{\"horizon_s\":";
-      write_num(os, spec.trace_horizon_s);
-      os << ",\"seed\":";
-      write_num(os, spec.trace_seed);
-      os << '}';
-      break;
-    case Kind::kDecisionHistogram: {
-      os << ",\"histogram\":{\"policies\":[";
-      for (std::size_t i = 0; i < spec.histogram_policies.size(); ++i) {
-        if (i > 0) os << ',';
-        write_str(os, spec.histogram_policies[i]);
-      }
-      os << "],\"dynamisms\":[";
-      for (std::size_t i = 0; i < spec.histogram_dynamisms.size(); ++i) {
-        if (i > 0) os << ',';
-        write_num(os, spec.histogram_dynamisms[i]);
-      }
-      os << "]}";
-      break;
-    }
-  }
-  os << '}';
+  // The writer only reads through the references the walk hands it.
+  Writer(os).object(const_cast<ScenarioSpec&>(spec));
   return os.str();
 }
 

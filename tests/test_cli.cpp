@@ -203,6 +203,8 @@ TEST(ConfigBuild, FlagsOverrideAndValidate) {
   for (const std::vector<std::string>& flags :
        std::vector<std::vector<std::string>>{
            {"--hosts=4", "--active=8"},  // default spares = hosts - active
+           // active + spares wraps to 0
+           {"--hosts=4", "--active=1", "--spares=18446744073709551615"},
            {"--spares=-1"},
            {"--seed=-1"},
            {"--hosts=-32"},

@@ -200,6 +200,22 @@ TEST(RunTrialsParallel, RejectsZeroTrials) {
                std::invalid_argument);
 }
 
+TEST(RunTrials, RejectsMoreTrialsThanResultsCanHold) {
+  auto cfg = small_config();
+  load::ConstantModel quiet(0);
+  strat::NoneStrategy none;
+  const std::size_t too_many = std::vector<strat::RunResult>().max_size() + 1;
+  try {
+    (void)core::run_trials_results(cfg, quiet, none, too_many);
+    FAIL() << "accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("trial count " +
+                                         std::to_string(too_many)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(RunSingle, StalledRunIsDistinguishedFromHorizonTimeout) {
   auto cfg = small_config();
   load::ConstantModel quiet(0);

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -206,15 +207,174 @@ TEST(ScenarioParse, ValueChecksFailAtParseTimeWithLineContext) {
        "'x' must not be empty", "bad.json:2:10"},
       {"{\"name\": \"x\",\n \"reports\": [],\n " + variants + "}",
        "'reports' must be a non-empty array", "bad.json:2:13"},
+      // A missing required key, at the top and in a section.
+      {"{\"title\": \"t\",\n " + variants + "}",
+       "scenario is missing required key 'name'", "bad.json:1:1"},
+      {"{\"name\": \"x\",\n \"variants\": [{\"name\": \"A\"}]}",
+       "variants[0] is missing required key 'strategy'", "bad.json:2:15"},
+      // A wrong value kind, for each value type.
+      {"{\"name\": \"x\",\n \"config\": 4,\n " + variants + "}",
+       "config must be an object", "bad.json:2:12"},
+      {"{\"name\": \"x\",\n \"config\": {\"hosts\": \"8\"},\n " + variants +
+           "}",
+       "'hosts' must be a number", "bad.json:2:22"},
+      {"{\"name\": \"x\",\n \"config\": {\"seed\": -3},\n " + variants + "}",
+       "'seed' must be a non-negative integer, got '-3'", "bad.json:2:21"},
+      {"{\"name\": \"x\",\n \"config\": {\"iter_minutes\": true},\n " +
+           variants + "}",
+       "'iter_minutes' must be a number", "bad.json:2:29"},
+      {"{\"name\": \"x\",\n \"forbid_stalls\": 1,\n " + variants + "}",
+       "'forbid_stalls' must be a boolean", "bad.json:2:19"},
+      {"{\"name\": \"x\",\n \"title\": 7,\n " + variants + "}",
+       "'title' must be a string", "bad.json:2:11"},
+      {"{\"name\": \"x\",\n \"variants\": [{\"name\": \"A\", \"strategy\": "
+       "{\"kind\": \"none\"},\n  \"state_mb\": \"big\"}]}",
+       "'state_mb' must be a number", "bad.json:3:15"},
+      {"{\"name\": \"x\",\n \"axis\": {\"x\": 0.5},\n " + variants + "}",
+       "'x' must be an array", "bad.json:2:16"},
+      {"{\"name\": \"x\",\n \"axis\": {\"x\": [0.1, \"a\"]},\n " + variants +
+           "}",
+       "'x' must be a number", "bad.json:2:22"},
+      {"{\"name\": \"x\",\n \"kind\": 3,\n " + variants + "}",
+       "'kind' must be a string", "bad.json:2:10"},
+      {"{\"name\": \"x\",\n \"variants\": {}}", "'variants' must be an array",
+       "bad.json:2:14"},
+      // An unknown name, for each enum table.
+      {"{\"name\": \"x\",\n \"kind\": \"sweep\",\n " + variants + "}",
+       "unknown scenario kind 'sweep' "
+       "(grid|payback|load_trace|decision_histogram)",
+       "bad.json:2:10"},
+      {"{\"name\": \"x\",\n \"axis\": {\"x\": [1], \"binds\": \"load.p\"},\n " +
+           variants + "}",
+       "unknown axis binding 'load.p' (none|load.dynamism|"
+       "spares.percent_of_active|load.mean_lifetime_s|faults.mtbf_hours|"
+       "load.mean_reclaimed_min|policy.payback_threshold_iters|"
+       "policy.history_window_s|policy.min_process_improvement|"
+       "policy.max_swaps_per_decision)",
+       "bad.json:2:30"},
+      {"{\"name\": \"x\",\n \"reports\": [{\"title\": \"t\",\n  \"series\": "
+       "[{\"name\": \"s\", \"metric\": \"speed\"}]}],\n " +
+           variants + "}",
+       "unknown metric 'speed' (makespan|adaptations|completion_rate)",
+       "bad.json:3:38"},
+      {"{\"name\": \"x\",\n \"variants\": [{\"name\": \"A\", \"strategy\": "
+       "{\"kind\": \"magic\"}}]}",
+       "unknown strategy kind 'magic' (none|swap|dlb|dlbswap|cr)",
+       "bad.json:2:50"},
+      {"{\"name\": \"x\",\n \"variants\": [{\"name\": \"A\", \"strategy\": "
+       "{\"kind\": \"swap\",\n  \"estimator\": {\"kind\": \"crystal\"}}}]}",
+       "unknown estimator kind 'crystal' (policy|window|ewma|median|nws)",
+       "bad.json:3:25"},
+      {"{\"name\": \"x\",\n \"config\": {\"initial_schedule\": \"fast\"},\n " +
+           variants + "}",
+       "unknown initial schedule 'fast' (effective|peak|blind)",
+       "bad.json:2:33"},
+      {"{\"name\": \"x\",\n \"load\": {\"model\": \"wavy\"},\n " + variants +
+           "}",
+       "unknown load model 'wavy' (onoff|hyperexp|reclaim|trace)",
+       "bad.json:2:20"},
+      {"{\"name\": \"x\",\n \"variants\": [{\"name\": \"A\", \"strategy\": "
+       "{\"kind\": \"cr\",\n  \"policy\": {\"base\": \"lazy\"}}}]}",
+       "unknown policy base 'lazy' (greedy|safe|friendly)", "bad.json:3:22"},
+      // The ON/OFF shorthand excludes explicit probabilities.
+      {"{\"name\": \"x\",\n \"load\": {\"model\": \"onoff\", \"p\": 0.1, "
+       "\"dynamism\": 0.2},\n " +
+           variants + "}",
+       "'dynamism' excludes explicit 'p'/'q' values", "bad.json:2:51"},
+      // Every bad shape of a trace's samples, and its period.
+      {"{\"name\": \"x\",\n \"load\": {\"model\": \"trace\"},\n " + variants +
+           "}",
+       "load is missing required key 'samples'", "bad.json:2:10"},
+      {"{\"name\": \"x\",\n \"load\": {\"model\": \"trace\", "
+       "\"samples\": []},\n " +
+           variants + "}",
+       "'samples' must be a non-empty array", "bad.json:2:40"},
+      {"{\"name\": \"x\",\n \"load\": {\"model\": \"trace\", "
+       "\"samples\": 3},\n " +
+           variants + "}",
+       "'samples' must be a non-empty array", "bad.json:2:40"},
+      {"{\"name\": \"x\",\n \"load\": {\"model\": \"trace\", \"samples\": "
+       "[[0, 1], 5]},\n " +
+           variants + "}",
+       "'samples' entries must be [time, load] pairs", "bad.json:2:49"},
+      {"{\"name\": \"x\",\n \"load\": {\"model\": \"trace\", \"samples\": "
+       "[[0, 1, 2]]},\n " +
+           variants + "}",
+       "'samples' entries must be [time, load] pairs", "bad.json:2:41"},
+      {"{\"name\": \"x\",\n \"load\": {\"model\": \"trace\", \"samples\": "
+       "[[0, \"a\"]]},\n " +
+           variants + "}",
+       "'samples' must be a number", "bad.json:2:45"},
+      {"{\"name\": \"x\",\n \"load\": {\"model\": \"trace\", \"samples\": "
+       "[[0, 1]], \"period_s\": 0},\n " +
+           variants + "}",
+       "'period_s' must be > 0", "bad.json:2:62"},
+      // Reports: an empty series, and a series naming a missing variant.
+      {"{\"name\": \"x\",\n \"reports\": [{\"title\": \"t\", "
+       "\"series\": []}],\n " +
+           variants + "}",
+       "reports[0]: 'series' must not be empty", "bad.json:2:39"},
+      {"{\"name\": \"x\",\n \"reports\": [{\"title\": \"t\", \"series\": "
+       "[{\"name\": \"s\", \"variant\": 1}]}],\n " +
+           variants + "}",
+       "report series 's' references variant 1 but only 1 variant(s) are "
+       "defined",
+       "bad.json:2:13"},
+      // Histogram policies.
+      {"{\"name\": \"x\", \"kind\": \"decision_histogram\",\n \"histogram\": "
+       "{\"policies\": [\"safe\", \"lazy\"], \"dynamisms\": [0.1]}}",
+       "unknown policy 'lazy' (greedy|safe|friendly)", "bad.json:2:37"},
+      {"{\"name\": \"x\", \"kind\": \"decision_histogram\",\n \"histogram\": "
+       "{\"policies\": [1], \"dynamisms\": [0.1]}}",
+       "'policies' entries must be strings", "bad.json:2:29"},
+      {"{\"name\": \"x\", \"kind\": \"decision_histogram\",\n \"histogram\": "
+       "{\"policies\": [], \"dynamisms\": [0.1]}}",
+       "'histogram' needs non-empty policies and dynamisms", "bad.json:2:15"},
+      // A key its section's kind does not take.
+      {"{\"name\": \"x\",\n \"variants\": [{\"name\": \"A\", \"strategy\": "
+       "{\"kind\": \"none\",\n  \"policy\": {}}}]}",
+       "variants[0].strategy: unknown key 'policy'", "bad.json:3:3"},
+      {"{\"name\": \"x\", \"kind\": \"payback\",\n \"trials\": 2}",
+       "scenario: unknown key 'trials'", "bad.json:2:2"},
   };
   for (const auto& c : cases) {
     try {
       (void)scn::parse_scenario(c.text, "bad.json");
       ADD_FAILURE() << "accepted: " << c.text;
     } catch (const scn::ScenarioError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find(c.rule), std::string::npos) << what;
-      EXPECT_EQ(what.rfind(c.where + ": ", 0), 0u) << what;
+      EXPECT_EQ(std::string(e.what()), c.where + ": " + c.rule);
+    }
+  }
+}
+
+TEST(ScenarioParse, RepeatedKeyFailsAtItsSecondOccurrence) {
+  const std::string variants =
+      R"("variants": [{"name": "A", "strategy": {"kind": "none"}}])";
+  const struct {
+    std::string text;
+    std::string error;
+  } cases[] = {
+      {"{\"name\": \"a\",\n " + variants + ",\n \"name\": \"b\"}",
+       "bad.json:3:2: scenario: duplicate key 'name'"},
+      {"{\"name\": \"x\", \"trials\": 2,\n \"trials\": 3,\n " + variants + "}",
+       "bad.json:2:2: scenario: duplicate key 'trials'"},
+      {"{\"name\": \"x\",\n \"variants\": [{\"name\": \"A\", \"strategy\": "
+       "{\"kind\": \"none\",\n  \"kind\": \"swap\"}}]}",
+       "bad.json:3:3: variants[0].strategy: duplicate key 'kind'"},
+      // Any other error in the document is still the one reported.
+      {"{\"name\": \"x\", \"name\": \"y\",\n \"bogus\": 1,\n " + variants + "}",
+       "bad.json:2:2: scenario: unknown key 'bogus'"},
+      {"{\"name\": \"x\", \"config\": {\"hosts\": 8, \"hosts\": 9},\n "
+       "\"faults\": {\"mtbf\": 1},\n " +
+           variants + "}",
+       "bad.json:2:13: faults: unknown key 'mtbf'"},
+  };
+  for (const auto& c : cases) {
+    try {
+      (void)scn::parse_scenario(c.text, "bad.json");
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const scn::ScenarioError& e) {
+      EXPECT_EQ(std::string(e.what()), c.error);
     }
   }
 }
@@ -249,6 +409,41 @@ TEST(ScenarioDigest, StrategyLineupDifferenceChangesDigest) {
   scn::ScenarioSpec b = a;
   b.variants[0].strategy.kind = scn::StrategyKind::kSwap;
   EXPECT_NE(a.digest(), b.digest());
+}
+
+TEST(ScenarioDigest, ShippedScenariosKeepTheirDigests) {
+  // Every journal header carries its scenario's digest, so a change to the
+  // canonical form would make --resume refuse every existing journal.
+  const std::pair<const char*, const char*> pinned[] = {
+      {"abl_decision_trace", "c6835cdf28676c42"},
+      {"abl_history_window", "5cb9d30b630b7b32"},
+      {"abl_improvement_threshold", "d788b94d2e2db8ea"},
+      {"abl_initial_schedule", "cc37c1a48748437f"},
+      {"abl_payback_threshold", "e502142cc858ab20"},
+      {"abl_predictor", "bdfc945698a95058"},
+      {"abl_swap_count", "6d5cc7bb8579ed12"},
+      {"ext_dlb_overalloc", "4f102143700e1086"},
+      {"ext_reclamation", "5a32f75ce49c792f"},
+      {"fig1", "716b214d39a28d44"},
+      {"fig10", "eaffa34e428d3d61"},
+      {"fig2", "a83b1f3c1a47bbc5"},
+      {"fig3", "67f1141082bc3ac9"},
+      {"fig4", "766382f55d26df19"},
+      {"fig5", "bccdf9d595fcb074"},
+      {"fig6", "f3ee4e63ee818c81"},
+      {"fig7", "aa52cae72f84d52c"},
+      {"fig8", "07237f392bccb761"},
+      {"fig9", "74bf6789dc482789"},
+      {"golden_calm", "9dd125c3572bed96"},
+      {"golden_faulty", "9bcd58bc8d222b0e"},
+      {"golden_hostile", "ad6c5b9a1409ddcf"},
+      {"golden_reclaim", "2e24e585e68631bc"},
+  };
+  for (const auto& [name, digest] : pinned) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(scn::find_scenario(name, scenario_dir()).digest(), digest);
+  }
+  EXPECT_EQ(scn::sweep_scenario().digest(), "966cf7490b2c3bfb");
 }
 
 TEST(ScenarioDigest, SeedDoesNotChangeDigest) {
@@ -394,6 +589,48 @@ TEST(ScenarioMaterialize, SparesAxisPointIsCheckedBeforeTheCast) {
   }
   spec.axis.x = {300.0};  // 24 spares for 8 active on 32 hosts: fits
   EXPECT_EQ(scn::materialize(spec).cells.front().config.spare_count, 24u);
+}
+
+TEST(ScenarioMaterialize, SpareCountsThatWouldWrapFailBeforeAnyCell) {
+  // Without `spares`, every host not active is a spare: none when active >
+  // hosts, not hosts - active wrapped.  An explicit count near 2^64 would
+  // wrap the sum active + spares.
+  const auto grid = [](const std::string& config) {
+    return scn::parse_scenario(
+        R"({"name": "wrap", "config": )" + config +
+            R"(, "axis": {"x": [0]},
+               "variants": [{"name": "NONE", "strategy": {"kind": "none"}}]})",
+        "wrap.json");
+  };
+  const scn::ScenarioSpec defaulted = grid(R"({"hosts": 2, "active": 4})");
+  EXPECT_EQ(defaulted.spares, 0u);
+  const scn::ScenarioSpec huge =
+      grid(R"({"hosts": 8, "active": 4, "spares": 18446744073709551615})");
+  for (const scn::ScenarioSpec& spec : {defaulted, huge}) {
+    try {
+      (void)scn::materialize(spec);
+      ADD_FAILURE() << "accepted " << spec.spares << " spares";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "config: active + spares exceeds --hosts");
+    }
+  }
+}
+
+TEST(ScenarioMaterialize, TrialCountsPastTheResultLimitFailBeforeAnyCell) {
+  // Each cell keeps one result per trial and the sweep schedules cells x
+  // trials tasks.  2^63 trials of fig4's 44 cells is 0 tasks mod 2^64.
+  const scn::ScenarioSpec spec = scn::find_scenario("fig4", scenario_dir());
+  const std::size_t cells = spec.axis.x.size() * spec.variants.size();
+  const std::size_t limit =
+      std::vector<simsweep::strategy::RunResult>().max_size() / cells;
+  EXPECT_EQ(scn::materialize(spec, limit).trials, limit);
+  for (const std::size_t trials :
+       {limit + 1, std::size_t{1} << 63, SIZE_MAX}) {
+    SCOPED_TRACE(trials);
+    expect_error_naming<std::invalid_argument>(
+        [&] { (void)scn::materialize(spec, trials); },
+        "sweep: trial count " + std::to_string(trials) + " exceeds");
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -751,6 +988,29 @@ TEST(CliGolden, SweepWithMoreActiveThanHostsFailsBeforeAnyCell) {
   // The journal is published before the first cell runs; no file means the
   // sweep stopped at validation.
   EXPECT_FALSE(std::filesystem::exists(journal.str()));
+}
+
+TEST(BenchCli, TrialCountsThatWouldWrapFailBeforeAnyTrial) {
+  // Each of these wrapped the task count to 0 (an empty "interrupted"
+  // figure, exit 0) or leaked a std::length_error from a result vector.
+  const std::string huge = "9223372036854775808";
+  for (const std::string& command :
+       {binary_invocation() + " bench fig4 --trials=" + huge,
+        binary_invocation() + " sweep --points=0,0.1 --trials=" + huge,
+        binary_invocation() + " run --trials=" + huge,
+        binary_invocation() + " bench abl_decision_trace --trials=" + huge,
+        "SIMSWEEP_TRIALS=" + huge + " " + binary_invocation() +
+            " bench fig4"}) {
+    SCOPED_TRACE(command);
+    int exit_code = -1;
+    const std::string output = run_command(command, exit_code);
+    EXPECT_EQ(exit_code, 1) << output;
+    EXPECT_NE(output.find("trial count " + huge + " exceeds the limit"),
+              std::string::npos)
+        << output;
+    EXPECT_EQ(output.find("interrupted"), std::string::npos) << output;
+    EXPECT_EQ(output.find("vector"), std::string::npos) << output;
+  }
 }
 
 TEST(CliGolden, SweepWithZeroIterationMinutesFailsBeforeAnyCell) {
