@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the simulation substrate: event
-// queue throughput, host re-planning and availability windows, link
-// re-sharing, full small runs.
+// queue throughput, random streams, host re-planning and availability
+// windows, a trial's platform and load set-up, link re-sharing, the swap
+// planner, full small runs.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -11,10 +12,12 @@
 #include "core/experiment.hpp"
 #include "load/onoff.hpp"
 #include "net/shared_link.hpp"
+#include "platform/cluster.hpp"
 #include "platform/host.hpp"
 #include "simcore/event_queue.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/simulator.hpp"
+#include "swap/planner.hpp"
 #include "swap/policy.hpp"
 
 namespace sim = simsweep::sim;
@@ -101,6 +104,48 @@ static void BM_EventQueueCancelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueCancelChurn);
 
+// A fresh stream and its first draws.  A trial builds one stream per host
+// for its load, and an ON/OFF source draws twice before the first event.
+static void BM_RngFirstDraw(benchmark::State& state) {
+  const auto draws = state.range(0);
+  std::uint64_t stream = 0;
+  for (auto _ : state) {
+    sim::Rng rng(1, stream++);
+    std::uint64_t sum = 0;
+    for (std::int64_t i = 0; i < draws; ++i) sum += rng.next_u64();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngFirstDraw)->Arg(1)->Arg(2)->Arg(400);
+
+static void BM_RngDraw(benchmark::State& state) {
+  sim::Rng rng(1);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.next_u64());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngDraw);
+
+// A trial's platform and load set-up: a cluster with random speeds, then an
+// ON/OFF source on every host.  Items are hosts.
+static void BM_LoadAttach(benchmark::State& state) {
+  pf::ClusterSpec spec;
+  spec.host_count = static_cast<std::size_t>(state.range(0));
+  const simsweep::load::OnOffModel model(
+      simsweep::load::OnOffParams::dynamism(0.2));
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    sim::Simulator s;
+    sim::Rng platform_rng(seed, 0);
+    pf::Cluster cluster(s, spec, platform_rng);
+    const auto sources =
+        simsweep::load::LoadModel::attach_all(model, s, cluster, seed++);
+    benchmark::DoNotOptimize(sources.data());
+  }
+  state.SetItemsProcessed(state.range(0) * state.iterations());
+}
+BENCHMARK(BM_LoadAttach)->Arg(32)->Arg(1024);
+
 static void BM_HostReplanUnderLoadChurn(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator s;
@@ -158,6 +203,35 @@ static void BM_LinkReshare(benchmark::State& state) {
 }
 // Complexity() prints the big-O fitted over the four flow counts.
 BENCHMARK(BM_LinkReshare)->Arg(8)->Arg(64)->Arg(256)->Arg(1024)->Complexity();
+
+// One greedy planning round over `n` active processes and `n` spares with
+// random speeds, as at a SWAP boundary with 100% over-allocation.  Items
+// are candidates examined.
+static void BM_EvaluateSwaps(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::Rng rng(1);
+  std::vector<simsweep::swap::ActiveProcess> active(n);
+  std::vector<simsweep::swap::HostEstimate> spares(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    active[i] = {i, static_cast<std::uint32_t>(i), rng.uniform(1e8, 5e8), 1e10};
+    spares[i] = {static_cast<std::uint32_t>(n + i), rng.uniform(1e8, 5e8)};
+  }
+  simsweep::swap::PlanContext ctx;
+  ctx.measured_iter_time_s = simsweep::swap::predict_iteration_time(active, 0.0);
+  ctx.state_bytes = 1 << 20;
+  ctx.link_bandwidth_Bps = 6.0e6;
+  const auto policy = simsweep::swap::greedy_policy();
+  std::size_t considered = 0;
+  for (auto _ : state) {
+    const auto plan =
+        simsweep::swap::evaluate_swaps(policy, active, spares, ctx);
+    considered += plan.considered.size();
+    benchmark::DoNotOptimize(plan.decisions.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(considered));
+  state.SetComplexityN(static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_EvaluateSwaps)->Arg(256)->Arg(1024)->Arg(4096)->Complexity();
 
 static void BM_FullSwapRun(benchmark::State& state) {
   core::ExperimentConfig cfg;

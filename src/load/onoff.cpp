@@ -11,8 +11,14 @@ double sample_geometric_sojourn(sim::Rng& rng, double exit_p, double step_s) {
   // Geometric (number of trials until first success, support {1, 2, ...})
   // via inversion: k = ceil(ln(U) / ln(1 - p)).
   const double u = rng.uniform01();
-  const double k =
-      std::ceil(std::log(1.0 - u) / std::log(1.0 - exit_p));
+  // 1 - exit_p rounds to a multiple of 2^-53, so for a tiny exit_p its log
+  // is off by up to 2x, and it is 0 (every sojourn one step) at or below
+  // 2^-54, about 5.6e-17.  log1p is accurate there; from 2^-26 up the plain
+  // log errs by under 1e-8 relative and stays, so those sojourns keep
+  // their bits.
+  const double log_stay =
+      exit_p < 0x1p-26 ? std::log1p(-exit_p) : std::log(1.0 - exit_p);
+  const double k = std::ceil(std::log(1.0 - u) / log_stay);
   return std::max(1.0, k) * step_s;
 }
 

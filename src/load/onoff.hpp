@@ -61,7 +61,8 @@ class OnOffModel final : public LoadModel {
 
 /// Samples a geometric sojourn duration: the number of whole steps spent in
 /// a state whose per-step exit probability is `exit_p`, times step_s.
-/// Returns +infinity when exit_p == 0.
+/// Returns +infinity when exit_p == 0, and whenever the sojourn overflows
+/// a double, as it can for an exit_p near the smallest subnormal.
 [[nodiscard]] double sample_geometric_sojourn(sim::Rng& rng, double exit_p,
                                               double step_s);
 

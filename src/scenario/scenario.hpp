@@ -351,7 +351,10 @@ struct MaterializedGrid {
 /// Expands a Kind::kGrid scenario into its cell grid.  `trials_override`
 /// (0 = use spec.trials) participates in the per-cell journal keys.
 /// Throws ScenarioError for non-grid kinds or empty variants, and
-/// std::invalid_argument for an empty axis.
+/// std::invalid_argument for an empty axis, zero trials, a trial count
+/// whose per-cell results or cells x trials tasks would not fit a vector
+/// ("sweep: trial count N exceeds the limit of M for C cell(s)"), and a
+/// config base_config rejects.
 [[nodiscard]] MaterializedGrid materialize(const ScenarioSpec& spec,
                                            std::size_t trials_override = 0);
 

@@ -57,6 +57,27 @@ TEST(GeometricSojourn, EdgeCases) {
   EXPECT_DOUBLE_EQ(load::sample_geometric_sojourn(rng, 1.0, 10.0), 10.0);
   for (int i = 0; i < 100; ++i)
     EXPECT_GE(load::sample_geometric_sojourn(rng, 0.9, 10.0), 10.0);
+  // 1 - exit_p rounds to 1 at or below 2^-54 (about 5.6e-17).  The mean
+  // sojourn is still about 1 / exit_p steps, not one step.
+  for (int i = 0; i < 100; ++i)
+    EXPECT_GE(load::sample_geometric_sojourn(rng, 1e-20, 1.0), 1e12);
+  // Near the smallest subnormal the sojourn overflows to +inf: absorbed.
+  for (int i = 0; i < 100; ++i)
+    EXPECT_GE(load::sample_geometric_sojourn(rng, 4.9e-324, 1.0), 1e12);
+}
+
+TEST(GeometricSojourn, TinyExitProbabilitiesKeepTheirMean) {
+  // Just above 2^-54, 1 - exit_p rounds to 1 - 2^-53 and ln(1 - exit_p)
+  // to -2^-53: 6e-17 would get sojourns 1.85x too short, 1.5e-16 1.35x
+  // too long.  The mean sojourn must stay 1 / exit_p steps.
+  for (const double p : {6e-17, 1.5e-16, 1e-12}) {
+    sim::Rng rng(5);
+    double sum = 0.0;
+    const int n = 4000;
+    for (int i = 0; i < n; ++i)
+      sum += load::sample_geometric_sojourn(rng, p, 1.0) * p;
+    EXPECT_NEAR(sum / n, 1.0, 0.1) << "exit_p " << p;
+  }
 }
 
 TEST(OnOffModel, StationaryFractionFormula) {

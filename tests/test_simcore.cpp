@@ -8,6 +8,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <type_traits>
@@ -339,6 +340,67 @@ TEST(Rng, ExponentialMeanApproximatelyCorrect) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) sum += r.exponential_mean(5.0);
   EXPECT_NEAR(sum / n, 5.0, 0.2);
+}
+
+// std::mt19937_64 is the reference: sim::Mt19937_64 twists in another
+// order, so every raw draw, every copy and every distribution built on it
+// must match the standard engine's bit for bit.
+TEST(Rng, EngineIsStdMt19937_64BitForBit) {
+  static_assert(std::uniform_random_bit_generator<sim::Mt19937_64>);
+  static_assert(std::is_trivially_copyable_v<sim::Rng>);
+
+  std::vector<std::uint64_t> seeds{0, 1, 42,
+                                   std::numeric_limits<std::uint64_t>::max()};
+  for (const std::uint64_t root : {0ULL, 1ULL, 7ULL, 0x9E3779B97F4A7C15ULL})
+    for (const std::uint64_t stream : {0ULL, 1ULL, 31ULL, 1023ULL})
+      seeds.push_back(sim::derive_seed(root, stream));
+
+  for (const std::uint64_t seed : seeds) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    // 1,000 draws cross the point where the twist's third word wraps
+    // (draw 156) and three 312-word blocks.
+    std::mt19937_64 reference(seed);
+    sim::Mt19937_64 engine(seed);
+    for (int i = 0; i < 1000; ++i) ASSERT_EQ(engine(), reference()) << i;
+
+    // A copy taken on either side of that wrap or of a block boundary
+    // continues exactly as the original does.
+    for (const int taken : {0, 1, 155, 156, 157, 311, 312, 313}) {
+      sim::Mt19937_64 original(seed);
+      for (int i = 0; i < taken; ++i) (void)original();
+      sim::Mt19937_64 copy = original;
+      std::mt19937_64 expected(seed);
+      expected.discard(static_cast<unsigned long long>(taken));
+      for (int i = 0; i < 700; ++i) {
+        const std::uint64_t want = expected();
+        ASSERT_EQ(copy(), want) << "copy after " << taken << ", draw " << i;
+        ASSERT_EQ(original(), want) << "after " << taken << ", draw " << i;
+      }
+    }
+
+    sim::Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_EQ(rng.uniform(-3.0, 5.0),
+                std::uniform_real_distribution<double>(-3.0, 5.0)(ref));
+      ASSERT_EQ(rng.uniform01(),
+                std::uniform_real_distribution<double>(0.0, 1.0)(ref));
+      ASSERT_EQ(rng.uniform_int(-5, 1000),
+                std::uniform_int_distribution<std::int64_t>(-5, 1000)(ref));
+      constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+      constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+      ASSERT_EQ(rng.uniform_int(kMin, kMax),
+                std::uniform_int_distribution<std::int64_t>(kMin, kMax)(ref));
+      ASSERT_EQ(rng.exponential_mean(300.0),
+                std::exponential_distribution<double>(1.0 / 300.0)(ref));
+      ASSERT_EQ(rng.bernoulli(0.3), std::bernoulli_distribution(0.3)(ref));
+      ASSERT_EQ(rng.next_u64(), ref());
+    }
+    sim::Rng child = rng.split(5);
+    std::mt19937_64 ref_child(sim::derive_seed(ref(), 5));
+    for (int i = 0; i < 400; ++i) ASSERT_EQ(child.next_u64(), ref_child());
+    ASSERT_EQ(rng.next_u64(), ref());
+  }
 }
 
 TEST(TraceRecorder, IntegratesStepSeries) {

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "load/misc_models.hpp"
+#include "load/onoff.hpp"
 #include "load/trace_io.hpp"
 #include "platform/host.hpp"
 #include "simcore/simulator.hpp"
@@ -88,6 +89,14 @@ TEST(TraceIo, WriteReadRoundTrip) {
     EXPECT_DOUBLE_EQ(back[i].time, trace[i].time);
     EXPECT_DOUBLE_EQ(back[i].value, trace[i].value);
   }
+}
+
+TEST(TraceIo, SingleHostTraceAtTinyDynamismRecordsNoChange) {
+  // At dynamism 1e-20 a state lasts about 1e20 steps of 100 s; a sojourn
+  // drawn as one step would flip the load every 100 s.
+  const load::OnOffModel model(load::OnOffParams::dynamism(1e-20));
+  for (const sim::Sample& sample : load::trace_single_host(model, 1, 2000.0))
+    EXPECT_EQ(sample.time, 0.0) << "load changed at " << sample.time << " s";
 }
 
 TEST(TraceIo, ParsedTraceDrivesTraceModel) {
