@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the simulation substrate: event
 // queue throughput, random streams, host re-planning and availability
-// windows, a trial's platform and load set-up, link re-sharing, the swap
-// planner, full small runs.
+// windows, a trial's platform and load set-up, load churn on idle hosts,
+// link re-sharing, the swap planner, full small runs.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -145,6 +145,31 @@ static void BM_LoadAttach(benchmark::State& state) {
   state.SetItemsProcessed(state.range(0) * state.iterations());
 }
 BENCHMARK(BM_LoadAttach)->Arg(32)->Arg(1024);
+
+// The path of most of paper_grid's events: ON/OFF load flips on hosts that
+// run no task.  A cluster with load at dynamism 0.2 runs 24 simulated
+// hours; set-up is not timed.  Items are fired events.
+static void BM_IdleLoadChurn(benchmark::State& state) {
+  pf::ClusterSpec spec;
+  spec.host_count = static_cast<std::size_t>(state.range(0));
+  const simsweep::load::OnOffModel model(
+      simsweep::load::OnOffParams::dynamism(0.2));
+  std::uint64_t seed = 1;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    sim::Simulator s;
+    sim::Rng platform_rng(seed, 0);
+    pf::Cluster cluster(s, spec, platform_rng);
+    const auto sources =
+        simsweep::load::LoadModel::attach_all(model, s, cluster, seed++);
+    state.ResumeTiming();
+    s.run_until(24.0 * 3600.0);
+    events += s.events_fired();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_IdleLoadChurn)->Arg(32)->Arg(1024);
 
 static void BM_HostReplanUnderLoadChurn(benchmark::State& state) {
   for (auto _ : state) {

@@ -8,8 +8,8 @@ namespace {
 
 class HyperExpSource final : public LoadSource {
  public:
-  HyperExpSource(const HyperExpParams& params, sim::Rng rng)
-      : params_(params), rng_(rng) {}
+  HyperExpSource(const HyperExpParams& params, std::uint64_t seed)
+      : params_(params), rng_(seed) {}
 
   void start(sim::Simulator& simulator, platform::Host& host) override {
     simulator_ = &simulator;
@@ -62,8 +62,9 @@ HyperExpModel::HyperExpModel(const HyperExpParams& params) : params_(params) {
         "HyperExpModel: mean interarrival must be positive");
 }
 
-std::unique_ptr<LoadSource> HyperExpModel::make_source(sim::Rng rng) const {
-  return std::make_unique<HyperExpSource>(params_, rng);
+std::unique_ptr<LoadSource> HyperExpModel::make_source(
+    std::uint64_t seed) const {
+  return std::make_unique<HyperExpSource>(params_, seed);
 }
 
 std::string HyperExpModel::describe() const {

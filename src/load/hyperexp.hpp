@@ -32,7 +32,7 @@ class HyperExpModel final : public LoadModel {
   explicit HyperExpModel(const HyperExpParams& params);
 
   [[nodiscard]] std::unique_ptr<LoadSource> make_source(
-      sim::Rng rng) const override;
+      std::uint64_t seed) const override;
 
   [[nodiscard]] std::string describe() const override;
 

@@ -21,7 +21,7 @@ std::vector<std::unique_ptr<LoadSource>> LoadModel::attach_all(
   std::vector<std::unique_ptr<LoadSource>> sources;
   sources.reserve(cluster.size());
   for (std::size_t i = 0; i < cluster.size(); ++i) {
-    auto source = model.make_source(sim::Rng(root_seed, i));
+    auto source = model.make_source(sim::derive_seed(root_seed, i));
     source->start(simulator, cluster.host(static_cast<platform::HostId>(i)));
     sources.push_back(std::move(source));
   }

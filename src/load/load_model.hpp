@@ -7,8 +7,10 @@
 // aggregation of ON/OFF sources, which the paper lists as future work.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "platform/host.hpp"
 #include "simcore/rng.hpp"
@@ -37,8 +39,10 @@ class LoadModel {
  public:
   virtual ~LoadModel() = default;
 
+  /// A source drawing from the stream sim::Rng(seed), which it seeds in
+  /// place: a stream is 2.5 KB, and building it where it lives copies none.
   [[nodiscard]] virtual std::unique_ptr<LoadSource> make_source(
-      sim::Rng rng) const = 0;
+      std::uint64_t seed) const = 0;
 
   /// Canonical one-line description of the model and every parameter that
   /// shapes its load process ("onoff;p=0.3;q=0.08;..."), in round-trip
@@ -47,7 +51,8 @@ class LoadModel {
   [[nodiscard]] virtual std::string describe() const = 0;
 
   /// Attaches a fresh source to every host of a cluster.  `root_seed`
-  /// derives one stream per host id.  Returns the sources; callers keep them
+  /// derives one stream per host id: host i's source draws from
+  /// sim::Rng(root_seed, i).  Returns the sources; callers keep them
   /// alive for the duration of the simulation.
   static std::vector<std::unique_ptr<LoadSource>> attach_all(
       const LoadModel& model, sim::Simulator& simulator,

@@ -28,7 +28,7 @@ ConstantModel::ConstantModel(int competitors) : competitors_(competitors) {
     throw std::invalid_argument("ConstantModel: negative competitor count");
 }
 
-std::unique_ptr<LoadSource> ConstantModel::make_source(sim::Rng) const {
+std::unique_ptr<LoadSource> ConstantModel::make_source(std::uint64_t) const {
   return std::make_unique<ConstantSource>(competitors_);
 }
 
@@ -101,7 +101,8 @@ TraceModel::TraceModel(std::vector<sim::Sample> trace, double period_s,
     throw std::invalid_argument("TraceModel: period must cover the trace");
 }
 
-std::unique_ptr<LoadSource> TraceModel::make_source(sim::Rng rng) const {
+std::unique_ptr<LoadSource> TraceModel::make_source(std::uint64_t seed) const {
+  sim::Rng rng(seed);
   const double phase = random_phase_ ? rng.uniform(0.0, period_) : 0.0;
   return std::make_unique<TraceSource>(&trace_, period_, phase);
 }
@@ -125,49 +126,42 @@ namespace {
 
 class CompositeOnOffSource final : public LoadSource {
  public:
-  CompositeOnOffSource(const std::vector<OnOffParams>& params, sim::Rng rng) {
+  /// Part i draws from the stream that the i-th of the calls split(0),
+  /// split(1), ... on sim::Rng(seed) would return.
+  CompositeOnOffSource(const std::vector<OnOffParams>& params,
+                       std::uint64_t seed) {
+    sim::Rng parent(seed);
     parts_.reserve(params.size());
     for (std::size_t i = 0; i < params.size(); ++i)
-      parts_.push_back(Part{params[i], rng.split(i), false});
+      parts_.emplace_back(params[i], sim::derive_seed(parent.next_u64(), i));
   }
 
   void start(sim::Simulator& simulator, platform::Host& host) override {
     simulator_ = &simulator;
     host_ = &host;
     int on_count = 0;
-    for (Part& part : parts_) {
-      const OnOffParams& p = part.params;
-      const double pi = p.p + p.q > 0.0 ? p.p / (p.p + p.q) : 0.0;
-      part.on = p.stationary_start && part.rng.bernoulli(pi);
-      if (part.on) ++on_count;
+    for (OnOffChain& part : parts_) {
+      if (part.on()) ++on_count;
       schedule_next(part);
     }
     host_->set_external_load(on_count);
   }
 
  private:
-  struct Part {
-    OnOffParams params;
-    sim::Rng rng;
-    bool on;
-  };
-
-  void schedule_next(Part& part) {
-    const double exit_p = part.on ? part.params.q : part.params.p;
-    const double sojourn =
-        sample_geometric_sojourn(part.rng, exit_p, part.params.step_s);
+  void schedule_next(OnOffChain& part) {
+    const double sojourn = part.draw_sojourn();
     if (sojourn == sim::kTimeInfinity) return;
     simulator_->after(sojourn, [this, &part] {
-      part.on = !part.on;
+      part.flip();
       int on_count = 0;
-      for (const Part& q : parts_)
-        if (q.on) ++on_count;
+      for (const OnOffChain& q : parts_)
+        if (q.on()) ++on_count;
       host_->set_external_load(on_count);
       schedule_next(part);
     });
   }
 
-  std::vector<Part> parts_;
+  std::vector<OnOffChain> parts_;  // reserved once: events hold references
   sim::Simulator* simulator_ = nullptr;
   platform::Host* host_ = nullptr;
 };
@@ -185,8 +179,8 @@ CompositeOnOffModel::CompositeOnOffModel(std::vector<OnOffParams> sources)
 }
 
 std::unique_ptr<LoadSource> CompositeOnOffModel::make_source(
-    sim::Rng rng) const {
-  return std::make_unique<CompositeOnOffSource>(sources_, rng);
+    std::uint64_t seed) const {
+  return std::make_unique<CompositeOnOffSource>(sources_, seed);
 }
 
 std::string CompositeOnOffModel::describe() const {

@@ -19,7 +19,7 @@ class ConstantModel final : public LoadModel {
  public:
   explicit ConstantModel(int competitors);
   [[nodiscard]] std::unique_ptr<LoadSource> make_source(
-      sim::Rng rng) const override;
+      std::uint64_t seed) const override;
   [[nodiscard]] std::string describe() const override;
 
  private:
@@ -39,7 +39,7 @@ class TraceModel final : public LoadModel {
              bool random_phase = true);
 
   [[nodiscard]] std::unique_ptr<LoadSource> make_source(
-      sim::Rng rng) const override;
+      std::uint64_t seed) const override;
 
   [[nodiscard]] std::string describe() const override;
 
@@ -59,7 +59,7 @@ class CompositeOnOffModel final : public LoadModel {
  public:
   explicit CompositeOnOffModel(std::vector<OnOffParams> sources);
   [[nodiscard]] std::unique_ptr<LoadSource> make_source(
-      sim::Rng rng) const override;
+      std::uint64_t seed) const override;
   [[nodiscard]] std::string describe() const override;
 
  private:

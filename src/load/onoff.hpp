@@ -10,6 +10,8 @@
 // single competing process per host under this model).
 #pragma once
 
+#include <cstdint>
+
 #include "load/load_model.hpp"
 
 namespace simsweep::load {
@@ -45,7 +47,7 @@ class OnOffModel final : public LoadModel {
   explicit OnOffModel(const OnOffParams& params);
 
   [[nodiscard]] std::unique_ptr<LoadSource> make_source(
-      sim::Rng rng) const override;
+      std::uint64_t seed) const override;
 
   [[nodiscard]] std::string describe() const override;
 
@@ -59,11 +61,53 @@ class OnOffModel final : public LoadModel {
   OnOffParams params_;
 };
 
-/// Samples a geometric sojourn duration: the number of whole steps spent in
-/// a state whose per-step exit probability is `exit_p`, times step_s.
-/// Returns +infinity when exit_p == 0, and whenever the sojourn overflows
-/// a double, as it can for an exit_p near the smallest subnormal.
+/// Geometric sojourns in one state: the number of whole steps spent in a
+/// state whose per-step exit probability is `exit_p`, times `step_s`.  The
+/// log of the stay probability is taken once, here, so a draw costs one
+/// uniform and one log.
+class GeometricSojourn {
+ public:
+  GeometricSojourn(double exit_p, double step_s);
+
+  /// +infinity when exit_p <= 0 and step_s when exit_p >= 1, neither
+  /// drawing; otherwise one uniform draw, and +infinity again whenever the
+  /// sojourn overflows a double, as it can for an exit_p near the smallest
+  /// subnormal.
+  [[nodiscard]] double draw(sim::Rng& rng) const;
+
+ private:
+  double log_stay_;  // ln(1 - exit_p); 0 never exits, -inf every step
+  double step_s_;
+};
+
+/// One draw of GeometricSojourn(exit_p, step_s).
 [[nodiscard]] double sample_geometric_sojourn(sim::Rng& rng, double exit_p,
                                               double step_s);
+
+/// One ON/OFF chain on its own stream sim::Rng(seed): the state machine of
+/// an OnOffModel source and of each part of a CompositeOnOffModel source.
+/// The initial state is drawn at construction (the stationary start draws
+/// once; otherwise the chain starts OFF), and each state keeps its own
+/// GeometricSojourn.
+class OnOffChain {
+ public:
+  OnOffChain(const OnOffParams& params, std::uint64_t seed);
+
+  [[nodiscard]] bool on() const noexcept { return on_; }
+
+  /// Enters the other state.
+  void flip() noexcept { on_ = !on_; }
+
+  /// Time until the next flip; +infinity once the chain is absorbed.
+  [[nodiscard]] double draw_sojourn() {
+    return (on_ ? leave_on_ : leave_off_).draw(rng_);
+  }
+
+ private:
+  sim::Rng rng_;
+  GeometricSojourn leave_off_;  // exit probability p
+  GeometricSojourn leave_on_;   // exit probability q
+  bool on_;
+};
 
 }  // namespace simsweep::load

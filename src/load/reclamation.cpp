@@ -9,8 +9,8 @@ namespace {
 class ReclamationSource final : public LoadSource {
  public:
   ReclamationSource(std::unique_ptr<LoadSource> base,
-                    const ReclamationParams& params, sim::Rng rng)
-      : base_(std::move(base)), params_(params), rng_(rng) {}
+                    const ReclamationParams& params, std::uint64_t seed)
+      : base_(std::move(base)), params_(params), rng_(seed) {}
 
   void start(sim::Simulator& simulator, platform::Host& host) override {
     simulator_ = &simulator;
@@ -50,10 +50,16 @@ ReclamationModel::ReclamationModel(std::shared_ptr<const LoadModel> base,
         "ReclamationModel: phase durations must be positive");
 }
 
-std::unique_ptr<LoadSource> ReclamationModel::make_source(sim::Rng rng) const {
-  auto base_source = base_ ? base_->make_source(rng.split(1)) : nullptr;
-  return std::make_unique<ReclamationSource>(std::move(base_source), params_,
-                                             rng.split(2));
+std::unique_ptr<LoadSource> ReclamationModel::make_source(
+    std::uint64_t seed) const {
+  // The streams sim::Rng(seed).split(1) and .split(2) would return, in
+  // that order; split(1) only when there is a base model.
+  sim::Rng parent(seed);
+  auto base_source =
+      base_ ? base_->make_source(sim::derive_seed(parent.next_u64(), 1))
+            : nullptr;
+  return std::make_unique<ReclamationSource>(
+      std::move(base_source), params_, sim::derive_seed(parent.next_u64(), 2));
 }
 
 std::string ReclamationModel::describe() const {

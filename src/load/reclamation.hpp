@@ -29,7 +29,7 @@ class ReclamationModel final : public LoadModel {
                    ReclamationParams params);
 
   [[nodiscard]] std::unique_ptr<LoadSource> make_source(
-      sim::Rng rng) const override;
+      std::uint64_t seed) const override;
 
   [[nodiscard]] std::string describe() const override;
 

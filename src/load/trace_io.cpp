@@ -116,7 +116,7 @@ std::vector<sim::Sample> trace_single_host(const LoadModel& model,
                                            double horizon) {
   sim::Simulator simulator;
   platform::Host host(simulator, 0, 300.0e6, "traced");
-  auto source = model.make_source(sim::Rng(seed));
+  auto source = model.make_source(seed);
   source->start(simulator, host);
   simulator.run_until(horizon);
   return host.load_history();

@@ -4,7 +4,9 @@
 // are broken by insertion order, which makes event processing fully
 // deterministic.  Cancellation is lazy — a cancelled entry stays in the heap
 // until it bubbles to the top — keeping push/pop at O(log n) with no
-// auxiliary index structure.
+// auxiliary index structure.  peek() and empty() drop the cancelled entries
+// they find at the top; pop() takes the live front one of them found, so a
+// run loop purges once per fired event.
 //
 // Callbacks live in a pool of slots recycled through a free list, and the
 // heap holds trivially copyable 24-byte (time, seq, slot) entries, so sifting
@@ -26,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -81,12 +84,16 @@ class EventQueue {
     return EventHandle(this, slot, s.generation);
   }
 
-  /// True when no live (non-cancelled) event remains.  Lazily purges
-  /// cancelled entries from the top of the heap.
-  [[nodiscard]] bool empty() {
+  /// Drops cancelled entries from the top of the heap, then returns the
+  /// earliest live event's time; nothing when no live event remains.
+  [[nodiscard]] std::optional<SimTime> peek() {
     drop_cancelled();
-    return heap_.empty();
+    if (heap_.empty()) return std::nullopt;
+    return heap_.front().time;
   }
+
+  /// True when no live (non-cancelled) event remains; purges like peek().
+  [[nodiscard]] bool empty() { return !peek().has_value(); }
 
   /// Upper bound on the number of live events (cancelled entries buried in
   /// the heap are still counted until they surface).  Diagnostic only.
@@ -98,16 +105,10 @@ class EventQueue {
     return next_seq_;
   }
 
-  /// Time of the earliest live event; kTimeInfinity when empty.
-  [[nodiscard]] SimTime next_time() {
-    drop_cancelled();
-    return heap_.empty() ? kTimeInfinity : heap_.front().time;
-  }
-
   /// Removes and returns the earliest live event, moving its callback out.
-  /// Precondition: !empty().
+  /// Precondition: peek() found a live event (or empty() returned false)
+  /// and nothing was cancelled since, so the front is that event.
   [[nodiscard]] std::pair<SimTime, Callback> pop() {
-    drop_cancelled();
     const Entry top = heap_.front();
     remove_front();
     Slot& s = slots_[top.slot];

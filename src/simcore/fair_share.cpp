@@ -67,12 +67,12 @@ void FairShare::complete(const std::shared_ptr<Member>& member) {
 
 void FairShare::set_capacity(double capacity) {
   capacity_ = capacity;
-  rerate();
+  if (!empty()) rerate();
 }
 
 void FairShare::set_background(std::size_t sharers) {
   background_ = sharers;
-  rerate();
+  if (!empty()) rerate();
 }
 
 void FairShare::drop(Member& member) {

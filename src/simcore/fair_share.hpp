@@ -20,6 +20,13 @@
 // remaining work, updated by the same arithmetic a per-member loop would
 // use.  A pass only accrues, cancels and schedules, so it never calls back
 // into its owner.
+//
+// An empty resource (no members, nothing in the heap) takes a capacity or
+// background change without a pass: it stores the value and returns.
+// Nothing reads an empty resource's rate or countdown, and the next join
+// restarts the countdown from the new member's work and runs a pass that
+// rates it from the stored values, so the result is bitwise the same.  An
+// idle host's load flip therefore costs no accrual, cancel or on_pass.
 #pragma once
 
 #include <algorithm>
@@ -104,10 +111,12 @@ class FairShare {
   /// joined) and its callback fires last.
   void complete(const std::shared_ptr<Member>& member);
 
-  /// Changes the shared capacity (0 stalls every member) and re-rates.
+  /// Changes the shared capacity (0 stalls every member) and re-rates,
+  /// unless the resource is empty.
   void set_capacity(double capacity);
 
-  /// Changes the number of non-member sharers and re-rates.
+  /// Changes the number of non-member sharers and re-rates, unless the
+  /// resource is empty.
   void set_background(std::size_t sharers);
 
   /// Members currently progressing.
@@ -117,8 +126,9 @@ class FairShare {
   [[nodiscard]] Simulator& simulator() const noexcept { return simulator_; }
 
   /// Owner hooks, each called once per pass, completion or cancel — never
-  /// per member inside a pass.  on_complete runs after the member left the
-  /// set and before the set re-rates.
+  /// per member inside a pass; a change to an empty resource is no pass.
+  /// on_complete runs after the member left the set and before the set
+  /// re-rates.
   virtual void on_pass() {}
   virtual void on_complete(const Member& /*member*/) {}
   virtual void on_cancel(const Member& /*member*/) {}
@@ -139,6 +149,11 @@ class FairShare {
       return a.seq > b.seq;
     }
   };
+
+  /// No member and no heap entry: nothing to re-rate.
+  [[nodiscard]] bool empty() const noexcept {
+    return members_ == 0 && heap_.empty();
+  }
 
   void drop(Member& member);
   void accrue();

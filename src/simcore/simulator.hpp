@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -150,7 +151,12 @@ class Simulator {
   /// earlier, so time-based observers see a consistent clock.
   void run_until(SimTime horizon) {
     stopped_ = false;
-    while (!stopped_ && !queue_.empty() && queue_.next_time() <= horizon) {
+    while (!stopped_) {
+      // The one purge per fired event: peek() drops cancelled entries from
+      // the top, and pop() takes the live front it found.  A NaN time stops
+      // the run like a time past the horizon.
+      const std::optional<SimTime> next = queue_.peek();
+      if (!next.has_value() || !(*next <= horizon)) break;
       if (budget_ != 0 && fired_ >= budget_) throw EventBudgetExceeded(budget_);
       if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed))
         throw RunCancelled();

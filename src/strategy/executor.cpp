@@ -190,8 +190,12 @@ void IterativeExecution::iteration_complete() {
   result_.iteration_times_s.push_back(iter_time);
   ++result_.iterations_completed;
   if (obs::MetricsRegistry* metrics = simulator_.metrics()) {
-    metrics->add("app.iterations_completed");
-    metrics->observe("app.iteration_time_s", iter_time);
+    if (iterations_metric_ == nullptr) {
+      iterations_metric_ = &metrics->counter("app.iterations_completed");
+      iteration_time_metric_ = &metrics->histogram("app.iteration_time_s");
+    }
+    iterations_metric_->add();
+    iteration_time_metric_->observe(iter_time);
   }
   if (obs::TimelineTracer* timeline = simulator_.timeline())
     timeline->span(

@@ -143,6 +143,11 @@ class IterativeExecution {
   std::vector<std::shared_ptr<sim::FairShare::Member>> phase_;
   std::function<void(IterativeExecution&)> iteration_start_observer_;
   std::unique_ptr<TechniqueRuntime> technique_;
+
+  // Cached on the first completed iteration: the registry is fixed for the
+  // run, so each name is looked up once, not per iteration.
+  obs::Counter* iterations_metric_ = nullptr;
+  obs::Histogram* iteration_time_metric_ = nullptr;
 };
 
 }  // namespace simsweep::strategy

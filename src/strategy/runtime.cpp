@@ -240,19 +240,21 @@ void TechniqueRuntime::begin_recovery() {
 }
 
 void TechniqueRuntime::charge_adaptation_pause() {
-  exec_->result().adaptation_overhead_s += audited_pause("adaptation");
+  exec_->result().adaptation_overhead_s +=
+      audited_pause("adaptation", adaptation_pause_metric_);
 }
 
 void TechniqueRuntime::charge_failure_pause() {
-  const double pause = audited_pause("failure");
+  const double pause = audited_pause("failure", failure_pause_metric_);
   exec_->result().adaptation_overhead_s += pause;
   exec_->result().failures.time_lost_s += pause;
 }
 
 /// The elapsed pause being charged; audited non-negative (a negative charge
 /// means begin_*_pause was never called for this charge, silently shrinking
-/// the overhead the figures report).
-double TechniqueRuntime::audited_pause(const char* kind) {
+/// the overhead the figures report).  `metric` caches the kind's histogram.
+double TechniqueRuntime::audited_pause(const char* kind,
+                                       obs::Histogram*& metric) {
   const double pause = now() - pause_start_;
   audit::InvariantAuditor* auditor = exec_->simulator().auditor();
   if (auditor != nullptr && auditor->enabled() && pause < -sim::kTimeEpsilon)
@@ -260,9 +262,12 @@ double TechniqueRuntime::audited_pause(const char* kind) {
                     std::string(kind) + " pause of " + std::to_string(pause) +
                         " s (pause clock started at t=" +
                         std::to_string(pause_start_) + ")");
-  if (obs::MetricsRegistry* metrics = exec_->simulator().metrics())
-    metrics->histogram(obs::labelled("strategy.pause_s", "kind", kind))
-        .observe(pause);
+  if (obs::MetricsRegistry* metrics = exec_->simulator().metrics()) {
+    if (metric == nullptr)
+      metric =
+          &metrics->histogram(obs::labelled("strategy.pause_s", "kind", kind));
+    metric->observe(pause);
+  }
   // A negative pause is an accounting bug the auditor reports above; the
   // tracer would reject the inverted span, so only well-formed pauses are
   // drawn.

@@ -206,7 +206,7 @@ class TechniqueRuntime {
                              double adaptation_cost_s,
                              std::size_t active_count,
                              std::size_t spare_count);
-  double audited_pause(const char* kind);
+  double audited_pause(const char* kind, obs::Histogram*& metric);
 
   IterativeExecution* exec_ = nullptr;
   fault::FaultInjector* faults_ = nullptr;
@@ -219,6 +219,9 @@ class TechniqueRuntime {
   sim::SimTime pause_start_ = 0.0;
   sim::EventHandle watchdog_;
   bool recovering_ = false;
+  // strategy.pause_s{kind=...} by kind, cached on the first pause of each.
+  obs::Histogram* adaptation_pause_metric_ = nullptr;
+  obs::Histogram* failure_pause_metric_ = nullptr;
 
   bool trace_enabled_ = false;
 };

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "load/hyperexp.hpp"
 #include "load/load_model.hpp"
@@ -22,7 +25,7 @@ double observed_mean_load(const load::LoadModel& model, double duration,
                           std::uint64_t seed) {
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "h");
-  auto source = model.make_source(sim::Rng(seed));
+  auto source = model.make_source(seed);
   source->start(s, h);
   s.run_until(duration);
   double area = 0.0;
@@ -36,6 +39,50 @@ double observed_mean_load(const load::LoadModel& model, double duration,
   }
   area += value * (duration - cursor);
   return area / duration;
+}
+
+/// Flip times of one ON/OFF chain drawn directly with
+/// sample_geometric_sojourn on the stream sim::Rng(seed), up to `flips`
+/// flips or absorption.
+std::vector<sim::SimTime> reference_flips(const load::OnOffParams& params,
+                                          std::uint64_t seed,
+                                          std::size_t flips) {
+  sim::Rng rng(seed);
+  const double total = params.p + params.q;
+  bool on = params.stationary_start &&
+            rng.bernoulli(total > 0.0 ? params.p / total : 0.0);
+  std::vector<sim::SimTime> out;
+  sim::SimTime now = 0.0;
+  while (out.size() < flips) {
+    const double sojourn = load::sample_geometric_sojourn(
+        rng, on ? params.q : params.p, params.step_s);
+    if (sojourn == sim::kTimeInfinity) break;
+    now += sojourn;
+    out.push_back(now);
+    on = !on;
+  }
+  return out;
+}
+
+/// The first `flips` load-change times a source of `model` drives on one
+/// host, leaving out the initial state set at time 0.  The source runs
+/// until the time `expected` ends at (or until absorbed when `expected`
+/// ends early); far out, a short sojourn can round to no time at all, so
+/// more flips may land at that instant.
+std::vector<sim::SimTime> source_flips(
+    const load::LoadModel& model, std::uint64_t seed,
+    const std::vector<sim::SimTime>& expected, std::size_t flips) {
+  sim::Simulator s;
+  pf::Host h(s, 0, 100.0, "h");
+  auto source = model.make_source(seed);
+  source->start(s, h);
+  const std::size_t initial = h.load_history().size();
+  s.run_until(expected.size() == flips ? expected.back() : sim::kTimeInfinity);
+  std::vector<sim::SimTime> out;
+  for (std::size_t i = initial;
+       i < h.load_history().size() && out.size() < flips; ++i)
+    out.push_back(h.load_history()[i].time);
+  return out;
 }
 
 }  // namespace
@@ -101,7 +148,7 @@ TEST(OnOffModel, ZeroDynamismNeverChangesState) {
   load::OnOffModel m(load::OnOffParams::dynamism(0.0));
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "h");
-  auto src = m.make_source(sim::Rng(1));
+  auto src = m.make_source(1);
   src->start(s, h);
   s.run_until(100000.0);
   EXPECT_EQ(h.load_history().size(), 1u);  // only the construction sample
@@ -115,11 +162,43 @@ TEST(OnOffModel, DynamismOneFlipsEveryStep) {
   load::OnOffModel m(params);
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "h");
-  auto src = m.make_source(sim::Rng(1));
+  auto src = m.make_source(1);
   src->start(s, h);
   s.run_until(100.0);
   // One transition per 10 s step.
   EXPECT_GE(h.load_history().size(), 9u);
+}
+
+TEST(OnOffModel, SojournsMatchTheSamplerOnACopyOfTheStreamBitwise) {
+  // Each state's sojourn law is set up once per source; its flips must be
+  // exactly what sample_geometric_sojourn draws on a copy of the stream,
+  // on both sides of the log1p / log switch at 2^-26 and at both absorbing
+  // ends.  A one-part composite source draws the same on its part's
+  // stream.
+  const double below = std::nextafter(0x1p-26, 0.0);
+  const std::vector<double> probs{0.0, 1e-20, below, 0x1p-26, 0.05, 0.3, 1.0};
+  constexpr std::size_t kFlips = 1000;
+  constexpr std::uint64_t kSeed = 7;
+  const std::uint64_t part_seed =
+      sim::derive_seed(sim::Rng(kSeed).next_u64(), 0);
+  for (const bool stationary : {true, false})
+    for (const double p : probs)
+      for (const double q : probs) {
+        SCOPED_TRACE(testing::Message() << "p " << p << " q " << q
+                                        << " stationary " << stationary);
+        const load::OnOffParams params{
+            .p = p, .q = q, .step_s = 100.0, .stationary_start = stationary};
+        const std::vector<sim::SimTime> expected =
+            reference_flips(params, kSeed, kFlips);
+        EXPECT_EQ(
+            source_flips(load::OnOffModel(params), kSeed, expected, kFlips),
+            expected);
+        const std::vector<sim::SimTime> part =
+            reference_flips(params, part_seed, kFlips);
+        EXPECT_EQ(source_flips(load::CompositeOnOffModel({params}), kSeed,
+                               part, kFlips),
+                  part);
+      }
 }
 
 TEST(OnOffModel, RejectsInvalidParams) {
@@ -164,7 +243,7 @@ TEST(HyperExpModel, AllowsMultipleSimultaneousCompetitors) {
   load::HyperExpModel m(params);
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "h");
-  auto src = m.make_source(sim::Rng(5));
+  auto src = m.make_source(5);
   src->start(s, h);
   s.run_until(20000.0);
   int max_load = 0;
@@ -197,7 +276,7 @@ TEST(TraceModel, ReplaysAndWraps) {
   load::TraceModel m(trace, 20.0, /*random_phase=*/false);
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "h");
-  auto src = m.make_source(sim::Rng(1));
+  auto src = m.make_source(1);
   src->start(s, h);
   std::vector<std::pair<double, int>> seen;
   s.run_until(45.0);
@@ -225,7 +304,7 @@ TEST(CompositeOnOffModel, AggregatesSources) {
   load::CompositeOnOffModel m(parts);
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "h");
-  auto src = m.make_source(sim::Rng(2));
+  auto src = m.make_source(2);
   src->start(s, h);
   s.run_until(5000.0);
   int max_load = 0;

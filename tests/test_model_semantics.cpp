@@ -30,7 +30,7 @@ double observed_mean_sojourn(double dynamism, std::uint64_t seed) {
   const load::OnOffModel model(params);
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "h");
-  auto src = model.make_source(sim::Rng(seed));
+  auto src = model.make_source(seed);
   src->start(s, h);
   const double horizon = 500000.0;
   s.run_until(horizon);

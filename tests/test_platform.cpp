@@ -125,6 +125,29 @@ TEST(Host, CancelFreesTheCpuShare) {
   EXPECT_DOUBLE_EQ(t1->remaining(), 0.0);
 }
 
+TEST(Host, TaskJoiningAHostReclaimedWhileIdleStallsUntilItReturns) {
+  // An idle host's CPU takes load and online changes without a pass; the
+  // values must still be stored.  Reclaimed at t=2 with one competitor
+  // since t=1, the host gets a task at t=3 that makes no progress until
+  // the host returns at t=10, then runs at 50 flop/s.
+  sim::Simulator s;
+  pf::Host h(s, 0, 100.0, "h");
+  double done_at = -1.0;
+  std::shared_ptr<pf::ComputeTask> task;
+  (void)s.at(1.0, [&] { h.set_external_load(1); });
+  (void)s.at(2.0, [&] { h.set_online(false); });
+  (void)s.at(3.0, [&] {
+    task = h.start_compute(150.0, [&] { done_at = s.now(); });
+  });
+  (void)s.at(10.0, [&] {
+    EXPECT_EQ(done_at, -1.0);
+    EXPECT_EQ(task->remaining(), 150.0);
+    h.set_online(true);
+  });
+  s.run();
+  EXPECT_EQ(done_at, 13.0);
+}
+
 TEST(Host, DestroyedHostFiresNothing) {
   // The CPU's pending completion refers to the host; destroying the host
   // with a task still running must cancel it, not leave it to fire later.

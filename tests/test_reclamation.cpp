@@ -64,7 +64,7 @@ TEST(ReclamationModel, TogglesHostOnlineState) {
                                         });
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "h");
-  auto src = model.make_source(sim::Rng(3));
+  auto src = model.make_source(3);
   src->start(s, h);
   s.run_until(5000.0);
   std::size_t outages = 0;
@@ -84,7 +84,7 @@ TEST(ReclamationModel, ComposesWithBaseLoad) {
                                      });
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "h");
-  auto src = model.make_source(sim::Rng(4));
+  auto src = model.make_source(4);
   src->start(s, h);
   s.run_until(2000.0);
   // While online the base competitor halves availability; offline zeroes it.

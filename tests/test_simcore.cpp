@@ -2,12 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
@@ -65,7 +67,7 @@ TEST(EventQueue, CancelledEntriesBuriedInHeapStillDrain) {
   (void)q.schedule(2.0, [] {});
   early.cancel();
   EXPECT_FALSE(q.empty());
-  EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
+  EXPECT_EQ(q.peek(), 2.0);
   (void)q.pop();
   EXPECT_TRUE(q.empty());
 }
@@ -169,19 +171,19 @@ TEST(EventQueue, BuriedCancelledEntryCountsUntilItSurfaces) {
   (void)q.schedule(3.0, [] {});
   middle.cancel();
   EXPECT_EQ(q.size_bound(), 3u);  // buried under the entry at t=1
-  EXPECT_DOUBLE_EQ(q.next_time(), 1.0);
+  EXPECT_EQ(q.peek(), 1.0);
   EXPECT_EQ(q.size_bound(), 3u);
   EXPECT_DOUBLE_EQ(q.pop().first, 1.0);
   EXPECT_EQ(q.size_bound(), 2u);  // at the top now, but not yet dropped
-  EXPECT_DOUBLE_EQ(q.next_time(), 3.0);
+  EXPECT_EQ(q.peek(), 3.0);
   EXPECT_EQ(q.size_bound(), 1u);
   EXPECT_EQ(q.scheduled_total(), 3u);
 }
 
 TEST(EventQueue, MatchesAReferenceUnderRandomScheduleCancelAndPop) {
   // The reference keeps every (time, seq) entry, cancelled or not, and
-  // drops cancelled entries from the front exactly where drop_cancelled
-  // does: in empty(), next_time() and pop().
+  // drops cancelled entries from the front exactly where the queue does:
+  // in empty() and peek(); pop() follows empty() and drops none.
   using Key = std::pair<double, std::uint64_t>;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -231,8 +233,9 @@ TEST(EventQueue, MatchesAReferenceUnderRandomScheduleCancelAndPop) {
         }
       } else {
         drop();
-        EXPECT_EQ(q.next_time(), entries.empty() ? sim::kTimeInfinity
-                                                 : entries.begin()->first);
+        EXPECT_EQ(q.peek(), entries.empty()
+                                ? std::nullopt
+                                : std::optional(entries.begin()->first));
       }
       ASSERT_EQ(q.size_bound(), entries.size());
       ASSERT_EQ(q.scheduled_total(), handles.size());
@@ -296,6 +299,46 @@ TEST(Simulator, StopEndsRun) {
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(s.stopped());
   EXPECT_FALSE(s.idle());
+}
+
+TEST(Simulator, RunUntilPurgesOncePerEventAndChecksBeforePopping) {
+  // run_until peeks once per event: cancelled entries at the front are
+  // dropped unfired, the budget and the cancel flag are checked with the
+  // live front still in the queue, and the horizon leaves later events
+  // pending.
+  sim::Simulator s;
+  std::vector<int> fired;
+  (void)s.after(0.5, [&] { fired.push_back(0); });
+  std::vector<sim::EventHandle> cancelled;
+  for (int i = 1; i <= 3; ++i)
+    cancelled.push_back(s.after(static_cast<double>(i),
+                                [&fired, i] { fired.push_back(-i); }));
+  const sim::EventHandle live = s.after(4.0, [&] { fired.push_back(4); });
+  const sim::EventHandle later = s.after(9.0, [&] { fired.push_back(9); });
+  s.run_until(0.75);
+  for (sim::EventHandle& handle : cancelled) handle.cancel();
+
+  s.set_event_budget(1);
+  EXPECT_THROW(s.run_until(5.0), sim::EventBudgetExceeded);
+  EXPECT_TRUE(live.pending());
+  s.set_event_budget(0);
+  std::atomic<bool> cancel{true};
+  s.set_cancel_flag(&cancel);
+  EXPECT_THROW(s.run_until(5.0), sim::RunCancelled);
+  EXPECT_TRUE(live.pending());
+  EXPECT_EQ(s.events_fired(), 1u);
+  EXPECT_EQ(fired, (std::vector<int>{0}));
+
+  cancel = false;
+  s.run_until(5.0);
+  EXPECT_EQ(fired, (std::vector<int>{0, 4}));
+  EXPECT_FALSE(live.pending());
+  EXPECT_TRUE(later.pending());
+  EXPECT_EQ(s.now(), 5.0);
+  EXPECT_EQ(s.events_fired(), 2u);
+  s.run();
+  EXPECT_EQ(fired, (std::vector<int>{0, 4, 9}));
+  EXPECT_EQ(s.events_fired(), 3u);
 }
 
 TEST(Simulator, SchedulingInThePastThrows) {
@@ -658,4 +701,44 @@ TEST(FairShare, EveryChangeSchedulesOneEvent) {
   before = s.scheduled_total();
   resource.set_capacity(0.0);  // stalled: nothing to schedule
   EXPECT_EQ(s.scheduled_total() - before, 0u);
+}
+
+TEST(FairShare, ChangesWhileEmptyMatchTheFinalValuesBitwise) {
+  // An empty resource stores a capacity or background change without a
+  // pass.  A member joining after several such changes, on a resource that
+  // has run before, finishes at bit for bit the time it does on a fresh
+  // resource given only the final values, and no change while empty
+  // schedules an event or runs on_pass.
+  struct CountingShare : sim::FairShare {
+    using FairShare::FairShare;
+    void on_pass() override { ++passes; }
+    int passes = 0;
+  };
+  sim::Simulator s;
+  CountingShare churned(s, "test", 3.0e8);
+  CountingShare fresh(s, "test", 2.2e8);
+  double churned_done = -1.0;
+  double fresh_done = -1.0;
+  churned.join(churned.create(1.0e9, [] {}));  // done at 10/3 s
+  const std::vector<std::pair<double, std::function<void()>>> changes{
+      {4.25, [&] { churned.set_background(2); }},
+      {5.5, [&] { churned.set_capacity(0.0); }},
+      {6.75, [&] { churned.set_background(1); }},
+      {7.0, [&] { churned.set_capacity(2.2e8); }},
+      {8.125, [&] { fresh.set_background(1); }}};
+  for (const auto& change : changes)
+    (void)s.at(change.first, [&s, &churned, &fresh, apply = change.second] {
+      const int passes = churned.passes + fresh.passes;
+      const std::uint64_t scheduled = s.scheduled_total();
+      apply();
+      EXPECT_EQ(churned.passes + fresh.passes, passes);
+      EXPECT_EQ(s.scheduled_total(), scheduled);
+    });
+  (void)s.at(8.125, [&] {
+    churned.join(churned.create(7.3e8, [&] { churned_done = s.now(); }));
+    fresh.join(fresh.create(7.3e8, [&] { fresh_done = s.now(); }));
+  });
+  s.run();
+  EXPECT_EQ(churned_done, fresh_done);
+  EXPECT_EQ(churned_done, 8.125 + 7.3e8 / (2.2e8 / 2.0));
 }

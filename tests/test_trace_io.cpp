@@ -105,7 +105,7 @@ TEST(TraceIo, ParsedTraceDrivesTraceModel) {
                          /*random_phase=*/false);
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "h");
-  auto src = model.make_source(sim::Rng(1));
+  auto src = model.make_source(1);
   src->start(s, h);
   s.run_until(90.0);
   EXPECT_DOUBLE_EQ(h.mean_availability(0.0, 50.0), 1.0);
