@@ -26,19 +26,23 @@ int usage_error(const char* message) {
   return 2;
 }
 
+/// Every file is loaded before anything is printed, so a bad file leaves
+/// stdout empty instead of a truncated document.
 int report_summary(const std::vector<std::string>& files, bool json) {
-  if (json) {
-    std::cout << "{\"kind\":\"report-summary\",\"artifacts\":[";
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      if (i != 0) std::cout << ',';
-      const report::Artifact artifact = report::load_artifact(files[i]);
-      report::write_summary_json(std::cout, artifact);
-    }
-    std::cout << "]}\n";
+  std::vector<report::Artifact> artifacts;
+  for (const std::string& file : files)
+    artifacts.push_back(report::load_artifact(file));
+  if (!json) {
+    for (const report::Artifact& artifact : artifacts)
+      report::print_summary(std::cout, artifact);
     return 0;
   }
-  for (const std::string& file : files)
-    report::print_summary(std::cout, report::load_artifact(file));
+  std::cout << "{\"kind\":\"report-summary\",\"artifacts\":[";
+  for (std::size_t i = 0; i < artifacts.size(); ++i) {
+    if (i != 0) std::cout << ',';
+    report::write_summary_json(std::cout, artifacts[i]);
+  }
+  std::cout << "]}\n";
   return 0;
 }
 

@@ -44,66 +44,10 @@ constexpr std::uint64_t kJournalVersion = 2;
 /// journal is bitwise the registry that wrote it).
 struct CellData {
   bool done = false;
-  core::TrialStats stats;
-  obs::MetricsSnapshot metrics;
-  std::string timeline_json;  ///< traceEvents fragment (pids pre-assigned)
+  resilience::JournalRecord record;
   std::string decisions_jsonl;  ///< every trial's decision trace, in order
-  std::string raw_line;       ///< journal record, adopted verbatim on resume
+  std::string raw_line;         ///< journal record, adopted verbatim on resume
 };
-
-std::string header_line(const std::string& scenario_name,
-                        const obs::Provenance& prov, std::size_t trials,
-                        std::size_t points, std::size_t cells) {
-  std::ostringstream os;
-  os << "{\"kind\":\"sweep-journal\",\"version\":";
-  obs::write_json_number(os, kJournalVersion);
-  os << ",\"scenario\":";
-  obs::write_json_string(os, scenario_name);
-  os << ",\"sweep\":";
-  obs::write_json_string(os, prov.config_digest);
-  os << ",\"seed\":";
-  obs::write_json_number(os, prov.seed);
-  os << ",\"trials\":";
-  obs::write_json_number(os, static_cast<std::uint64_t>(trials));
-  os << ",\"points\":";
-  obs::write_json_number(os, static_cast<std::uint64_t>(points));
-  os << ",\"cells\":";
-  obs::write_json_number(os, static_cast<std::uint64_t>(cells));
-  os << '}';
-  return os.str();
-}
-
-/// `metrics_json` / `timeline_json` are stored only when non-empty.
-std::string cell_record_line(std::size_t index, const std::string& key,
-                             const obs::Provenance& prov, std::size_t trials,
-                             const std::string& label,
-                             const core::TrialStats& stats,
-                             const std::string& metrics_json,
-                             const std::string& timeline_json) {
-  std::ostringstream os;
-  os << "{\"kind\":\"cell\",\"index\":";
-  obs::write_json_number(os, static_cast<std::uint64_t>(index));
-  os << ",\"key\":";
-  obs::write_json_string(os, key);
-  os << ",\"seed\":";
-  obs::write_json_number(os, prov.seed);
-  os << ",\"trials\":";
-  obs::write_json_number(os, static_cast<std::uint64_t>(trials));
-  os << ",\"label\":";
-  obs::write_json_string(os, label);
-  os << ",\"outcome\":\"ok\",\"stats\":";
-  stats.print_json(os);
-  if (!metrics_json.empty()) {
-    os << ",\"metrics\":";
-    obs::write_json_string(os, metrics_json);
-  }
-  if (!timeline_json.empty()) {
-    os << ",\"timeline\":";
-    obs::write_json_string(os, timeline_json);
-  }
-  os << '}';
-  return os.str();
-}
 
 [[noreturn]] void resume_mismatch(const std::string& what) {
   throw std::runtime_error(
@@ -111,20 +55,19 @@ std::string cell_record_line(std::size_t index, const std::string& key,
       "); delete the journal or rerun the original command line");
 }
 
-void validate_header(const report::JournalModel& journal,
-                     const std::string& scenario_name,
-                     const obs::Provenance& prov, std::size_t trials,
-                     std::size_t cells) {
-  if (journal.version != kJournalVersion)
+void validate_header(const resilience::JournalHeader& journal,
+                     const resilience::JournalHeader& expected) {
+  if (journal.version != expected.version)
     resume_mismatch("journal version " + std::to_string(journal.version));
-  if (journal.scenario != scenario_name)
-    resume_mismatch("scenario " + journal.scenario + " vs " + scenario_name);
-  if (journal.sweep_digest != prov.config_digest)
-    resume_mismatch("config digest " + journal.sweep_digest + " vs " +
-                    prov.config_digest);
-  if (journal.seed != prov.seed) resume_mismatch("seed mismatch");
-  if (journal.trials != trials) resume_mismatch("trials mismatch");
-  if (journal.cells_total != cells) resume_mismatch("cell count mismatch");
+  if (journal.scenario != expected.scenario)
+    resume_mismatch("scenario " + journal.scenario + " vs " +
+                    expected.scenario);
+  if (journal.sweep != expected.sweep)
+    resume_mismatch("config digest " + journal.sweep + " vs " +
+                    expected.sweep);
+  if (journal.seed != expected.seed) resume_mismatch("seed mismatch");
+  if (journal.trials != expected.trials) resume_mismatch("trials mismatch");
+  if (journal.cells != expected.cells) resume_mismatch("cell count mismatch");
 }
 
 /// Metric extraction for one report series at one cell (completed cells
@@ -170,6 +113,10 @@ SweepResult run_sweep(const SweepPlan& plan) {
     keys[index] = core::config_digest(grid.cells[index].config,
                                       grid.cells[index].key_extra);
 
+  const resilience::JournalHeader header{
+      kJournalVersion, plan.spec.name, base_prov.config_digest,
+      base_prov.seed,  trials,         grid.points.size(),
+      total};
   std::vector<CellData> cells(total);
   std::size_t reused = 0;
 
@@ -182,9 +129,9 @@ SweepResult run_sweep(const SweepPlan& plan) {
     const report::Artifact artifact = report::load_artifact(plan.resume_path);
     if (artifact.kind != report::ArtifactKind::kJournal)
       resume_mismatch("not a sweep journal");
-    validate_header(artifact.journal, plan.spec.name, base_prov, trials,
-                    total);
-    for (const report::JournalModel::Cell& record : artifact.journal.cells) {
+    validate_header(artifact.journal.header, header);
+    for (const report::JournalModel::Cell& entry : artifact.journal.cells) {
+      const resilience::JournalRecord& record = entry.record;
       if (record.key != keys[record.index])
         resume_mismatch("cell " + std::to_string(record.index) +
                         " key mismatch despite matching header");
@@ -195,10 +142,8 @@ SweepResult run_sweep(const SweepPlan& plan) {
       if (plan.timeline && !record.timeline) continue;
       if (plan.trace_decisions) continue;  // traces are not journaled
       CellData& cell = cells[record.index];
-      cell.stats = record.stats;
-      if (record.metrics) cell.metrics = *record.metrics;
-      if (record.timeline) cell.timeline_json = *record.timeline;
-      cell.raw_line = record.raw;
+      cell.record = record;
+      cell.raw_line = entry.raw;
       cell.done = true;
       ++reused;
     }
@@ -210,9 +155,9 @@ SweepResult run_sweep(const SweepPlan& plan) {
   if (!plan.journal_path.empty()) {
     journal =
         std::make_unique<resilience::JournalWriter>(plan.journal_path);
-    journal->append(header_line(plan.spec.name, base_prov, trials,
-                                grid.points.size(), total),
-                    /*flush_now=*/false);
+    std::ostringstream os;
+    obs::write_json(os, header);
+    journal->append(os.str(), /*flush_now=*/false);
     for (const CellData& cell : cells)
       if (cell.done) journal->append(cell.raw_line, /*flush_now=*/false);
     journal->flush();
@@ -280,24 +225,20 @@ SweepResult run_sweep(const SweepPlan& plan) {
     const std::vector<strategy::RunResult> results =
         std::move(runs[index].results);
     CellData data;
-    data.stats = core::reduce_trials(results);
-    std::string metrics_json;
-    if (plan.metrics) {
-      const auto merged = core::merge_trial_metrics(results);
-      data.metrics = merged->snapshot();
-      std::ostringstream os;
-      merged->write_json(os);
-      metrics_json = os.str();
-    }
+    resilience::JournalRecord& record = data.record;
+    record = {index, keys[index], base_prov.seed, trials, cell.label, "ok",
+              core::reduce_trials(results), {}, {}};
+    if (plan.metrics)
+      record.metrics = core::merge_trial_metrics(results)->snapshot();
     if (plan.timeline) {
       std::vector<obs::TimelineTracer::Process> processes;
       for (std::size_t t = 0; t < results.size(); ++t)
         processes.push_back({cell.label + " trial " + std::to_string(t),
                              results[t].timeline.get()});
       std::ostringstream os;
-      obs::TimelineTracer::write_chrome_fragment(
-          os, processes, static_cast<std::uint32_t>(index * trials + 1));
-      data.timeline_json = os.str();
+      if (obs::TimelineTracer::write_chrome_fragment(
+              os, processes, static_cast<std::uint32_t>(index * trials + 1)))
+        record.timeline = os.str();
     }
     if (plan.trace_decisions) {
       std::ostringstream os;
@@ -307,9 +248,9 @@ SweepResult run_sweep(const SweepPlan& plan) {
                                     results[t].decision_trace);
       data.decisions_jsonl = os.str();
     }
-    data.raw_line = cell_record_line(index, keys[index], base_prov, trials,
-                                     cell.label, data.stats, metrics_json,
-                                     data.timeline_json);
+    std::ostringstream line;
+    obs::write_json(line, [&](auto& v) { walk(v, record, header); });
+    data.raw_line = line.str();
     data.done = true;
     cells[index] = std::move(data);
     executed.fetch_add(1, std::memory_order_relaxed);
@@ -420,7 +361,7 @@ SweepResult run_sweep(const SweepPlan& plan) {
   // they gave up cleanly and are reported as such.
   if (grid.forbid_stalls) {
     for (std::size_t index = 0; index < total; ++index) {
-      const core::TrialStats& stats = cells[index].stats;
+      const core::TrialStats& stats = cells[index].record.stats;
       const std::size_t deadlocked = stats.stalled - stats.resource_exhausted;
       if (cells[index].done && deadlocked > 0)
         throw std::runtime_error(
@@ -452,7 +393,7 @@ SweepResult run_sweep(const SweepPlan& plan) {
   result.provenance.partial = result.partial;
   result.stats.resize(total);
   for (std::size_t index = 0; index < total; ++index)
-    if (cells[index].done) result.stats[index] = cells[index].stats;
+    if (cells[index].done) result.stats[index] = cells[index].record.stats;
 
   if (status != nullptr)
     status->finish(result.partial ? "interrupted" : "done");
@@ -470,9 +411,10 @@ SweepResult run_sweep(const SweepPlan& plan) {
         const scenario::SeriesSpec& series = spec_report.series[si];
         const CellData& cell = cells[xi * grid.variant_count + series.variant];
         report.series[si].y.push_back(
-            cell.done ? metric_value(series.metric, cell.stats) : nan);
+            cell.done ? metric_value(series.metric, cell.record.stats) : nan);
         report.series[si].adaptations.push_back(
-            cell.done ? metric_adaptations(series.metric, cell.stats) : nan);
+            cell.done ? metric_adaptations(series.metric, cell.record.stats)
+                      : nan);
       }
     }
     result.reports.push_back(std::move(report));
@@ -482,7 +424,7 @@ SweepResult run_sweep(const SweepPlan& plan) {
   if (plan.metrics) {
     obs::MetricsRegistry merged;
     for (const CellData& cell : cells)
-      if (cell.done) merged.merge(cell.metrics);
+      if (cell.done && cell.record.metrics) merged.merge(*cell.record.metrics);
     std::ostringstream os;
     merged.write_json(os, &result.provenance);
     os << '\n';
@@ -496,10 +438,10 @@ SweepResult run_sweep(const SweepPlan& plan) {
     os << "},\"traceEvents\":[";
     bool first = true;
     for (const CellData& cell : cells) {
-      if (!cell.done || cell.timeline_json.empty()) continue;
+      if (!cell.done || !cell.record.timeline) continue;
       if (!first) os << ',';
       first = false;
-      os << cell.timeline_json;
+      os << *cell.record.timeline;
     }
     os << "]}\n";
     result.timeline_json = os.str();

@@ -318,43 +318,7 @@ std::unique_ptr<obs::MetricsRegistry> merge_trial_metrics(
 
 void TrialStats::print_json(std::ostream& os,
                             const obs::Provenance* meta) const {
-  os << '{';
-  if (meta != nullptr) {
-    os << "\"meta\":";
-    meta->write_json(os);
-    os << ',';
-  }
-  os << "\"mean\":";
-  obs::write_json_number(os, mean);
-  os << ",\"stddev\":";
-  obs::write_json_number(os, stddev);
-  os << ",\"min\":";
-  obs::write_json_number(os, min);
-  os << ",\"max\":";
-  obs::write_json_number(os, max);
-  os << ",\"trials\":";
-  obs::write_json_number(os, std::uint64_t{trials});
-  os << ",\"unfinished\":";
-  obs::write_json_number(os, std::uint64_t{unfinished});
-  os << ",\"stalled\":";
-  obs::write_json_number(os, std::uint64_t{stalled});
-  os << ",\"resource_exhausted\":";
-  obs::write_json_number(os, std::uint64_t{resource_exhausted});
-  os << ",\"mean_adaptations\":";
-  obs::write_json_number(os, mean_adaptations);
-  os << ",\"mean_crashes\":";
-  obs::write_json_number(os, mean_crashes);
-  os << ",\"mean_transfer_failures\":";
-  obs::write_json_number(os, mean_transfer_failures);
-  os << ",\"mean_recoveries\":";
-  obs::write_json_number(os, mean_recoveries);
-  os << ",\"mean_checkpoint_failures\":";
-  obs::write_json_number(os, mean_checkpoint_failures);
-  os << ",\"mean_time_lost_s\":";
-  obs::write_json_number(os, mean_time_lost_s);
-  os << ",\"audit_violations\":";
-  obs::write_json_number(os, std::uint64_t{audit_violations});
-  os << '}';
+  obs::write_json(os, *this, meta);
 }
 
 void SeriesReport::print_table(std::ostream& os) const {
@@ -388,30 +352,7 @@ void SeriesReport::print_csv(std::ostream& os) const {
 
 void SeriesReport::print_json(std::ostream& os,
                               const obs::Provenance* meta) const {
-  os << '{';
-  if (meta != nullptr) {
-    os << "\"meta\":";
-    meta->write_json(os);
-    os << ',';
-  }
-  os << "\"title\":";
-  obs::write_json_string(os, title);
-  os << ",\"x_label\":";
-  obs::write_json_string(os, x_label);
-  os << ",\"x\":";
-  obs::write_json_array(os, x);
-  os << ",\"series\":[";
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    if (i > 0) os << ',';
-    os << "{\"name\":";
-    obs::write_json_string(os, series[i].name);
-    os << ",\"mean_makespan_s\":";
-    obs::write_json_array(os, series[i].y);
-    os << ",\"mean_adaptations\":";
-    obs::write_json_array(os, series[i].adaptations);
-    os << '}';
-  }
-  os << "]}";
+  obs::write_json(os, *this, meta);
 }
 
 }  // namespace simsweep::core

@@ -14,6 +14,7 @@
 #include "audit/auditor.hpp"
 #include "fault/fault.hpp"
 #include "load/load_model.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
 #include "platform/cluster.hpp"
@@ -129,6 +130,31 @@ struct TrialStats {
   void print_json(std::ostream& os) const { print_json(os, nullptr); }
 };
 
+/// Doubles may be null (non-finite), read back as NaN.
+template <typename V>
+void walk(V& v, TrialStats& s) {
+  using obs::Accept;
+  v("mean", s.mean, Accept::kNull);
+  v("stddev", s.stddev, Accept::kNull);
+  v("min", s.min, Accept::kNull);
+  v("max", s.max, Accept::kNull);
+  v("trials", s.trials);
+  v("unfinished", s.unfinished);
+  v("stalled", s.stalled);
+  v("resource_exhausted", s.resource_exhausted);
+  v("mean_adaptations", s.mean_adaptations, Accept::kNull);
+  v("mean_crashes", s.mean_crashes, Accept::kNull);
+  v("mean_transfer_failures", s.mean_transfer_failures, Accept::kNull);
+  v("mean_recoveries", s.mean_recoveries, Accept::kNull);
+  v("mean_checkpoint_failures", s.mean_checkpoint_failures, Accept::kNull);
+  v("mean_time_lost_s", s.mean_time_lost_s, Accept::kNull);
+  v("audit_violations", s.audit_violations);
+  if constexpr (V::kReading)
+    v.check(s.resource_exhausted <= s.stalled && s.stalled <= s.unfinished &&
+                s.unfinished <= s.trials,
+            "needs resource_exhausted <= stalled <= unfinished <= trials");
+}
+
 /// Folds per-trial results, in trial order, into summary statistics.
 /// Variance uses Welford's online algorithm, so makespans around 1e9 s do
 /// not suffer the catastrophic cancellation of the naive sum-of-squares
@@ -182,5 +208,24 @@ struct SeriesReport {
   void print_json(std::ostream& os, const obs::Provenance* meta) const;
   void print_json(std::ostream& os) const { print_json(os, nullptr); }
 };
+
+/// A series is read back with one entry per x point in each column, null
+/// (a cell that never ran) as NaN.
+template <typename V>
+void walk(V& v, SeriesReport::Series& s, std::size_t points) {
+  v("name", s.name);
+  v("mean_makespan_s", s.y, obs::Accept::kNull, points);
+  v("mean_adaptations", s.adaptations, obs::Accept::kNull, points);
+}
+
+template <typename V>
+void walk(V& v, SeriesReport& r) {
+  v("title", r.title);
+  v("x_label", r.x_label);
+  v("x", r.x, "x entry");
+  v.list("series", r.series, obs::Need::kRequired,
+         [points = r.x.size()](auto& s, SeriesReport::Series& series,
+                               std::size_t) { walk(s, series, points); });
+}
 
 }  // namespace simsweep::core

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/json.hpp"
 #include "obs/provenance.hpp"
 
 namespace simsweep::obs {
@@ -183,59 +182,7 @@ void MetricsRegistry::merge(const MetricsSnapshot& other) {
 
 void MetricsRegistry::write_json(std::ostream& os,
                                  const Provenance* meta) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  os << '{';
-  if (meta != nullptr) {
-    os << "\"meta\":";
-    meta->write_json(os);
-    os << ',';
-  }
-  os << "\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    if (!first) os << ',';
-    first = false;
-    write_json_string(os, name);
-    os << ':';
-    write_json_number(os, c.value());
-  }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    if (!first) os << ',';
-    first = false;
-    const Gauge::Snapshot snap = g.snapshot();
-    write_json_string(os, name);
-    os << ":{\"last\":";
-    write_json_number(os, snap.last);
-    os << ",\"min\":";
-    write_json_number(os, snap.min);
-    os << ",\"max\":";
-    write_json_number(os, snap.max);
-    os << '}';
-  }
-  os << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    if (!first) os << ',';
-    first = false;
-    const Histogram::Snapshot snap = h.snapshot();
-    write_json_string(os, name);
-    os << ":{\"count\":";
-    write_json_number(os, snap.count);
-    os << ",\"sum\":";
-    write_json_number(os, snap.sum);
-    os << ",\"min\":";
-    write_json_number(os, snap.min);
-    os << ",\"max\":";
-    write_json_number(os, snap.max);
-    os << ",\"bounds\":";
-    write_json_array(os, snap.bounds);
-    os << ",\"counts\":";
-    write_json_array(os, snap.counts);
-    os << '}';
-  }
-  os << "}}";
+  obs::write_json(os, snapshot(), meta);
 }
 
 }  // namespace simsweep::obs

@@ -35,6 +35,8 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace simsweep::obs {
 
 struct Provenance;
@@ -135,6 +137,37 @@ class Histogram {
 [[nodiscard]] std::string labelled(std::string_view base, std::string_view key,
                                    std::string_view value);
 
+template <typename V>
+void walk(V& v, Gauge::Snapshot& g) {
+  v("last", g.last);
+  v("min", g.min);
+  v("max", g.max);
+  if constexpr (V::kReading) {
+    v.check(g.min <= g.max, "has min > max");
+    v.check(g.min <= g.last && g.last <= g.max, "last outside [min, max]");
+  }
+}
+
+template <typename V>
+void walk(V& v, Histogram::Snapshot& h) {
+  v("count", h.count);
+  v("sum", h.sum);
+  v("min", h.min);
+  v("max", h.max);
+  v("bounds", h.bounds, "bound");
+  v("counts", h.counts, "bucket count");
+  if constexpr (V::kReading) {
+    v.check(std::is_sorted(h.bounds.begin(), h.bounds.end()),
+            "bounds not sorted");
+    if (h.counts.size() != h.bounds.size() + 1)
+      v.fail("has " + std::to_string(h.counts.size()) + " counts for " +
+             std::to_string(h.bounds.size()) +
+             " bounds (want bounds+1, overflow bucket last)");
+    v.check(sums_to(h.counts, h.count), "bucket counts do not sum to count");
+    v.check(h.count == 0 || h.min <= h.max, "has min > max");
+  }
+}
+
 /// Every metric of a registry by value, keys sorted: what write_json prints
 /// and what the metrics loader (report/artifact.hpp) reads back.
 struct MetricsSnapshot {
@@ -142,6 +175,14 @@ struct MetricsSnapshot {
   std::map<std::string, Gauge::Snapshot> gauges;
   std::map<std::string, Histogram::Snapshot> histograms;
 };
+
+/// Map-shaped sections emit in std::map order.
+template <typename V>
+void walk(V& v, MetricsSnapshot& m) {
+  v.map("counters", m.counters, "counter");
+  v.map("gauges", m.gauges, "gauge");
+  v.map("histograms", m.histograms, "histogram");
+}
 
 class MetricsRegistry {
  public:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <ostream>
 
-#include "obs/json.hpp"
 #include "obs/provenance.hpp"
 
 namespace simsweep::obs {
@@ -71,42 +70,7 @@ void TrialProfiler::print(std::ostream& os) const {
 }
 
 void TrialProfiler::write_json(std::ostream& os, const Provenance* meta) const {
-  const Report r = report();
-  os << '{';
-  if (meta != nullptr) {
-    os << "\"meta\":";
-    meta->write_json(os);
-    os << ',';
-  }
-  os << "\"tasks\":";
-  write_json_number(os, static_cast<std::uint64_t>(r.tasks));
-  os << ",\"wall_s\":";
-  write_json_number(os, r.wall_s);
-  os << ",\"mean_task_s\":";
-  write_json_number(os, r.mean_task_s);
-  os << ",\"min_task_s\":";
-  write_json_number(os, r.min_task_s);
-  os << ",\"max_task_s\":";
-  write_json_number(os, r.max_task_s);
-  os << ",\"mean_queue_wait_s\":";
-  write_json_number(os, r.mean_queue_wait_s);
-  os << ",\"max_queue_wait_s\":";
-  write_json_number(os, r.max_queue_wait_s);
-  os << ",\"workers\":[";
-  for (std::size_t i = 0; i < r.workers.size(); ++i) {
-    if (i != 0) os << ',';
-    const WorkerStats& w = r.workers[i];
-    os << "{\"worker\":";
-    write_json_number(os, static_cast<std::uint64_t>(i));
-    os << ",\"tasks\":";
-    write_json_number(os, static_cast<std::uint64_t>(w.tasks));
-    os << ",\"busy_s\":";
-    write_json_number(os, w.busy_s);
-    os << ",\"utilization\":";
-    write_json_number(os, w.utilization);
-    os << '}';
-  }
-  os << "]}";
+  obs::write_json(os, report(), meta);
 }
 
 }  // namespace simsweep::obs

@@ -14,6 +14,8 @@
 #include <mutex>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace simsweep::obs {
 
 struct Provenance;
@@ -69,6 +71,8 @@ class TrialProfiler {
   /// Human-readable report ("profile: ..." lines).
   void print(std::ostream& os) const;
 
+  /// The --profile-json document: report(), led by a "meta" block when
+  /// `meta` is set.
   void write_json(std::ostream& os, const Provenance* meta = nullptr) const;
 
  private:
@@ -76,5 +80,31 @@ class TrialProfiler {
   mutable std::mutex mutex_;
   std::vector<TaskRecord> records_;
 };
+
+template <typename V>
+void walk(V& v, TrialProfiler::WorkerStats& w) {
+  v("tasks", w.tasks);
+  v("busy_s", w.busy_s, Accept::kNonNegative);
+  v("utilization", w.utilization);
+  if constexpr (V::kReading)
+    v.check(w.utilization >= 0.0 && w.utilization <= 1.0,
+            "utilization outside [0, 1]");
+}
+
+/// Profile workers carry their index; a status snapshot's do not.
+template <typename V>
+void walk(V& v, TrialProfiler::Report& r) {
+  v("tasks", r.tasks);
+  v("wall_s", r.wall_s, Accept::kNonNegative);
+  v("mean_task_s", r.mean_task_s, Accept::kNonNegative);
+  v("min_task_s", r.min_task_s, Accept::kNonNegative);
+  v("max_task_s", r.max_task_s, Accept::kNonNegative);
+  v("mean_queue_wait_s", r.mean_queue_wait_s, Accept::kNonNegative);
+  v("max_queue_wait_s", r.max_queue_wait_s, Accept::kNonNegative);
+  v.list("workers", r.workers, Need::kRequired, "worker");
+  if constexpr (V::kReading)
+    v.check(sums_to(r.workers, r.tasks, &TrialProfiler::WorkerStats::tasks),
+            "worker task counts do not sum to tasks");
+}
 
 }  // namespace simsweep::obs

@@ -1,9 +1,6 @@
 #include "obs/provenance.hpp"
 
-#include <ostream>
 #include <utility>
-
-#include "obs/json.hpp"
 
 #ifndef SIMSWEEP_GIT_DESCRIBE
 #define SIMSWEEP_GIT_DESCRIBE "unknown"
@@ -13,19 +10,6 @@
 #endif
 
 namespace simsweep::obs {
-
-void Provenance::write_json(std::ostream& os) const {
-  os << "{\"version\":";
-  write_json_string(os, version);
-  os << ",\"build_type\":";
-  write_json_string(os, build_type);
-  os << ",\"seed\":";
-  write_json_number(os, seed);
-  os << ",\"config_digest\":";
-  write_json_string(os, config_digest);
-  if (partial) os << ",\"partial\":true";
-  os << '}';
-}
 
 Provenance make_provenance(std::uint64_t seed, std::string config_digest) {
   Provenance p;

@@ -12,6 +12,8 @@
 #include <string>
 #include <string_view>
 
+#include "obs/json.hpp"
+
 namespace simsweep::obs {
 
 struct Provenance {
@@ -31,6 +33,41 @@ struct Provenance {
   /// are byte-for-byte what they were before the flag existed.
   void write_json(std::ostream& os) const;
 };
+
+template <typename V>
+void walk(V& v, Provenance& p) {
+  v("version", p.version, Accept::kNonEmpty);
+  v("build_type", p.build_type);
+  v("seed", p.seed);
+  v("config_digest", p.config_digest, Accept::kDigest);
+  v.flag("partial", p.partial);
+}
+
+inline void Provenance::write_json(std::ostream& os) const {
+  obs::write_json(os, *this);
+}
+
+/// A file artifact's document: the provenance block under "meta", when
+/// there is one, then the body's own keys.
+template <typename T>
+struct Stamped {
+  Provenance* meta = nullptr;
+  T* body = nullptr;
+};
+
+template <typename V, typename T>
+void walk(V& v, Stamped<T>& doc) {
+  v.section("meta", doc.meta);
+  visit(v, *doc.body);
+}
+
+/// Writes `body` as one JSON object, led by a "meta" block when `meta` is
+/// set.
+template <typename T>
+void write_json(std::ostream& os, const T& body, const Provenance* meta) {
+  write_json(os, Stamped<T>{const_cast<Provenance*>(meta),
+                            const_cast<T*>(&body)});
+}
 
 /// Provenance pre-filled with the compiled-in version/build-type stamps.
 [[nodiscard]] Provenance make_provenance(std::uint64_t seed,

@@ -7,10 +7,19 @@
 #include <utility>
 
 #include "obs/atomic_write.hpp"
-#include "obs/json.hpp"
-#include "obs/profiler.hpp"
 
 namespace simsweep::obs {
+
+namespace {
+
+std::string json_line(const StatusSnapshot& snapshot) {
+  std::ostringstream os;
+  write_json(os, snapshot);
+  os << '\n';
+  return os.str();
+}
+
+}  // namespace
 
 EtaEstimator::EtaEstimator(double alpha) : alpha_(alpha) {
   if (!(alpha > 0.0) || alpha > 1.0)
@@ -37,6 +46,7 @@ StatusBoard::StatusBoard(Options options) : options_(std::move(options)),
                                             eta_(options_.eta_alpha) {
   epoch_ = std::chrono::steady_clock::now();
   last_write_ = epoch_;
+  run_.heartbeat_s = options_.heartbeat_s;
 }
 
 void StatusBoard::begin_run(const std::string& scenario,
@@ -45,25 +55,20 @@ void StatusBoard::begin_run(const std::string& scenario,
                             std::size_t jobs,
                             std::vector<std::string> group_names) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  scenario_ = scenario;
-  provenance_ = provenance;
-  cells_total_ = cells_total;
-  trials_ = trials;
-  jobs_ = std::max<std::size_t>(1, jobs);
-  groups_.clear();
-  if (!group_names.empty()) {
-    const std::size_t n = group_names.size();
-    groups_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      Group g;
-      g.name = std::move(group_names[i]);
-      // The grid is x-major: cell index % group-count selects the group, so
-      // the first (total % n) groups get one extra cell when it divides
-      // unevenly (it never does for a full grid, but resumed partial plans
-      // keep the same mapping).
-      g.total = cells_total / n + (i < cells_total % n ? 1 : 0);
-      groups_.push_back(std::move(g));
-    }
+  run_.scenario = scenario;
+  run_.meta = provenance;
+  run_.cells.total = cells_total;
+  run_.trials = trials;
+  run_.jobs = std::max<std::size_t>(1, jobs);
+  run_.groups.clear();
+  const std::size_t n = group_names.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    // The grid is x-major: cell index % group-count selects the group, so
+    // the first (total % n) groups get one extra cell when it divides
+    // unevenly (it never does for a full grid, but resumed partial plans
+    // keep the same mapping).
+    run_.groups.push_back({std::move(group_names[i]), 0,
+                           cells_total / n + (i < cells_total % n ? 1 : 0)});
   }
   // Publish immediately: a kill before the first cell completes must still
   // leave a parseable, partial-marked snapshot on disk.
@@ -75,41 +80,43 @@ void StatusBoard::set_profiler(const TrialProfiler* profiler) {
   profiler_ = profiler;
 }
 
+void StatusBoard::resolve_locked(std::size_t index) {
+  ++run_.cells.done;
+  if (!run_.groups.empty()) ++run_.groups[index % run_.groups.size()].done;
+}
+
 void StatusBoard::cell_reused(std::size_t index) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  ++done_;
-  ++reused_;
-  if (!groups_.empty()) ++groups_[index % groups_.size()].done;
+  ++run_.cells.reused;
+  resolve_locked(index);
   write_snapshot_locked("running", /*force=*/false);
 }
 
 void StatusBoard::cell_started(std::size_t) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  ++in_flight_;
+  ++run_.cells.in_flight;
   write_snapshot_locked("running", /*force=*/false);
 }
 
 void StatusBoard::cell_retried(std::size_t) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  ++retries_;
+  ++run_.cells.retries;
   write_snapshot_locked("running", /*force=*/false);
 }
 
 void StatusBoard::cell_quarantined(std::size_t index) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (in_flight_ > 0) --in_flight_;
-  ++done_;
-  ++quarantined_;
-  if (!groups_.empty()) ++groups_[index % groups_.size()].done;
+  if (run_.cells.in_flight > 0) --run_.cells.in_flight;
+  ++run_.cells.quarantined;
+  resolve_locked(index);
   write_snapshot_locked("running", /*force=*/false);
 }
 
 void StatusBoard::cell_finished(std::size_t index, double duration_s) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (in_flight_ > 0) --in_flight_;
-  ++done_;
-  ++executed_;
-  if (!groups_.empty()) ++groups_[index % groups_.size()].done;
+  if (run_.cells.in_flight > 0) --run_.cells.in_flight;
+  ++run_.cells.executed;
+  resolve_locked(index);
   eta_.record(duration_s);
   write_snapshot_locked("running", /*force=*/false);
 }
@@ -121,96 +128,30 @@ void StatusBoard::finish(const std::string& state) {
 
 std::string StatusBoard::snapshot_json() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return snapshot_json_locked("running");
+  return json_line(snapshot_locked("running"));
 }
 
-double StatusBoard::elapsed_s() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       epoch_)
-      .count();
-}
-
-std::string StatusBoard::snapshot_json_locked(const std::string& state) {
-  std::ostringstream os;
-  os << "{\"kind\":\"sweep-status\",\"meta\":";
-  Provenance meta = provenance_;
+StatusSnapshot StatusBoard::snapshot_locked(const std::string& state) const {
+  StatusSnapshot s = run_;
+  s.state = state;
   // Anything short of "done" is a partial view of the run; a monitor (or
   // `report`) must not treat it as a complete result.
-  meta.partial = provenance_.partial || state != "done";
-  meta.write_json(os);
-  os << ",\"scenario\":";
-  write_json_string(os, scenario_);
-  os << ",\"state\":";
-  write_json_string(os, state);
-  const double unix_s =
-      std::chrono::duration<double>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count();
-  os << ",\"heartbeat_unix_s\":";
-  write_json_number(os, unix_s);
-  os << ",\"elapsed_s\":";
-  write_json_number(os, elapsed_s());
-  os << ",\"heartbeat_s\":";
-  write_json_number(os, options_.heartbeat_s);
-  os << ",\"jobs\":";
-  write_json_number(os, static_cast<std::uint64_t>(jobs_));
-  os << ",\"trials\":";
-  write_json_number(os, static_cast<std::uint64_t>(trials_));
-  os << ",\"cells\":{\"total\":";
-  write_json_number(os, static_cast<std::uint64_t>(cells_total_));
-  os << ",\"done\":";
-  write_json_number(os, static_cast<std::uint64_t>(done_));
-  os << ",\"reused\":";
-  write_json_number(os, static_cast<std::uint64_t>(reused_));
-  os << ",\"executed\":";
-  write_json_number(os, static_cast<std::uint64_t>(executed_));
-  os << ",\"in_flight\":";
-  write_json_number(os, static_cast<std::uint64_t>(in_flight_));
-  os << ",\"retries\":";
-  write_json_number(os, static_cast<std::uint64_t>(retries_));
-  os << ",\"quarantined\":";
-  write_json_number(os, static_cast<std::uint64_t>(quarantined_));
-  os << "},\"groups\":[";
-  for (std::size_t i = 0; i < groups_.size(); ++i) {
-    if (i != 0) os << ',';
-    os << "{\"name\":";
-    write_json_string(os, groups_[i].name);
-    os << ",\"done\":";
-    write_json_number(os, static_cast<std::uint64_t>(groups_[i].done));
-    os << ",\"total\":";
-    write_json_number(os, static_cast<std::uint64_t>(groups_[i].total));
-    os << '}';
-  }
-  os << "],\"eta\":{\"ewma_cell_s\":";
-  write_json_number(os, eta_.ewma_s());
-  const std::size_t remaining = cells_total_ > done_ ? cells_total_ - done_ : 0;
-  os << ",\"eta_s\":";
-  write_json_number(os, eta_.eta_s(remaining, jobs_));
-  os << ",\"percent\":";
-  const double percent =
-      cells_total_ == 0 ? 100.0
-                        : 100.0 * static_cast<double>(done_) /
-                              static_cast<double>(cells_total_);
-  write_json_number(os, percent);
-  os << '}';
-  if (profiler_ != nullptr) {
-    const TrialProfiler::Report report = profiler_->report();
-    os << ",\"workers\":[";
-    for (std::size_t i = 0; i < report.workers.size(); ++i) {
-      if (i != 0) os << ',';
-      os << "{\"tasks\":";
-      write_json_number(os,
-                        static_cast<std::uint64_t>(report.workers[i].tasks));
-      os << ",\"busy_s\":";
-      write_json_number(os, report.workers[i].busy_s);
-      os << ",\"utilization\":";
-      write_json_number(os, report.workers[i].utilization);
-      os << '}';
-    }
-    os << ']';
-  }
-  os << "}\n";
-  return os.str();
+  s.meta.partial = run_.meta.partial || state != "done";
+  s.heartbeat_unix_s = std::chrono::duration<double>(
+                           std::chrono::system_clock::now().time_since_epoch())
+                           .count();
+  s.elapsed_s = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - epoch_)
+                    .count();
+  const std::size_t total = s.cells.total;
+  const std::size_t done = s.cells.done;
+  s.eta.ewma_cell_s = eta_.ewma_s();
+  s.eta.eta_s = eta_.eta_s(total > done ? total - done : 0, s.jobs);
+  s.eta.percent = total == 0 ? 100.0
+                             : 100.0 * static_cast<double>(done) /
+                                   static_cast<double>(total);
+  if (profiler_ != nullptr) s.workers = profiler_->report().workers;
+  return s;
 }
 
 void StatusBoard::write_snapshot_locked(const std::string& state, bool force) {
@@ -220,20 +161,14 @@ void StatusBoard::write_snapshot_locked(const std::string& state, bool force) {
         std::chrono::duration<double>(now - last_write_).count();
     if (since < options_.heartbeat_s) return;
   }
-  atomic_write_file(options_.path, snapshot_json_locked(state));
+  const StatusSnapshot snapshot = snapshot_locked(state);
+  atomic_write_file(options_.path, json_line(snapshot));
   last_write_ = now;
   wrote_once_ = true;
-  if (options_.progress) {
-    const std::size_t remaining =
-        cells_total_ > done_ ? cells_total_ - done_ : 0;
-    const double percent =
-        cells_total_ == 0 ? 100.0
-                          : 100.0 * static_cast<double>(done_) /
-                                static_cast<double>(cells_total_);
+  if (options_.progress)
     std::fprintf(stderr, "progress: %zu/%zu cells (%.1f%%), eta %.1fs [%s]\n",
-                 done_, cells_total_, percent, eta_.eta_s(remaining, jobs_),
-                 state.c_str());
-  }
+                 snapshot.cells.done, snapshot.cells.total,
+                 snapshot.eta.percent, snapshot.eta.eta_s, state.c_str());
 }
 
 }  // namespace simsweep::obs

@@ -21,14 +21,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
+#include "obs/profiler.hpp"
 #include "obs/provenance.hpp"
 
 namespace simsweep::obs {
-
-class TrialProfiler;
 
 /// Wall-clock ETA from an exponentially weighted moving average of
 /// completed-cell durations.  Pure and deterministic: feeding the same
@@ -58,6 +59,114 @@ class EtaEstimator {
   double ewma_s_ = 0.0;
   std::size_t completed_ = 0;
 };
+
+/// One status snapshot: what `--status` publishes and `simsweep status`
+/// reads back.
+struct StatusSnapshot {
+  /// Marked partial whenever `state` is not "done".
+  Provenance meta;
+  std::string scenario;
+  std::string state;  ///< "running" | "done" | "interrupted"
+  double heartbeat_unix_s = 0.0;
+  double elapsed_s = 0.0;
+  double heartbeat_s = 0.0;
+  std::size_t jobs = 1;
+  std::size_t trials = 0;
+
+  /// done = reused + executed + quarantined.
+  struct Cells {
+    std::size_t total = 0, done = 0, reused = 0, executed = 0;
+    std::size_t in_flight = 0, retries = 0, quarantined = 0;
+  } cells;
+
+  /// Strategy-lineup progress; cell i belongs to group i % groups.size().
+  struct Group {
+    std::string name;
+    std::size_t done = 0, total = 0;
+  };
+  std::vector<Group> groups;
+
+  struct Eta {
+    double ewma_cell_s = 0.0, eta_s = 0.0, percent = 0.0;
+  } eta;
+
+  /// Present (possibly empty, before the profiler records its first task)
+  /// exactly when the sweep runs with a profiler.
+  std::optional<std::vector<TrialProfiler::WorkerStats>> workers;
+};
+
+template <typename V>
+void walk(V& v, StatusSnapshot::Cells& c) {
+  v("total", c.total);
+  v("done", c.done);
+  v("reused", c.reused);
+  v("executed", c.executed);
+  v("in_flight", c.in_flight);
+  v("retries", c.retries);
+  v("quarantined", c.quarantined);
+}
+
+template <typename V>
+void walk(V& v, StatusSnapshot::Group& g) {
+  v("name", g.name, Accept::kNonEmpty);
+  v("done", g.done);
+  v("total", g.total);
+  if constexpr (V::kReading)
+    v.check(g.done <= g.total, "done outside [0, total]");
+}
+
+template <typename V>
+void walk(V& v, StatusSnapshot::Eta& e) {
+  v("ewma_cell_s", e.ewma_cell_s, Accept::kNonNegative);
+  v("eta_s", e.eta_s, Accept::kNonNegative);
+  v("percent", e.percent);
+  if constexpr (V::kReading)
+    v.check(e.percent >= 0.0 && e.percent <= 100.0, "percent outside [0, 100]");
+}
+
+template <typename V>
+void walk(V& v, StatusSnapshot& s) {
+  std::string kind = "sweep-status";
+  v("kind", kind);
+  v.section("meta", s.meta);
+  v("scenario", s.scenario, Accept::kNonEmpty);
+  v("state", s.state);
+  if constexpr (V::kReading) {
+    if (s.state != "running" && s.state != "done" && s.state != "interrupted")
+      v.fail("state '" + s.state + "' not in [done, interrupted, running]");
+    // Anything short of "done" is a partial view of the run.
+    if ((s.state != "done") != s.meta.partial)
+      v.fail("state '" + s.state + "' inconsistent with meta.partial");
+  }
+  v("heartbeat_unix_s", s.heartbeat_unix_s, Accept::kNonNegative);
+  v("elapsed_s", s.elapsed_s, Accept::kNonNegative);
+  v("heartbeat_s", s.heartbeat_s, Accept::kNonNegative);
+  v("jobs", s.jobs);
+  v("trials", s.trials);
+  if constexpr (V::kReading)
+    v.check(s.jobs >= 1 && s.trials >= 1,
+            "jobs and trials must be positive integers");
+  v.section("cells", s.cells);
+  if constexpr (V::kReading) {
+    const StatusSnapshot::Cells& c = s.cells;
+    v.check(c.done <= c.total, "done > total");
+    const std::size_t resolved[] = {c.reused, c.executed, c.quarantined};
+    v.check(sums_to(resolved, c.done),
+            "done != reused + executed + quarantined");
+    v.check(s.state != "done" || c.in_flight == 0, "done with cells in flight");
+  }
+  v.list("groups", s.groups, Need::kRequired);
+  if constexpr (V::kReading) {
+    if (!s.groups.empty()) {
+      v.check(sums_to(s.groups, s.cells.total, &StatusSnapshot::Group::total),
+              "group totals do not sum to cells.total");
+      v.check(sums_to(s.groups, s.cells.done, &StatusSnapshot::Group::done),
+              "group done counts do not sum to cells.done");
+    }
+  }
+  v.section("eta", s.eta);
+  v.list("workers", s.workers);
+}
 
 /// Periodic status-snapshot publisher for a running sweep.  Thread-safe:
 /// worker threads report cell events concurrently; the internal mutex is
@@ -109,15 +218,11 @@ class StatusBoard {
   [[nodiscard]] std::string snapshot_json();
 
  private:
-  struct Group {
-    std::string name;
-    std::size_t done = 0;
-    std::size_t total = 0;
-  };
-
   void write_snapshot_locked(const std::string& state, bool force);
-  [[nodiscard]] std::string snapshot_json_locked(const std::string& state);
-  [[nodiscard]] double elapsed_s() const;
+  /// The counters with the clock, ETA and worker fields filled in.
+  [[nodiscard]] StatusSnapshot snapshot_locked(const std::string& state) const;
+  /// Cell `index` resolved (reused, finished or quarantined).
+  void resolve_locked(std::size_t index);
 
   Options options_;
   mutable std::mutex mutex_;
@@ -125,20 +230,9 @@ class StatusBoard {
   std::chrono::steady_clock::time_point last_write_;
   bool wrote_once_ = false;
 
-  std::string scenario_;
-  Provenance provenance_;
-  std::size_t cells_total_ = 0;
-  std::size_t trials_ = 0;
-  std::size_t jobs_ = 1;
-  std::vector<Group> groups_;
-
-  std::size_t done_ = 0;      ///< finished + reused
-  std::size_t reused_ = 0;
-  std::size_t executed_ = 0;  ///< finished in this process
-  std::size_t in_flight_ = 0;
-  std::size_t retries_ = 0;
-  std::size_t quarantined_ = 0;
-
+  /// The run's description and cell counters; the clock, ETA and worker
+  /// fields are filled per snapshot.
+  StatusSnapshot run_;
   EtaEstimator eta_;
   const TrialProfiler* profiler_ = nullptr;
 };

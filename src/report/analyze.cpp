@@ -94,7 +94,7 @@ Flat flatten(const Artifact& artifact) {
   Flat out;
   switch (artifact.kind) {
     case ArtifactKind::kMetrics: {
-      const MetricsModel& m = artifact.metrics;
+      const obs::MetricsSnapshot& m = artifact.metrics;
       for (const auto& [name, value] : m.counters)
         out.emplace_back("counters/" + name, double(value));
       for (const auto& [name, g] : m.gauges) {
@@ -115,13 +115,13 @@ Flat flatten(const Artifact& artifact) {
       break;
     }
     case ArtifactKind::kSeries: {
-      const SeriesModel& m = artifact.series;
-      for (const SeriesModel::Series& s : m.series) {
-        for (std::size_t i = 0; i < s.makespan.size(); ++i) {
+      const core::SeriesReport& m = artifact.series;
+      for (const core::SeriesReport::Series& s : m.series) {
+        for (std::size_t i = 0; i < s.y.size(); ++i) {
           const std::string x =
               i < m.x.size() ? fmt(m.x[i]) : std::to_string(i);
           out.emplace_back("series/" + s.name + "/x=" + x + "/makespan",
-                           s.makespan[i]);
+                           s.y[i]);
           if (i < s.adaptations.size())
             out.emplace_back("series/" + s.name + "/x=" + x + "/adaptations",
                              s.adaptations[i]);
@@ -130,18 +130,19 @@ Flat flatten(const Artifact& artifact) {
       break;
     }
     case ArtifactKind::kJournal: {
-      const JournalModel& m = artifact.journal;
-      out.emplace_back("journal/cells_total", double(m.cells_total));
-      out.emplace_back("journal/trials", double(m.trials));
-      out.emplace_back("journal/points", double(m.points));
-      for (const JournalModel::Cell& cell : m.cells)
-        flatten_stats(out, "cells/" + std::to_string(cell.index), cell.stats);
+      const resilience::JournalHeader& h = artifact.journal.header;
+      out.emplace_back("journal/cells_total", double(h.cells));
+      out.emplace_back("journal/trials", double(h.trials));
+      out.emplace_back("journal/points", double(h.points));
+      for (const JournalModel::Cell& cell : artifact.journal.cells)
+        flatten_stats(out, "cells/" + std::to_string(cell.record.index),
+                      cell.record.stats);
       break;
     }
     case ArtifactKind::kQuarantine: {
-      const QuarantineModel& m = artifact.quarantine;
-      out.emplace_back("quarantine/count", double(m.records.size()));
-      for (const QuarantineModel::Record& r : m.records)
+      const auto& records = artifact.quarantine;
+      out.emplace_back("quarantine/count", double(records.size()));
+      for (const resilience::QuarantineRecord& r : records)
         out.emplace_back("quarantine/cell" + std::to_string(r.index),
                          double(r.attempts));
       break;
@@ -153,11 +154,11 @@ Flat flatten(const Artifact& artifact) {
                        double(artifact.profile.workers.size()));
       break;
     case ArtifactKind::kStatus: {
-      const StatusModel& m = artifact.status;
-      out.emplace_back("status/cells_total", double(m.cells_total));
-      out.emplace_back("status/done", double(m.cells_done));
-      out.emplace_back("status/quarantined", double(m.quarantined));
-      for (const StatusModel::Group& g : m.groups) {
+      const obs::StatusSnapshot& m = artifact.status;
+      out.emplace_back("status/cells_total", double(m.cells.total));
+      out.emplace_back("status/done", double(m.cells.done));
+      out.emplace_back("status/quarantined", double(m.cells.quarantined));
+      for (const obs::StatusSnapshot::Group& g : m.groups) {
         out.emplace_back("status/group/" + g.name + "/done", double(g.done));
         out.emplace_back("status/group/" + g.name + "/total",
                          double(g.total));
@@ -172,6 +173,25 @@ Flat flatten(const Artifact& artifact) {
     case ArtifactKind::kStats:
       flatten_stats(out, "stats", artifact.stats);
       break;
+    case ArtifactKind::kDecisions: {
+      // Records per kind and candidates per rejection reason, every name
+      // present (zero included) so two traces always compare.
+      std::map<std::string, double> counts;
+      for (const auto& entry : strategy::kTraceKindNames)
+        counts[std::string("kind/") + entry.second] = 0.0;
+      for (const auto& entry : swap::kRejectReasonNames)
+        counts[std::string("rejection/") + entry.second] = 0.0;
+      for (const strategy::TraceLine& line : artifact.decisions) {
+        ++counts[std::string("kind/") +
+                 obs::enum_name(strategy::kTraceKindNames, line.record.kind)];
+        for (const swap::CandidateEvaluation& c : line.record.considered)
+          ++counts[std::string("rejection/") + swap::to_string(c.rejection)];
+      }
+      out.emplace_back("decisions/records", double(artifact.decisions.size()));
+      for (const auto& [name, count] : counts)
+        out.emplace_back("decisions/" + name, count);
+      break;
+    }
   }
   return out;
 }
@@ -264,7 +284,7 @@ void print_summary(std::ostream& os, const Artifact& artifact) {
   os << '\n';
   switch (artifact.kind) {
     case ArtifactKind::kMetrics: {
-      const MetricsModel& m = artifact.metrics;
+      const obs::MetricsSnapshot& m = artifact.metrics;
       os << "  " << m.counters.size() << " counter(s), " << m.gauges.size()
          << " gauge(s), " << m.histograms.size() << " histogram(s)\n";
       for (const auto& [name, value] : m.counters)
@@ -277,46 +297,49 @@ void print_summary(std::ostream& os, const Artifact& artifact) {
          << fmt(artifact.timeline.span_us) << " us\n";
       break;
     case ArtifactKind::kProfile: {
-      const ProfileModel& m = artifact.profile;
+      const obs::TrialProfiler::Report& m = artifact.profile;
       os << "  " << m.tasks << " task(s) in " << fmt(m.wall_s)
          << " s wall; task mean " << fmt(m.mean_task_s) << " s in ["
          << fmt(m.min_task_s) << ", " << fmt(m.max_task_s) << "]\n";
-      for (const ProfileModel::Worker& w : m.workers)
-        os << "  worker " << w.worker << ": " << w.tasks << " task(s), busy "
+      for (std::size_t i = 0; i < m.workers.size(); ++i) {
+        const obs::TrialProfiler::WorkerStats& w = m.workers[i];
+        os << "  worker " << i << ": " << w.tasks << " task(s), busy "
            << fmt(w.busy_s) << " s (" << fmt(w.utilization * 100.0) << "%)\n";
+      }
       break;
     }
     case ArtifactKind::kJournal: {
-      const JournalModel& m = artifact.journal;
-      os << "  scenario " << m.scenario << " v" << m.version << ": "
-         << m.cells.size() << "/" << m.cells_total << " cell(s) recorded, "
-         << m.trials << " trial(s)/cell, " << m.points << " point(s)\n";
+      const resilience::JournalHeader& h = artifact.journal.header;
+      os << "  scenario " << h.scenario << " v" << h.version << ": "
+         << artifact.journal.cells.size() << "/" << h.cells
+         << " cell(s) recorded, " << h.trials << " trial(s)/cell, "
+         << h.points << " point(s)\n";
       break;
     }
     case ArtifactKind::kQuarantine: {
-      os << "  " << artifact.quarantine.records.size()
-         << " quarantined cell(s)\n";
-      for (const QuarantineModel::Record& r : artifact.quarantine.records)
-        os << "  cell " << r.index << " (" << r.label << "): " << r.outcome
-           << " after " << r.attempts << " attempt(s)\n";
+      os << "  " << artifact.quarantine.size() << " quarantined cell(s)\n";
+      for (const resilience::QuarantineRecord& r : artifact.quarantine)
+        os << "  cell " << r.index << " (" << r.label << "): "
+           << resilience::to_string(r.outcome) << " after " << r.attempts
+           << " attempt(s)\n";
       break;
     }
     case ArtifactKind::kStatus: {
-      const StatusModel& m = artifact.status;
+      const obs::StatusSnapshot& m = artifact.status;
       os << "  scenario " << m.scenario << ": " << m.state << ", "
-         << m.cells_done << "/" << m.cells_total << " cell(s) ("
-         << fmt(m.percent) << "%), " << m.retries << " retr"
-         << (m.retries == 1 ? "y" : "ies") << ", " << m.quarantined
-         << " quarantined\n";
-      os << "  elapsed " << fmt(m.elapsed_s) << " s, eta " << fmt(m.eta_s)
-         << " s (ewma cell " << fmt(m.ewma_cell_s) << " s, jobs " << m.jobs
-         << ")\n";
-      for (const StatusModel::Group& g : m.groups)
+         << m.cells.done << "/" << m.cells.total << " cell(s) ("
+         << fmt(m.eta.percent) << "%), " << m.cells.retries << " retr"
+         << (m.cells.retries == 1 ? "y" : "ies") << ", "
+         << m.cells.quarantined << " quarantined\n";
+      os << "  elapsed " << fmt(m.elapsed_s) << " s, eta "
+         << fmt(m.eta.eta_s) << " s (ewma cell " << fmt(m.eta.ewma_cell_s)
+         << " s, jobs " << m.jobs << ")\n";
+      for (const obs::StatusSnapshot::Group& g : m.groups)
         os << "  " << g.name << ": " << g.done << "/" << g.total << '\n';
       break;
     }
     case ArtifactKind::kSeries: {
-      const SeriesModel& m = artifact.series;
+      const core::SeriesReport& m = artifact.series;
       os << "  " << m.title << ": " << m.series.size() << " series over "
          << m.x.size() << " point(s) of " << m.x_label << '\n';
       break;
@@ -327,6 +350,15 @@ void print_summary(std::ostream& os, const Artifact& artifact) {
          << " s (stddev " << fmt(s.stddev) << "), " << s.unfinished
          << " unfinished, " << fmt(s.mean_adaptations)
          << " adaptation(s) per run\n";
+      break;
+    }
+    case ArtifactKind::kDecisions: {
+      std::size_t boundaries = 0;
+      for (const strategy::TraceLine& line : artifact.decisions)
+        boundaries += line.record.kind == strategy::TraceKind::kBoundary;
+      os << "  " << artifact.decisions.size() << " record(s): " << boundaries
+         << " boundary, " << artifact.decisions.size() - boundaries
+         << " recovery\n";
       break;
     }
   }
@@ -360,9 +392,9 @@ std::vector<TopEntry> top_entries(const Artifact& artifact,
   switch (artifact.kind) {
     case ArtifactKind::kJournal:
       for (const JournalModel::Cell& cell : artifact.journal.cells)
-        entries.push_back(
-            {"cell " + std::to_string(cell.index) + " (" + cell.label + ")",
-             cell.stats.mean, "s simulated makespan"});
+        entries.push_back({"cell " + std::to_string(cell.record.index) + " (" +
+                               cell.record.label + ")",
+                           cell.record.stats.mean, "s simulated makespan"});
       break;
     case ArtifactKind::kMetrics:
       for (const auto& [name, h] : artifact.metrics.histograms) {
@@ -377,19 +409,21 @@ std::vector<TopEntry> top_entries(const Artifact& artifact,
       }
       break;
     case ArtifactKind::kProfile:
-      for (const ProfileModel::Worker& w : artifact.profile.workers)
-        entries.push_back({"worker " + std::to_string(w.worker), w.busy_s,
-                           "s busy"});
-      break;
-    case ArtifactKind::kStatus:
-      for (const ProfileModel::Worker& w : artifact.status.workers)
-        entries.push_back({"worker " + std::to_string(w.worker), w.busy_s,
-                           "s busy"});
-      if (entries.empty())
+    case ArtifactKind::kStatus: {
+      // A snapshot written without a profiler has no workers.
+      const auto workers = artifact.kind == ArtifactKind::kProfile
+                               ? artifact.profile.workers
+                               : artifact.status.workers.value_or(
+                                     decltype(artifact.profile.workers){});
+      for (std::size_t i = 0; i < workers.size(); ++i)
+        entries.push_back(
+            {"worker " + std::to_string(i), workers[i].busy_s, "s busy"});
+      if (entries.empty() && artifact.kind == ArtifactKind::kStatus)
         throw std::invalid_argument(
             "report top: status snapshot has no worker data (run with "
             "--profile or --profile-json to embed it)");
       break;
+    }
     default:
       throw std::invalid_argument(
           "report top: nothing to rank in a " +
@@ -406,11 +440,11 @@ std::vector<TopEntry> top_entries(const Artifact& artifact,
   return entries;
 }
 
-double staleness_s(const StatusModel& status, double now_unix_s) {
+double staleness_s(const obs::StatusSnapshot& status, double now_unix_s) {
   return now_unix_s - status.heartbeat_unix_s;
 }
 
-bool is_stale(const StatusModel& status, double now_unix_s,
+bool is_stale(const obs::StatusSnapshot& status, double now_unix_s,
               double threshold_s) {
   return status.state == "running" &&
          staleness_s(status, now_unix_s) > threshold_s;

@@ -86,17 +86,19 @@ struct TopEntry {
 };
 
 /// The `limit` hottest entries of an artifact: journal → slowest cells by
-/// mean makespan; metrics → fullest histogram buckets; profile → busiest
-/// workers.  Throws std::invalid_argument for kinds with nothing to rank.
+/// mean makespan; metrics → fullest histogram buckets; profile and status →
+/// busiest workers.  Throws std::invalid_argument for kinds with nothing to
+/// rank.
 [[nodiscard]] std::vector<TopEntry> top_entries(const Artifact& artifact,
                                                 std::size_t limit);
 
 /// Seconds since the snapshot's heartbeat at wall-clock time `now_unix_s`.
-[[nodiscard]] double staleness_s(const StatusModel& status, double now_unix_s);
+[[nodiscard]] double staleness_s(const obs::StatusSnapshot& status,
+                                 double now_unix_s);
 
 /// A run is stale when it claims to be live ("running") but its heartbeat
 /// is older than `threshold_s` — the writer was SIGKILLed or is wedged.
-[[nodiscard]] bool is_stale(const StatusModel& status, double now_unix_s,
-                            double threshold_s);
+[[nodiscard]] bool is_stale(const obs::StatusSnapshot& status,
+                            double now_unix_s, double threshold_s);
 
 }  // namespace simsweep::report

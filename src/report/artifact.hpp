@@ -1,11 +1,13 @@
 // Typed, strict read-back of every JSON artifact the simulator emits: the
-// one reader of each artifact schema.  Each loader inverts its emitter
-// through resilience::parse_json (a loaded double is bitwise the one the
-// simulator wrote) and enforces the schema while it reads: keys and their
-// order, value kinds, the provenance block, and cross-field invariants (one
-// more histogram count than bounds, status cells that add up, journal
-// records that repeat their header's seed).  A violation throws
-// ArtifactError naming the file and the rule.
+// one reader of each artifact schema.  Each loader runs the emitter's own
+// walk (the struct's `walk(V&, T&)`, which names its keys once) with a
+// strict reader over resilience::parse_json, so a loaded double is bitwise
+// the one the simulator wrote and the loaded struct is the one the emitter
+// wrote.  The schema is enforced while reading: keys and their order, value
+// kinds, the provenance block, and the cross-field rules each walk states
+// under `if constexpr (V::kReading)` (one more histogram count than bounds,
+// status cells that add up, journal records that repeat their header's
+// seed).  A violation throws ArtifactError naming the file and the rule.
 //
 // Consumers: `simsweep report` (summary / diff / top / validate),
 // `simsweep status`, `sweep --resume`, and tests.
@@ -20,7 +22,12 @@
 
 #include "core/experiment.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
 #include "obs/provenance.hpp"
+#include "obs/status.hpp"
+#include "resilience/journal.hpp"
+#include "resilience/quarantine.hpp"
+#include "strategy/decision_trace.hpp"
 
 namespace simsweep::report {
 
@@ -33,6 +40,7 @@ enum class ArtifactKind : std::uint8_t {
   kStatus,      ///< live status snapshot (--status)
   kSeries,      ///< a SeriesReport printed with --json (sweep)
   kStats,       ///< TrialStats printed with --json (run)
+  kDecisions,   ///< decision trace, JSONL (--trace-decisions)
 };
 
 [[nodiscard]] std::string_view to_string(ArtifactKind kind) noexcept;
@@ -54,8 +62,6 @@ class ArtifactError : public std::runtime_error {
   std::string rule_;
 };
 
-using MetricsModel = obs::MetricsSnapshot;
-
 /// Timelines are too big to model event-by-event; the summary facts suffice.
 struct TimelineModel {
   std::size_t events = 0;     ///< traceEvents entries (metadata included)
@@ -63,94 +69,34 @@ struct TimelineModel {
   double span_us = 0.0;       ///< max(ts + dur) over duration events
 };
 
-struct ProfileModel {
-  struct Worker {
-    std::size_t worker = 0, tasks = 0;
-    double busy_s = 0.0, utilization = 0.0;
-  };
-  std::size_t tasks = 0;
-  double wall_s = 0.0;
-  double mean_task_s = 0.0, min_task_s = 0.0, max_task_s = 0.0;
-  double mean_queue_wait_s = 0.0, max_queue_wait_s = 0.0;
-  std::vector<Worker> workers;
-};
-
 struct JournalModel {
-  std::string scenario;
-  std::uint64_t version = 0;
-  std::string sweep_digest;
-  std::uint64_t seed = 0;
-  std::size_t trials = 0, points = 0, cells_total = 0;
-
+  resilience::JournalHeader header;
   struct Cell {
-    std::size_t index = 0;
-    std::string key;
-    std::string label;
-    std::string outcome;
-    core::TrialStats stats;
-    std::optional<MetricsModel> metrics;  ///< embedded snapshot (no meta)
-    std::optional<std::string> timeline;  ///< traceEvents fragment
-    std::string raw;                      ///< the record line, verbatim
+    resilience::JournalRecord record;
+    std::string raw;  ///< the record line, verbatim
   };
   /// Recorded cells, index order, last record per index (the resume rule).
   std::vector<Cell> cells;
 };
 
-struct QuarantineModel {
-  struct Record {
-    std::size_t index = 0;
-    std::string key, label, outcome, error;
-    std::uint64_t seed = 0;
-    std::size_t trials = 0, attempts = 0;
-  };
-  std::vector<Record> records;
-};
-
-struct StatusModel {
-  std::string scenario;
-  std::string state;  ///< "running" | "done" | "interrupted"
-  double heartbeat_unix_s = 0.0;
-  double elapsed_s = 0.0;
-  double heartbeat_s = 0.0;
-  std::size_t jobs = 0, trials = 0;
-  std::size_t cells_total = 0, cells_done = 0, cells_reused = 0;
-  std::size_t cells_executed = 0, cells_in_flight = 0;
-  std::size_t retries = 0, quarantined = 0;
-  struct Group {
-    std::string name;
-    std::size_t done = 0, total = 0;
-  };
-  std::vector<Group> groups;
-  double ewma_cell_s = 0.0, eta_s = 0.0, percent = 0.0;
-  std::vector<ProfileModel::Worker> workers;
-};
-
-struct SeriesModel {
-  std::string title, x_label;
-  std::vector<double> x;
-  struct Series {
-    std::string name;
-    std::vector<double> makespan;     ///< NaN where the JSON held null
-    std::vector<double> adaptations;  ///< NaN where the JSON held null
-  };
-  std::vector<Series> series;
-};
-
-/// One loaded artifact.  Only the member matching `kind` is populated.
+/// One loaded artifact.  Only the member matching `kind` is populated;
+/// doubles written as null read back as NaN.
 struct Artifact {
   ArtifactKind kind = ArtifactKind::kMetrics;
   std::string path;
-  /// The provenance block; every file artifact except the journal has one.
+  /// The provenance block; every file artifact except the journal and the
+  /// decision trace has one.
   std::optional<obs::Provenance> meta;
 
-  MetricsModel metrics;
+  obs::MetricsSnapshot metrics;
   TimelineModel timeline;
-  ProfileModel profile;
+  obs::TrialProfiler::Report profile;
   JournalModel journal;
-  QuarantineModel quarantine;
-  StatusModel status;
-  SeriesModel series;
-  core::TrialStats stats;  ///< doubles written as null read as NaN
+  std::vector<resilience::QuarantineRecord> quarantine;
+  obs::StatusSnapshot status;
+  core::SeriesReport series;
+  core::TrialStats stats;
+  std::vector<strategy::TraceLine> decisions;
 };
 
 /// Loads `path`, sniffs the artifact kind from the document structure (a
@@ -158,7 +104,9 @@ struct Artifact {
 /// against that kind's schema and parses it into the matching typed model.
 /// Throws ArtifactError on a missing file, malformed JSON, an unrecognizable
 /// document or a schema violation.  A torn final journal line (a write that
-/// was never durable) is ignored, exactly as `--resume` ignores it.
+/// was never durable) is ignored, exactly as `--resume` ignores it.  An
+/// empty decision trace (a run that decided nothing writes no line) names
+/// no kind and fails.
 [[nodiscard]] Artifact load_artifact(const std::string& path);
 
 }  // namespace simsweep::report

@@ -2,58 +2,19 @@
 
 #include <ostream>
 
-#include "obs/json.hpp"
 #include "obs/provenance.hpp"
 
 namespace simsweep::resilience {
 
 std::string_view to_string(TrialOutcomeKind kind) noexcept {
-  switch (kind) {
-    case TrialOutcomeKind::kOk:
-      return "ok";
-    case TrialOutcomeKind::kHung:
-      return "hung";
-    case TrialOutcomeKind::kCrashed:
-      return "crashed";
-    case TrialOutcomeKind::kAuditFailed:
-      return "audit-failed";
-  }
-  return "crashed";
+  return obs::enum_name(kOutcomeNames, kind);
 }
 
 void write_quarantine_json(std::ostream& os,
                            const std::vector<QuarantineRecord>& records,
                            const obs::Provenance* meta) {
-  os << '{';
-  if (meta != nullptr) {
-    os << "\"meta\":";
-    meta->write_json(os);
-    os << ',';
-  }
-  os << "\"quarantined\":[";
-  bool first = true;
-  for (const QuarantineRecord& record : records) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"index\":";
-    obs::write_json_number(os, static_cast<std::uint64_t>(record.index));
-    os << ",\"key\":";
-    obs::write_json_string(os, record.key);
-    os << ",\"seed\":";
-    obs::write_json_number(os, record.seed);
-    os << ",\"trials\":";
-    obs::write_json_number(os, static_cast<std::uint64_t>(record.trials));
-    os << ",\"label\":";
-    obs::write_json_string(os, record.label);
-    os << ",\"outcome\":";
-    obs::write_json_string(os, to_string(record.outcome));
-    os << ",\"attempts\":";
-    obs::write_json_number(os, static_cast<std::uint64_t>(record.attempts));
-    os << ",\"error\":";
-    obs::write_json_string(os, record.error);
-    os << '}';
-  }
-  os << "]}\n";
+  obs::write_json(os, records, meta);
+  os << '\n';
 }
 
 }  // namespace simsweep::resilience

@@ -13,7 +13,10 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
+
+#include "obs/json.hpp"
 
 namespace simsweep::obs {
 struct Provenance;
@@ -29,6 +32,13 @@ enum class TrialOutcomeKind : std::uint8_t {
   kAuditFailed,  ///< an invariant auditor rejected the run
 };
 
+constexpr std::pair<TrialOutcomeKind, const char*> kOutcomeNames[] = {
+    {TrialOutcomeKind::kOk, "ok"},
+    {TrialOutcomeKind::kHung, "hung"},
+    {TrialOutcomeKind::kCrashed, "crashed"},
+    {TrialOutcomeKind::kAuditFailed, "audit-failed"},
+};
+
 [[nodiscard]] std::string_view to_string(TrialOutcomeKind kind) noexcept;
 
 /// One quarantined cell: everything needed to reproduce it in isolation.
@@ -42,6 +52,34 @@ struct QuarantineRecord {
   std::size_t attempts = 0;   ///< total attempts including retries
   std::string error;          ///< what() tail of the final failure
 };
+
+template <typename V>
+void walk(V& v, QuarantineRecord& r) {
+  v("index", r.index);
+  v("key", r.key, obs::Accept::kDigest);
+  v("seed", r.seed);
+  v("trials", r.trials);
+  v("label", r.label);
+  v("outcome", r.outcome, kOutcomeNames, "failure kind");
+  if constexpr (V::kReading)
+    v.check(r.outcome != TrialOutcomeKind::kOk,
+            "outcome 'ok' not a failure kind");
+  v("attempts", r.attempts);
+  if constexpr (V::kReading) v.check(r.attempts >= 1, "attempts must be >= 1");
+  v("error", r.error);
+}
+
+/// The quarantine report's body: its records, in strictly increasing cell
+/// index order.
+template <typename V>
+void walk(V& v, std::vector<QuarantineRecord>& records) {
+  v.list("quarantined", records, obs::Need::kRequired,
+         [&records](auto& r, QuarantineRecord& record, std::size_t i) {
+           walk(r, record);
+           r.check(i == 0 || records[i - 1].index < record.index,
+                   "records not in strictly increasing index order");
+         });
+}
 
 /// Writes the quarantine report: {"meta":...,"quarantined":[...]} with one
 /// object per record, in cell-index order, trailing newline included.

@@ -2,17 +2,16 @@
 //
 // Each section of the schema is one walk(V&, Section&) naming its keys in
 // canonical order, with their types, defaults and kind gates.
-// parse_scenario runs the walks with a Reader and serialize_scenario with a
-// Writer, so the two cannot disagree about a key.  Parsing is strict:
-// every key must be known to the section that owns it, every value must
-// have the expected kind and no key may repeat, with errors reported as
-// "<source>:<line>:<col>: ...".  Numbers travel as raw tokens
+// parse_scenario runs the walks with a Reader and serialize_scenario with
+// the shared obs::Writer, so the two cannot disagree about a key.  Parsing
+// is strict: every key must be known to the section that owns it, every
+// value must have the expected kind and no key may repeat, with errors
+// reported as "<source>:<line>:<col>: ...".  Numbers travel as raw tokens
 // (resilience::parse_json) and are re-read with std::from_chars, and the
 // writer writes them back shortest-round-trip (obs::write_json_number), so
 // parse(serialize(s)) == s bitwise for every numeric field.
 #include "scenario/scenario.hpp"
 
-#include <concepts>
 #include <ostream>
 #include <sstream>
 #include <type_traits>
@@ -25,6 +24,10 @@ namespace simsweep::scenario {
 
 namespace {
 
+using obs::name_of;
+using obs::Need;
+using obs::value_of;
+using obs::visit;
 using resilience::JsonValue;
 using JsonKind = JsonValue::Kind;
 
@@ -111,39 +114,8 @@ constexpr std::pair<LoadKind, const char*> kLoadNames[] = {
 /// Policy bases are kept as their names (PolicySpec::base).
 constexpr const char* kPolicyBases[] = {"greedy", "safe", "friendly"};
 
-template <typename E, std::size_t N>
-const char* enum_name(const std::pair<E, const char*> (&table)[N], E value) {
-  for (const auto& [e, name] : table)
-    if (e == value) return name;
-  return "?";
-}
-
-// A table entry is an (enum, name) pair, or a name standing for itself.
-constexpr const char* name_of(const char* entry) { return entry; }
-template <typename E>
-constexpr const char* name_of(const std::pair<E, const char*>& entry) {
-  return entry.second;
-}
-constexpr const char* value_of(const char* entry) { return entry; }
-template <typename E>
-constexpr E value_of(const std::pair<E, const char*>& entry) {
-  return entry.first;
-}
-
 // ---------------------------------------------------------------------------
-// The two visitors the schema walks run with.
-
-enum class Need { kOptional, kRequired };
-
-/// Walks one section: a spec struct through its walk() overload, or a
-/// callable that walks a group of ScenarioSpec fields.
-template <typename V, typename T>
-void visit(V& v, T& item) {
-  if constexpr (std::is_invocable_v<T&, V&>)
-    item(v);
-  else
-    walk(v, item);
-}
+// The reader the schema walks run with (obs::Writer writes them).
 
 /// The first repeated key met.  It is reported only once the rest of the
 /// document reads clean, so a document with another error keeps that
@@ -391,124 +363,22 @@ class Reader {
   std::vector<bool> used_;  ///< per member, in document order
 };
 
-/// Writes one JSON object's members in walk order: optional values only
-/// when set.  The caller writes the braces.
-class Writer {
- public:
-  static constexpr bool kReading = false;
+/// Error text when variants[i] reuses an earlier variant's name.
+std::string repeated_name(const std::vector<VariantSpec>& variants,
+                          std::size_t i) {
+  for (std::size_t j = 0; j < i; ++j)
+    if (variants[j].name == variants[i].name)
+      return "variants[" + std::to_string(i) + "] duplicates name '" +
+             variants[i].name + "'";
+  return {};
+}
 
-  explicit Writer(std::ostream& os) : os_(os) {}
-
-  template <typename T>
-  void operator()(std::string_view key, const T& value,
-                  Need = Need::kOptional) {
-    name(key);
-    write(value);
-  }
-
-  template <typename T>
-  void operator()(std::string_view key, const std::optional<T>& value) {
-    if (value) (*this)(key, *value);
-  }
-
-  /// An enum is written as its name in `table`; a string is its own name.
-  template <typename T, typename Entry, std::size_t N>
-  void operator()(std::string_view key, const T& value,
-                  const Entry (&table)[N], const char*,
-                  Need = Need::kOptional) {
-    name(key);
-    if constexpr (std::is_enum_v<T>)
-      os_ << '"' << enum_name(table, value) << '"';  // names need no escaping
-    else
-      write(value);
-  }
-
-  template <typename E, typename Entry, std::size_t N>
-  void operator()(std::string_view key, const std::optional<E>& value,
-                  const Entry (&table)[N], const char* noun) {
-    if (value) (*this)(key, *value, table, noun);
-  }
-
-  void positive(std::string_view key, double value) { (*this)(key, value); }
-
-  template <typename T>
-  void section(std::string_view key, T&& item, Need = Need::kOptional) {
-    name(key);
-    object(item);
-  }
-
-  template <typename T>
-  void section(std::string_view key, std::optional<T>& item) {
-    if (item) section(key, *item);
-  }
-
-  template <typename T>
-  void section(std::string_view key, std::shared_ptr<T>& item) {
-    if (item) section(key, *item);
-  }
-
-  template <typename T>
-  void list(std::string_view key, std::vector<T>& items,
-            Need need = Need::kOptional,
-            std::string (*)(const std::vector<T>&, std::size_t) = nullptr) {
-    if (need == Need::kOptional && items.empty()) return;
-    name(key);
-    os_ << '[';
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (i > 0) os_ << ',';
-      object(items[i]);
-    }
-    os_ << ']';
-  }
-
-  void check(std::string_view, bool, std::string_view) const {}
-
-  template <typename T>
-  void object(T& item) {
-    os_ << '{';
-    Writer child(os_);
-    visit(child, item);
-    os_ << '}';
-  }
-
- private:
-  void name(std::string_view key) {
-    if (!first_) os_.put(',');
-    first_ = false;
-    os_.put('"').write(key.data(), static_cast<std::streamsize>(key.size()));
-    os_.write("\":", 2);
-  }
-
-  void write(double value) { obs::write_json_number(os_, value); }
-  template <std::unsigned_integral U>
-  void write(U value) {
-    obs::write_json_number(os_, static_cast<std::uint64_t>(value));
-  }
-  void write(bool value) { os_ << (value ? "true" : "false"); }
-  void write(std::string_view text) { obs::write_json_string(os_, text); }
-  void write(const sim::Sample& sample) {
-    os_ << '[';
-    write(sample.time);
-    os_ << ',';
-    write(sample.value);
-    os_ << ']';
-  }
-  template <typename T>
-  void write(const std::vector<T>& values) {
-    os_ << '[';
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      if (i > 0) os_ << ',';
-      write(values[i]);
-    }
-    os_ << ']';
-  }
-
-  std::ostream& os_;
-  bool first_ = true;
-};
+}  // namespace
 
 // ---------------------------------------------------------------------------
-// The schema: one walk per section, keys in canonical order.
+// The schema: one walk per section, keys in canonical order.  The walks
+// sit outside the anonymous namespace so that argument-dependent lookup
+// finds them from obs::visit.
 
 template <typename V>
 void walk(V& v, LoadSpec& l) {
@@ -619,16 +489,6 @@ void walk(V& v, ReportSpec& r) {
       v.fail("series", v.what() + ": 'series' must not be empty");
 }
 
-/// Error text when variants[i] reuses an earlier variant's name.
-std::string repeated_name(const std::vector<VariantSpec>& variants,
-                          std::size_t i) {
-  for (std::size_t j = 0; j < i; ++j)
-    if (variants[j].name == variants[i].name)
-      return "variants[" + std::to_string(i) + "] duplicates name '" +
-             variants[i].name + "'";
-  return {};
-}
-
 template <typename V>
 void walk(V& v, ScenarioSpec& s) {
   v("name", s.name, Need::kRequired);
@@ -716,9 +576,7 @@ void walk(V& v, ScenarioSpec& s) {
   }
 }
 
-}  // namespace
-
-const char* kind_name(Kind kind) { return enum_name(kKindNames, kind); }
+const char* kind_name(Kind kind) { return obs::enum_name(kKindNames, kind); }
 
 bool operator==(const LoadSpec& a, const LoadSpec& b) {
   const bool base_equal =
@@ -766,8 +624,7 @@ ScenarioSpec parse_scenario(std::string_view text,
 
 std::string serialize_scenario(const ScenarioSpec& spec) {
   std::ostringstream os;
-  // The writer only reads through the references the walk hands it.
-  Writer(os).object(const_cast<ScenarioSpec&>(spec));
+  obs::write_json(os, spec);
   return os.str();
 }
 

@@ -21,18 +21,8 @@ constexpr double kSpeedFloor = 1e-6;
 constexpr double kTimeInfinityIter = std::numeric_limits<double>::infinity();
 
 const char* to_string(RejectReason reason) noexcept {
-  switch (reason) {
-    case RejectReason::kAccepted:
-      return "accepted";
-    case RejectReason::kNoFasterSpare:
-      return "no_faster_spare";
-    case RejectReason::kProcessGain:
-      return "min_process_improvement";
-    case RejectReason::kPayback:
-      return "payback_threshold";
-    case RejectReason::kAppGain:
-      return "min_app_improvement";
-  }
+  for (const auto& [value, name] : kRejectReasonNames)
+    if (value == reason) return name;
   return "unknown";
 }
 

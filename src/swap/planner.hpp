@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "swap/policy.hpp"
@@ -57,6 +58,14 @@ enum class RejectReason : std::uint8_t {
   kProcessGain,    ///< below the policy's min_process_improvement
   kPayback,        ///< payback negative or beyond payback_threshold_iters
   kAppGain,        ///< below the policy's min_app_improvement
+};
+
+constexpr std::pair<RejectReason, const char*> kRejectReasonNames[] = {
+    {RejectReason::kAccepted, "accepted"},
+    {RejectReason::kNoFasterSpare, "no_faster_spare"},
+    {RejectReason::kProcessGain, "min_process_improvement"},
+    {RejectReason::kPayback, "payback_threshold"},
+    {RejectReason::kAppGain, "min_app_improvement"},
 };
 
 [[nodiscard]] const char* to_string(RejectReason reason) noexcept;

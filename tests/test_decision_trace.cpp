@@ -319,6 +319,18 @@ TEST(TraceJsonl, BoundaryRecordCarriesCandidates) {
             std::string::npos);
   EXPECT_EQ(line.back(), '\n');
   EXPECT_EQ(line.find('\n'), line.size() - 1);  // one record, one line
+  EXPECT_EQ(line,
+            R"({"strategy":"CR","trial":0,"seed":1,"kind":"boundary",)"
+            R"("iteration":7,"time_s":120,"measured_iter_time_s":60,)"
+            R"("predicted_iter_time_s":55,"adaptation_cost_s":0.25,)"
+            R"("active":4,"spares":12,"swaps_planned":1,"swaps_applied":1,)"
+            R"("considered":[{"slot":2,"from":1,"to":9,"from_est_speed":0,)"
+            R"("to_est_speed":0,"payback_iters":0.5,"process_gain":0,)"
+            R"("app_gain":0,"rejection":"accepted"},{"slot":2,"from":1,)"
+            R"("to":9,"from_est_speed":0,"to_est_speed":0,)"
+            R"("payback_iters":0.5,"process_gain":0,"app_gain":0,)"
+            R"("rejection":"payback_threshold"}]})"
+            "\n");
 }
 
 TEST(TraceJsonl, NonFiniteNumbersBecomeNull) {

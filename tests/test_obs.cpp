@@ -185,6 +185,32 @@ TEST(Metrics, JsonSnapshotIsSortedAndParsesShape) {
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_EQ(json.find("\"meta\""), std::string::npos);  // no provenance given
+
+  // Full bytes: a labelled counter, non-finite gauges written as null, and
+  // a histogram with its overflow bucket last; then the same registry
+  // stamped with a provenance block.
+  obs::MetricsRegistry fixed;
+  fixed.add(obs::labelled("net.flows", "kind", "swap"), 3);
+  fixed.set_gauge("g.nan", std::numeric_limits<double>::quiet_NaN());
+  fixed.set_gauge("g.inf", std::numeric_limits<double>::infinity());
+  obs::Histogram& h = fixed.histogram("h", {1.0, 2.0});
+  h.observe(0.5);
+  h.observe(2.0);
+  h.observe(7.25);
+  const std::string body =
+      R"("counters":{"net.flows{kind=swap}":3},)"
+      R"("gauges":{"g.inf":{"last":null,"min":null,"max":null},)"
+      R"("g.nan":{"last":null,"min":null,"max":null}},)"
+      R"("histograms":{"h":{"count":3,"sum":9.75,"min":0.5,"max":7.25,)"
+      R"("bounds":[1,2],"counts":[1,1,1]}}})";
+  EXPECT_EQ(registry_json(fixed), "{" + body);
+  const obs::Provenance prov{"v1", "Release", 7, "0123456789abcdef"};
+  std::ostringstream stamped;
+  fixed.write_json(stamped, &prov);
+  EXPECT_EQ(stamped.str(),
+            R"({"meta":{"version":"v1","build_type":"Release","seed":7,)"
+            R"("config_digest":"0123456789abcdef"},)" +
+                body);
 }
 
 // --------------------------------------------------------------- timeline
@@ -281,6 +307,24 @@ TEST(Profiler, ReportArithmetic) {
   EXPECT_EQ(report.workers[1].tasks, 2u);
   EXPECT_DOUBLE_EQ(report.workers[1].busy_s, 4.0);
   EXPECT_DOUBLE_EQ(report.workers[1].utilization, 1.0);
+
+  // --profile-json bytes, bare and stamped with a provenance block.
+  const std::string body =
+      R"("tasks":3,"wall_s":4,"mean_task_s":2,"min_task_s":1,)"
+      R"("max_task_s":3,"mean_queue_wait_s":0.3333333333333333,)"
+      R"("max_queue_wait_s":1,"workers":[{"worker":0,"tasks":1,"busy_s":2,)"
+      R"("utilization":0.5},{"worker":1,"tasks":2,"busy_s":4,)"
+      R"("utilization":1}]})";
+  std::ostringstream bare;
+  profiler.write_json(bare);
+  EXPECT_EQ(bare.str(), "{" + body);
+  const obs::Provenance prov{"v1", "Release", 7, "0123456789abcdef", true};
+  std::ostringstream stamped;
+  profiler.write_json(stamped, &prov);
+  EXPECT_EQ(stamped.str(),
+            R"({"meta":{"version":"v1","build_type":"Release","seed":7,)"
+            R"("config_digest":"0123456789abcdef","partial":true},)" +
+                body);
 }
 
 /// True when `line` is `shape` with each '#' standing for one number in
@@ -402,6 +446,20 @@ TEST(Provenance, RunProvenanceCarriesSeedAndDigest) {
   std::ostringstream out;
   prov.write_json(out);
   EXPECT_NE(out.str().find("\"config_digest\""), std::string::npos);
+
+  // Full bytes: "partial" appears only when set, and only as true.
+  obs::Provenance fixed{"v1-3-g\"x\"", "Release", 17, "0123456789abcdef"};
+  std::ostringstream complete;
+  fixed.write_json(complete);
+  EXPECT_EQ(complete.str(),
+            R"({"version":"v1-3-g\"x\"","build_type":"Release","seed":17,)"
+            R"("config_digest":"0123456789abcdef"})");
+  fixed.partial = true;
+  std::ostringstream partial;
+  fixed.write_json(partial);
+  EXPECT_EQ(partial.str(),
+            R"({"version":"v1-3-g\"x\"","build_type":"Release","seed":17,)"
+            R"("config_digest":"0123456789abcdef","partial":true})");
 }
 
 TEST(Provenance, StatsJsonLeadsWithMeta) {

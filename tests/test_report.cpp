@@ -25,9 +25,11 @@
 #include "obs/status.hpp"
 #include "report/analyze.hpp"
 #include "report/artifact.hpp"
+#include "resilience/journal.hpp"
 #include "resilience/json_read.hpp"
 #include "resilience/quarantine.hpp"
 #include "scenario/scenario.hpp"
+#include "strategy/decision_trace.hpp"
 
 #ifndef SIMSWEEP_BINARY_PATH
 #define SIMSWEEP_BINARY_PATH "simsweep"
@@ -108,6 +110,25 @@ cli::SweepPlan small_plan() {
   plan.jobs = 1;
   plan.hooks.interrupted = [] { return false; };
   return plan;
+}
+
+/// `json` with the value of each member named in `keys` replaced by '#':
+/// masks build stamps and wall-clock fields before a byte comparison.
+std::string mask_values(const std::string& json,
+                        const std::vector<std::string>& keys) {
+  std::string out;
+  for (std::size_t i = 0; i < json.size();) {
+    const auto key = std::find_if(keys.begin(), keys.end(), [&](auto& k) {
+      return json.compare(i, k.size() + 3, "\"" + k + "\":") == 0;
+    });
+    if (key == keys.end()) {
+      out += json[i++];
+      continue;
+    }
+    out += "\"" + *key + "\":#";
+    i = json.find_first_of(",}", i + key->size() + 3);
+  }
+  return out;
 }
 
 std::string report_json(const cli::SweepResult& result) {
@@ -225,6 +246,39 @@ TEST(StatusBoard, SnapshotCarriesLifecycleAndGroupProgress) {
   EXPECT_EQ(done_groups[2].at("done").as_uint64(), 1u);
   EXPECT_EQ(done_groups[3].at("done").as_uint64(), 0u);
   EXPECT_EQ(last.at("eta").at("ewma_cell_s").as_double(), 0.5);
+
+  // Full bytes with the build stamps and clock fields masked.
+  const std::string body =
+      R"("heartbeat_s":0,"jobs":4,"trials":2,)"
+      R"("cells":{"total":10,"done":3,"reused":1,"executed":1,)"
+      R"("in_flight":0,"retries":1,"quarantined":1},)"
+      R"("groups":[{"name":"NONE","done":1,"total":3},)"
+      R"({"name":"SWAP","done":1,"total":3},{"name":"DLB","done":1,"total":2},)"
+      R"({"name":"CR","done":0,"total":2}],)"
+      R"("eta":{"ewma_cell_s":0.5,"eta_s":0.875,"percent":30})";
+  const std::vector<std::string> masked = {"version", "build_type",
+                                           "heartbeat_unix_s", "elapsed_s"};
+  EXPECT_EQ(mask_values(read_file(path.str()), masked),
+            R"({"kind":"sweep-status","meta":{"version":#,"build_type":#,)"
+            R"("seed":7,"config_digest":"cafe"},"scenario":"demo",)"
+            R"("state":"done","heartbeat_unix_s":#,"elapsed_s":#,)" +
+                body + "}\n");
+
+  // A snapshot embeds the profiler's workers once one is attached, and
+  // one taken mid-run is marked partial.
+  obs::TrialProfiler profiler;
+  profiler.record(0, 0, 0.0, 0.0, 2.0);
+  profiler.record(1, 1, 0.0, 1.0, 4.0);
+  board.set_profiler(&profiler);
+  EXPECT_EQ(mask_values(board.snapshot_json(), masked),
+            R"({"kind":"sweep-status","meta":{"version":#,"build_type":#,)"
+            R"("seed":7,"config_digest":"cafe","partial":true},)"
+            R"("scenario":"demo","state":"running","heartbeat_unix_s":#,)"
+            R"("elapsed_s":#,)" +
+                body +
+                R"(,"workers":[{"tasks":1,"busy_s":2,"utilization":0.5},)"
+                R"({"tasks":1,"busy_s":3,"utilization":0.75}]})"
+                "\n");
 }
 
 TEST(StatusBoard, InterruptedFinishMarksPartial) {
@@ -265,10 +319,10 @@ TEST(StatusBoard, ObservedSweepIsBitwiseIdenticalToPlain) {
   const report::Artifact artifact = report::load_artifact(snapshot.str());
   ASSERT_EQ(artifact.kind, report::ArtifactKind::kStatus);
   EXPECT_EQ(artifact.status.state, "done");
-  EXPECT_EQ(artifact.status.cells_total, 8u);
-  EXPECT_EQ(artifact.status.cells_done, 8u);
-  EXPECT_EQ(artifact.status.cells_executed, 8u);
-  EXPECT_EQ(artifact.status.quarantined, 0u);
+  EXPECT_EQ(artifact.status.cells.total, 8u);
+  EXPECT_EQ(artifact.status.cells.done, 8u);
+  EXPECT_EQ(artifact.status.cells.executed, 8u);
+  EXPECT_EQ(artifact.status.cells.quarantined, 0u);
   ASSERT_EQ(artifact.status.groups.size(), 4u);
   for (const auto& group : artifact.status.groups)
     EXPECT_EQ(group.done, group.total);
@@ -288,9 +342,9 @@ TEST(ArtifactLoad, SniffsEveryEmitterWithoutFilenameHints) {
   const report::Artifact loaded_journal =
       report::load_artifact(journal.str());
   ASSERT_EQ(loaded_journal.kind, report::ArtifactKind::kJournal);
-  EXPECT_EQ(loaded_journal.journal.cells_total, 8u);
+  EXPECT_EQ(loaded_journal.journal.header.cells, 8u);
   ASSERT_EQ(loaded_journal.journal.cells.size(), 8u);
-  EXPECT_EQ(loaded_journal.journal.trials, 2u);
+  EXPECT_EQ(loaded_journal.journal.header.trials, 2u);
 
   TempPath metrics("metrics");
   write_file(metrics.str(), result.metrics_json);
@@ -333,8 +387,8 @@ TEST(ArtifactLoad, SniffsEveryEmitterWithoutFilenameHints) {
   const report::Artifact loaded_quarantine =
       report::load_artifact(quarantine.str());
   ASSERT_EQ(loaded_quarantine.kind, report::ArtifactKind::kQuarantine);
-  ASSERT_EQ(loaded_quarantine.quarantine.records.size(), 1u);
-  EXPECT_EQ(loaded_quarantine.quarantine.records[0].error, "boom");
+  ASSERT_EQ(loaded_quarantine.quarantine.size(), 1u);
+  EXPECT_EQ(loaded_quarantine.quarantine[0].error, "boom");
 
   TempPath series("series");
   write_file(series.str(),
@@ -347,13 +401,159 @@ TEST(ArtifactLoad, SniffsEveryEmitterWithoutFilenameHints) {
   const report::Artifact loaded_series = report::load_artifact(series.str());
   ASSERT_EQ(loaded_series.kind, report::ArtifactKind::kSeries);
   ASSERT_EQ(loaded_series.series.series.size(), 1u);
-  EXPECT_TRUE(std::isnan(loaded_series.series.series[0].makespan[1]));
+  EXPECT_TRUE(std::isnan(loaded_series.series.series[0].y[1]));
 
   TempPath junk("junk");
   write_file(junk.str(), R"({"hello":"world"})");
   EXPECT_THROW((void)report::load_artifact(junk.str()), std::runtime_error);
   EXPECT_THROW((void)report::load_artifact("/nonexistent/simsweep_artifact"),
                std::runtime_error);
+}
+
+/// `item` through the shared writer, stamped with `meta` when set.
+template <typename T>
+std::string written(const T& item, const obs::Provenance* meta = nullptr) {
+  std::ostringstream os;
+  obs::write_json(os, item, meta);
+  return os.str();
+}
+
+TEST(ArtifactLoad, WhatTheWriterWroteLoadsBackFieldForField) {
+  // Shortest round-trip text is one-to-one on doubles and parse_json
+  // re-reads a token's exact bits, so writing a loaded struct again gives
+  // the file's bytes exactly when every written field came back bitwise;
+  // a null (non-finite double) comes back as NaN.
+  const auto load = [](const std::string& stem, const std::string& bytes) {
+    TempPath file(stem);
+    write_file(file.str(), bytes);
+    return report::load_artifact(file.str());
+  };
+  const obs::Provenance meta{"v1", "Release", 9, "0123456789abcdef", true};
+
+  // Provenance (with "partial") and TrialStats: null, -0 and a subnormal.
+  simsweep::core::TrialStats stats;
+  stats.mean = kNaN;
+  stats.stddev = -0.0;
+  stats.min = 4.9406564584124654e-324;
+  stats.max = 0.1 + 0.2;
+  stats.trials = 5;
+  stats.unfinished = 3;
+  stats.stalled = 2;
+  stats.resource_exhausted = 1;
+  stats.mean_time_lost_s = std::numeric_limits<double>::infinity();
+  stats.audit_violations = 7;
+  std::ostringstream stats_json;
+  stats.print_json(stats_json, &meta);
+  const report::Artifact s = load("rt_stats", stats_json.str());
+  ASSERT_EQ(s.kind, report::ArtifactKind::kStats);
+  EXPECT_EQ(written(*s.meta), written(meta));
+  EXPECT_EQ(written(s.stats, &*s.meta), stats_json.str());
+  EXPECT_TRUE(std::isnan(s.stats.mean));
+  EXPECT_TRUE(std::isnan(s.stats.mean_time_lost_s));
+  EXPECT_TRUE(std::signbit(s.stats.stddev));
+  EXPECT_EQ(s.stats.min, stats.min);
+
+  // Metrics, with gauge and histogram snapshots.
+  obs::MetricsRegistry registry;
+  registry.add(obs::labelled("net.flows", "kind", "swap"), 3);
+  registry.set_gauge("depth", 2.5);
+  registry.set_gauge("depth", -1.0);
+  registry.histogram("h", {1.0, 2.0}).observe(1.5);
+  std::ostringstream metrics_json;
+  registry.write_json(metrics_json, &meta);
+  const report::Artifact m = load("rt_metrics", metrics_json.str());
+  EXPECT_EQ(written(m.metrics, &*m.meta), metrics_json.str());
+  EXPECT_EQ(m.metrics.gauges.at("depth").min, -1.0);
+
+  // A series with a cell that never ran.
+  simsweep::core::SeriesReport series;
+  series.title = "fig \"4\"";
+  series.x_label = "dynamism";
+  series.x = {0.0, 0.3};
+  series.series.push_back({"SWAP", {1234.5678901234567, kNaN}, {2.0, kNaN}});
+  std::ostringstream series_json;
+  series.print_json(series_json, &meta);
+  const report::Artifact r = load("rt_series", series_json.str());
+  EXPECT_EQ(written(r.series, &*r.meta), series_json.str());
+  EXPECT_TRUE(std::isnan(r.series.series[0].y[1]));
+
+  // A profile and a status snapshot embedding its workers.
+  obs::TrialProfiler profiler;
+  profiler.record(0, 0, 0.0, 0.125, 2.0);
+  profiler.record(1, 1, 0.0, 0.5, 1.0 / 3.0 + 1.0);
+  std::ostringstream profile_json;
+  profiler.write_json(profile_json, &meta);
+  const report::Artifact p = load("rt_profile", profile_json.str());
+  EXPECT_EQ(written(p.profile, &*p.meta), profile_json.str());
+  TempPath board_file("rt_board");
+  obs::StatusBoard board({board_file.str(), 0.0, false, 0.25});
+  board.begin_run("demo", meta, 4, 2, 2, {"NONE", "SWAP"});
+  board.set_profiler(&profiler);
+  board.cell_started(0);
+  board.cell_finished(0, 0.75);
+  const std::string snapshot = board.snapshot_json();
+  const report::Artifact st = load("rt_status", snapshot);
+  EXPECT_EQ(written(st.status) + "\n", snapshot);
+  ASSERT_TRUE(st.status.workers.has_value());
+  EXPECT_EQ(st.status.workers->size(), 2u);
+
+  // A quarantine report of every failure outcome.
+  std::vector<res::QuarantineRecord> records = {
+      {1, "00000000000000a1", 9, 2, "x", res::TrialOutcomeKind::kHung, 2, ""},
+      {4, "00000000000000a4", 9, 2, "y", res::TrialOutcomeKind::kCrashed, 1,
+       "boom\n"},
+      {6, "00000000000000a6", 9, 2, "z", res::TrialOutcomeKind::kAuditFailed,
+       3, "bad"}};
+  std::ostringstream quarantine_json;
+  res::write_quarantine_json(quarantine_json, records, &meta);
+  const report::Artifact q = load("rt_quarantine", quarantine_json.str());
+  EXPECT_EQ(written(q.quarantine, &*q.meta) + "\n", quarantine_json.str());
+  EXPECT_EQ(q.quarantine[2].outcome, res::TrialOutcomeKind::kAuditFailed);
+
+  // A journal header and its records, embedded metrics and timelines.
+  cli::SweepPlan plan = small_plan();
+  plan.metrics = true;
+  plan.timeline = true;
+  TempPath journal("rt_journal");
+  plan.journal_path = journal.str();
+  (void)cli::run_sweep(plan);
+  const std::string journal_text = read_file(journal.str());
+  const report::Artifact j = report::load_artifact(journal.str());
+  std::string rewritten = written(j.journal.header) + "\n";
+  for (const report::JournalModel::Cell& cell : j.journal.cells) {
+    const std::string line = written([&](auto& v) {
+      walk(v, const_cast<res::JournalRecord&>(cell.record), j.journal.header);
+    });
+    EXPECT_EQ(line, cell.raw);
+    ASSERT_TRUE(cell.record.metrics.has_value());
+    rewritten += line + "\n";
+  }
+  EXPECT_EQ(rewritten, journal_text);
+
+  // Decision records of both kinds; an infinite payback comes back NaN.
+  namespace strat = simsweep::strategy;
+  strat::DecisionRecord boundary;
+  boundary.iteration = 3;
+  boundary.time_s = 360.25;
+  boundary.considered.resize(2);
+  boundary.considered[0].to = 7;
+  boundary.considered[0].to_est_speed = 2.5e8;
+  boundary.considered[1].payback_iters =
+      std::numeric_limits<double>::infinity();
+  boundary.considered[1].rejection = simsweep::swap::RejectReason::kPayback;
+  strat::DecisionRecord recovery;
+  recovery.kind = strat::TraceKind::kRecovery;
+  recovery.action = "replace_on_spares";
+  recovery.processes = 2;
+  std::ostringstream trace;
+  strat::write_trace_jsonl(trace, "SWAP(greedy)", 12, 1, {boundary, recovery});
+  const report::Artifact d = load("rt_decisions", trace.str());
+  ASSERT_EQ(d.kind, report::ArtifactKind::kDecisions);
+  ASSERT_EQ(d.decisions.size(), 2u);
+  EXPECT_EQ(written(d.decisions[0]) + "\n" + written(d.decisions[1]) + "\n",
+            trace.str());
+  EXPECT_TRUE(std::isnan(d.decisions[0].record.considered[1].payback_iters));
+  EXPECT_EQ(d.decisions[1].record.action, "replace_on_spares");
 }
 
 // ---------------------------------------------------------------------------
@@ -485,14 +685,14 @@ TEST(Diff, StatusFlattenIgnoresRunPathCounters) {
   // route, so resumed-vs-fresh gates nothing.
   report::Artifact fresh;
   fresh.kind = report::ArtifactKind::kStatus;
-  fresh.status.cells_total = fresh.status.cells_done = 8;
-  fresh.status.cells_executed = 8;
+  fresh.status.cells.total = fresh.status.cells.done = 8;
+  fresh.status.cells.executed = 8;
   fresh.status.groups.push_back({"NONE", 4, 4});
 
   report::Artifact resumed = fresh;
-  resumed.status.cells_executed = 3;
-  resumed.status.cells_reused = 5;
-  resumed.status.retries = 2;
+  resumed.status.cells.executed = 3;
+  resumed.status.cells.reused = 5;
+  resumed.status.cells.retries = 2;
 
   const auto result =
       report::diff_artifacts(fresh, resumed, report::DiffOptions{});
@@ -527,16 +727,18 @@ constexpr report::ArtifactKind kAllKinds[] = {
     report::ArtifactKind::kMetrics,    report::ArtifactKind::kTimeline,
     report::ArtifactKind::kProfile,    report::ArtifactKind::kJournal,
     report::ArtifactKind::kQuarantine, report::ArtifactKind::kStatus,
-    report::ArtifactKind::kSeries,     report::ArtifactKind::kStats};
+    report::ArtifactKind::kSeries,     report::ArtifactKind::kStats,
+    report::ArtifactKind::kDecisions};
 
 /// A small artifact of `kind` whose model sets every field that flatten,
-/// the summary and top read.  Every kind but the journal carries meta.
+/// the summary and top read.  Every kind but the journal and the decision
+/// trace carries meta.
 report::Artifact fixture(report::ArtifactKind kind) {
   using report::ArtifactKind;
   report::Artifact a;
   a.kind = kind;
   a.path = "fixture." + std::string(report::to_string(kind));
-  if (kind != ArtifactKind::kJournal)
+  if (kind != ArtifactKind::kJournal && kind != ArtifactKind::kDecisions)
     a.meta = obs::Provenance{"t", "Release", 1, "0123456789abcdef"};
   switch (kind) {
     case ArtifactKind::kMetrics: {
@@ -561,41 +763,40 @@ report::Artifact fixture(report::ArtifactKind kind) {
       a.profile.mean_task_s = 0.125;
       a.profile.min_task_s = 0.0625;
       a.profile.max_task_s = 0.25;
-      a.profile.workers = {{0, 5, 0.75, 0.5}, {1, 3, 0.375, 0.25}};
+      a.profile.workers = {{5, 0.75, 0.5}, {3, 0.375, 0.25}};
       break;
     case ArtifactKind::kJournal:
-      a.journal.scenario = "fig4";
-      a.journal.version = 1;
-      a.journal.trials = 2;
-      a.journal.points = 2;
-      a.journal.cells_total = 4;
+      a.journal.header.scenario = "fig4";
+      a.journal.header.version = 1;
+      a.journal.header.trials = 2;
+      a.journal.header.points = 2;
+      a.journal.header.cells = 4;
       for (const std::size_t index : {0u, 2u}) {
         report::JournalModel::Cell cell;
-        cell.index = index;
-        cell.label = index == 0 ? "NONE" : "SWAP";
-        cell.stats.trials = 2;
-        cell.stats.mean = 100.0 + static_cast<double>(index);
+        cell.record.index = index;
+        cell.record.label = index == 0 ? "NONE" : "SWAP";
+        cell.record.stats.trials = 2;
+        cell.record.stats.mean = 100.0 + static_cast<double>(index);
         a.journal.cells.push_back(cell);
       }
       break;
     case ArtifactKind::kQuarantine:
-      a.quarantine.records.push_back(
-          {3, "00000000000000ab", "DLB", "crashed", "boom", 1, 2, 2});
+      a.quarantine.push_back({3, "00000000000000ab", 1, 2, "DLB",
+                              res::TrialOutcomeKind::kCrashed, 2, "boom"});
       break;
     case ArtifactKind::kStatus:
       a.status.scenario = "fig4";
       a.status.state = "running";
       a.status.jobs = 2;
-      a.status.cells_total = 8;
-      a.status.cells_done = 6;
-      a.status.retries = 1;
-      a.status.quarantined = 1;
+      a.status.cells.total = 8;
+      a.status.cells.done = 6;
+      a.status.cells.retries = 1;
+      a.status.cells.quarantined = 1;
       a.status.groups = {{"NONE", 4, 4}, {"SWAP", 2, 4}};
       a.status.elapsed_s = 3.0;
-      a.status.eta_s = 1.0;
-      a.status.ewma_cell_s = 0.5;
-      a.status.percent = 75.0;
-      a.status.workers = {{0, 4, 2.0, 0.5}};
+      a.status.eta = {0.5, 1.0, 75.0};
+      a.status.workers =
+          std::vector<obs::TrialProfiler::WorkerStats>{{4, 2.0, 0.5}};
       break;
     case ArtifactKind::kSeries:
       a.series.title = "fig4";
@@ -610,6 +811,17 @@ report::Artifact fixture(report::ArtifactKind kind) {
       a.stats.unfinished = 1;
       a.stats.mean_adaptations = 3.0;
       break;
+    case ArtifactKind::kDecisions: {
+      simsweep::strategy::TraceLine boundary{"SWAP(greedy)", 0, 1, {}};
+      boundary.record.considered.resize(2);
+      boundary.record.considered[1].rejection =
+          simsweep::swap::RejectReason::kPayback;
+      simsweep::strategy::TraceLine recovery = boundary;
+      recovery.record.kind = simsweep::strategy::TraceKind::kRecovery;
+      recovery.record.considered.clear();
+      a.decisions = {boundary, boundary, recovery};
+      break;
+    }
   }
   return a;
 }
@@ -640,13 +852,15 @@ TEST(Analyze, EveryKindFlattensDiffsAndSummarizes) {
         "  worker 1: 3 task(s), busy 0.375 s (25%)\n"}},
       {ArtifactKind::kJournal,
        {"cells/2/mean",
-        [](report::Artifact& a) { a.journal.cells[1].stats.mean = 103.0; },
+        [](report::Artifact& a) {
+          a.journal.cells[1].record.stats.mean = 103.0;
+        },
         report::Verdict::kRegressed,
         "  scenario fig4 v1: 2/4 cell(s) recorded, 2 trial(s)/cell, 2 "
         "point(s)\n"}},
       {ArtifactKind::kQuarantine,
        {"quarantine/cell3",
-        [](report::Artifact& a) { a.quarantine.records[0].attempts = 3; },
+        [](report::Artifact& a) { a.quarantine[0].attempts = 3; },
         report::Verdict::kRegressed,
         "  cell 3 (DLB): crashed after 2 attempt(s)\n"}},
       {ArtifactKind::kStatus,
@@ -657,7 +871,7 @@ TEST(Analyze, EveryKindFlattensDiffsAndSummarizes) {
         "quarantined\n"}},
       {ArtifactKind::kSeries,
        {"series/NONE/x=0.3/makespan",
-        [](report::Artifact& a) { a.series.series[0].makespan[1] = 2.0; },
+        [](report::Artifact& a) { a.series.series[0].y[1] = 2.0; },
         report::Verdict::kRegressed,
         "  fig4: 1 series over 2 point(s) of dynamism\n"}},
       {ArtifactKind::kStats,
@@ -665,6 +879,12 @@ TEST(Analyze, EveryKindFlattensDiffsAndSummarizes) {
         report::Verdict::kRegressed,
         "  4 trial(s): makespan mean 2500 s (stddev 10), 1 unfinished, 3 "
         "adaptation(s) per run\n"}},
+      {ArtifactKind::kDecisions,
+       {"decisions/rejection/accepted",
+        [](report::Artifact& a) {
+          a.decisions[0].record.considered.emplace_back();
+        },
+        report::Verdict::kChanged, "  3 record(s): 2 boundary, 1 recovery\n"}},
   };
   for (const ArtifactKind kind : kAllKinds) {
     const std::string name(report::to_string(kind));
@@ -780,11 +1000,11 @@ TEST(Analyze, TopRanksEveryKindWithSomethingToRank) {
             std::vector<std::string>{"worker 0"});
   // A status snapshot written without a profiler has nothing to rank.
   report::Artifact bare = fixture(ArtifactKind::kStatus);
-  bare.status.workers.clear();
+  bare.status.workers.reset();
   EXPECT_THROW((void)report::top_entries(bare, 5), std::invalid_argument);
   for (const ArtifactKind kind :
        {ArtifactKind::kTimeline, ArtifactKind::kQuarantine,
-        ArtifactKind::kSeries, ArtifactKind::kStats})
+        ArtifactKind::kSeries, ArtifactKind::kStats, ArtifactKind::kDecisions})
     EXPECT_THROW((void)report::top_entries(fixture(kind), 5),
                  std::invalid_argument)
         << report::to_string(kind);
@@ -793,8 +1013,8 @@ TEST(Analyze, TopRanksEveryKindWithSomethingToRank) {
 // ---------------------------------------------------------------------------
 // Staleness
 
-report::StatusModel running_at(double heartbeat_unix_s) {
-  report::StatusModel status;
+obs::StatusSnapshot running_at(double heartbeat_unix_s) {
+  obs::StatusSnapshot status;
   status.state = "running";
   status.heartbeat_unix_s = heartbeat_unix_s;
   return status;
@@ -989,8 +1209,9 @@ TEST(ReportCli, ValidateAcceptsEveryEmitter) {
 
   TempPath stats("v_stats");
   std::ostringstream os;
-  report::load_artifact(sweep.journal.str()).journal.cells[0].stats.print_json(
-      os, &result.provenance);
+  report::load_artifact(sweep.journal.str())
+      .journal.cells[0]
+      .record.stats.print_json(os, &result.provenance);
   write_file(stats.str(), os.str() + "\n");
 
   KindedFiles files = sweep.files();
@@ -1031,7 +1252,7 @@ TEST(ReportCli, ValidateAcceptsSweepsThatCompleteNoCell) {
   const cli::SweepResult replay_result = replayed.run(replay_plan);
   EXPECT_EQ(replay_result.cells_reused, 8u);
   expect_valid(replayed.files());
-  EXPECT_EQ(report::load_artifact(replayed.status.str()).status.cells_reused,
+  EXPECT_EQ(report::load_artifact(replayed.status.str()).status.cells.reused,
             8u);
 }
 
@@ -1054,7 +1275,8 @@ TEST(ReportCli, FirstHeartbeatWithProfilerIsValid) {
   EXPECT_NE(read_file(path.str()).find("\"workers\":[]"), std::string::npos);
   const report::Artifact artifact = report::load_artifact(path.str());
   EXPECT_EQ(artifact.status.state, "running");
-  EXPECT_TRUE(artifact.status.workers.empty());
+  ASSERT_TRUE(artifact.status.workers.has_value());
+  EXPECT_TRUE(artifact.status.workers->empty());
   expect_valid({{path.str(), "status"}});
   const std::string binary = SIMSWEEP_BINARY_PATH;
   int exit_code = -1;
@@ -1071,6 +1293,16 @@ TEST(ReportCli, FirstHeartbeatWithProfilerIsValid) {
   write_file(stale.str(), body);
   output = run_command(binary + " status " + stale.str(), exit_code);
   EXPECT_EQ(exit_code, 4) << output;
+}
+
+/// A running status snapshot with `cells_and_groups` spliced in.
+std::string status_with(const std::string& cells_and_groups) {
+  return R"({"kind":"sweep-status","meta":{"version":"t","build_type":"R",)"
+         R"("seed":1,"config_digest":"0123456789abcdef","partial":true},)"
+         R"("scenario":"demo","state":"running","heartbeat_unix_s":1000,)"
+         R"("elapsed_s":5,"heartbeat_s":1,"jobs":2,"trials":2,)" +
+         cells_and_groups +
+         R"("eta":{"ewma_cell_s":0.5,"eta_s":3.5,"percent":25}})";
 }
 
 TEST(ReportCli, ValidateRejectsOneFixturePerCheckFamily) {
@@ -1145,6 +1377,28 @@ TEST(ReportCli, ValidateRejectsOneFixturePerCheckFamily) {
                                        "\"stalled\":1") +
            "}",
        "stats: needs resource_exhausted <= stalled <= unfinished <= trials"},
+      // Sums that wrap past 2^64 back onto their total.
+      {R"({"meta":)" + meta + R"(,"counters":{},"gauges":{},"histograms":)"
+       R"({"h":{"count":0,"sum":0,"min":0,"max":0,"bounds":[1],)"
+       R"("counts":[18446744073709551615,1]}}})",
+       "metrics: histogram 'h' bucket counts do not sum to count"},
+      {status_with(R"("cells":{"total":8,"done":2,)"
+                   R"("reused":18446744073709551615,"executed":3,)"
+                   R"("in_flight":1,"retries":0,"quarantined":0},)"
+                   R"("groups":[{"name":"NONE","done":2,"total":8}],)"),
+       "status: done != reused + executed + quarantined"},
+      {status_with(R"("cells":{"total":8,"done":2,"reused":0,"executed":2,)"
+                   R"("in_flight":1,"retries":0,"quarantined":0},)"
+                   R"("groups":[{"name":"A","done":0,)"
+                   R"("total":18446744073709551615},)"
+                   R"({"name":"B","done":2,"total":9}],)"),
+       "status: group totals do not sum to cells.total"},
+      {R"({"meta":)" + meta + R"(,"tasks":1,"wall_s":1,"mean_task_s":1,)"
+       R"("min_task_s":1,"max_task_s":1,"mean_queue_wait_s":0,)"
+       R"("max_queue_wait_s":0,"workers":[{"worker":0,)"
+       R"("tasks":18446744073709551615,"busy_s":1,"utilization":1},)"
+       R"({"worker":1,"tasks":2,"busy_s":1,"utilization":1}]})",
+       "profile: worker task counts do not sum to tasks"},
   };
   const std::string binary = SIMSWEEP_BINARY_PATH;
   for (const auto& fixture : fixtures) {
@@ -1166,6 +1420,79 @@ TEST(ReportCli, ValidateRejectsOneFixturePerCheckFamily) {
           << e.what();
     }
   }
+}
+
+TEST(ReportCli, SummaryWritesNothingWhenAnyFileFails) {
+  // `summary A B --json` loads B before writing A's entry, so a bad B
+  // leaves stdout empty instead of a truncated document.
+  TempPath good("summary_good");
+  write_file(good.str(), std::string(R"({"meta":)") + kMeta + "," + kStats +
+                             "}\n");
+  const std::string command = std::string(SIMSWEEP_BINARY_PATH) +
+                              " report summary " + good.str() +
+                              " /nonexistent/simsweep_artifact";
+  for (const std::string& flags : {std::string(" --json"), std::string()}) {
+    int exit_code = -1;
+    // The subshell's stderr goes to /dev/null: only stdout is captured.
+    const std::string output =
+        run_command("(" + command + flags + " 2>/dev/null)", exit_code);
+    EXPECT_EQ(exit_code, 1) << flags;
+    EXPECT_EQ(output, "") << flags;
+  }
+}
+
+TEST(ReportCli, DecisionTracesValidateSummarizeAndDiff) {
+  // SWAP traces boundary records; CR under crashes adds recovery records.
+  const std::string binary = SIMSWEEP_BINARY_PATH;
+  TempPath swap("d_swap");
+  TempPath cr("d_cr");
+  TempPath none("d_none");
+  const std::string run =
+      binary + " run --hosts=8 --active=4 --iters=10 --trials=2 ";
+  int exit_code = -1;
+  std::string output = run_command(
+      run + "--strategy=swap --trace-decisions=" + swap.str(), exit_code);
+  ASSERT_EQ(exit_code, 0) << output;
+  output = run_command(
+      run + "--strategy=cr --mtbf-hours=1 --trace-decisions=" + cr.str(),
+      exit_code);
+  ASSERT_EQ(exit_code, 0) << output;
+  expect_valid({{swap.str(), "decisions"}, {cr.str(), "decisions"}});
+
+  const report::Artifact swaps = report::load_artifact(swap.str());
+  const report::Artifact crs = report::load_artifact(cr.str());
+  ASSERT_FALSE(swaps.decisions.empty());
+  EXPECT_FALSE(swaps.meta.has_value());
+  const auto recovery = [](const simsweep::strategy::TraceLine& line) {
+    return line.record.kind == simsweep::strategy::TraceKind::kRecovery;
+  };
+  EXPECT_TRUE(std::any_of(crs.decisions.begin(), crs.decisions.end(),
+                          recovery));
+  const auto flat = report::flatten(crs);
+  const auto value = [&flat](const std::string& key) {
+    for (const auto& [k, v] : flat)
+      if (k == key) return v;
+    ADD_FAILURE() << "no key " << key;
+    return kNaN;
+  };
+  EXPECT_EQ(value("decisions/records"), value("decisions/kind/boundary") +
+                                            value("decisions/kind/recovery"));
+  EXPECT_GT(value("decisions/kind/recovery"), 0.0);
+
+  output = run_command(binary + " report summary " + cr.str(), exit_code);
+  EXPECT_EQ(exit_code, 0) << output;
+  EXPECT_NE(output.find(" record(s): "), std::string::npos) << output;
+  output = run_command(binary + " report diff " + swap.str() + " " + swap.str(),
+                       exit_code);
+  EXPECT_EQ(exit_code, 0) << output;
+
+  // A run that decides nothing writes an empty trace, which names no kind.
+  output = run_command(
+      run + "--strategy=none --trace-decisions=" + none.str(), exit_code);
+  ASSERT_EQ(exit_code, 0) << output;
+  EXPECT_EQ(read_file(none.str()), "");
+  output = run_command(binary + " report validate " + none.str(), exit_code);
+  EXPECT_EQ(exit_code, 1) << output;
 }
 
 TEST(ReportCli, SummaryJsonDocumentShape) {

@@ -313,6 +313,38 @@ TEST(Quarantine, ReportIsValidJsonWithAllFields) {
   EXPECT_EQ(entries[0].at("outcome").as_string(), "hung");
   EXPECT_EQ(entries[0].at("attempts").as_uint64(), 2u);
   EXPECT_EQ(entries[0].at("error").as_string(), "trial hung");
+
+  // Full bytes: one record of each outcome (escaped error text included),
+  // stamped with a provenance block, trailing newline.
+  std::vector<res::QuarantineRecord> each;
+  const res::TrialOutcomeKind outcomes[] = {
+      res::TrialOutcomeKind::kOk, res::TrialOutcomeKind::kHung,
+      res::TrialOutcomeKind::kCrashed, res::TrialOutcomeKind::kAuditFailed};
+  for (std::size_t i = 0; i < 4; ++i)
+    each.push_back({i, "00000000000000a" + std::to_string(i), 9, 2,
+                    "cell " + std::to_string(i), outcomes[i], i + 1,
+                    i == 2 ? "bad\n\"x\"" : ""});
+  const simsweep::obs::Provenance prov{"v1", "Release", 9, "0123456789abcdef"};
+  std::ostringstream stamped;
+  res::write_quarantine_json(stamped, each, &prov);
+  EXPECT_EQ(
+      stamped.str(),
+      R"({"meta":{"version":"v1","build_type":"Release","seed":9,)"
+      R"("config_digest":"0123456789abcdef"},"quarantined":[)"
+      R"({"index":0,"key":"00000000000000a0","seed":9,"trials":2,)"
+      R"("label":"cell 0","outcome":"ok","attempts":1,"error":""},)"
+      R"({"index":1,"key":"00000000000000a1","seed":9,"trials":2,)"
+      R"("label":"cell 1","outcome":"hung","attempts":2,"error":""},)"
+      R"({"index":2,"key":"00000000000000a2","seed":9,"trials":2,)"
+      R"("label":"cell 2","outcome":"crashed","attempts":3,)"
+      R"("error":"bad\n\"x\""},)"
+      R"({"index":3,"key":"00000000000000a3","seed":9,"trials":2,)"
+      R"("label":"cell 3","outcome":"audit-failed","attempts":4,)"
+      R"("error":""}]})"
+      "\n");
+  std::ostringstream empty;
+  res::write_quarantine_json(empty, {});
+  EXPECT_EQ(empty.str(), "{\"quarantined\":[]}\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -505,7 +537,7 @@ TEST(SweepForbidStalls, ResourceExhaustionIsNotADeadlock) {
 
   const auto artifact = simsweep::report::load_artifact(journal.str());
   ASSERT_EQ(artifact.journal.cells.size(), 1u);
-  const core::TrialStats& stats = artifact.journal.cells[0].stats;
+  const core::TrialStats& stats = artifact.journal.cells[0].record.stats;
   EXPECT_GT(stats.resource_exhausted, 0u);
   EXPECT_EQ(stats.stalled, stats.resource_exhausted);
 }
