@@ -57,7 +57,9 @@ BENCHMARK(BM_EventQueueSelfScheduling);
 
 // The hold model at a fixed depth: pop the earliest event, run it, schedule
 // one more.  The callback captures one pointer, like the engine's hot ones.
-// 32 and 1024 are about paper_grid's and scale_comm's queue depths.
+// 32 and 1024 are about paper_grid's and scale_comm's queue depths.  It pops
+// without peek(): each schedule() refills the root the pop() left vacant,
+// so the front stays live.
 static void BM_EventQueueHold(benchmark::State& state) {
   const auto depth = static_cast<std::size_t>(state.range(0));
   sim::Rng rng(1);
@@ -78,6 +80,38 @@ static void BM_EventQueueHold(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueueHold)->Arg(32)->Arg(1024);
+
+// The engine's hold: `depth` objects each reschedule themselves through
+// Simulator::after with a [this] callback and BM_EventQueueHold's gaps, and
+// run_until drives them (peek, pop, fire) as it drives a trial.  One event
+// fires per unit of simulated time on average, so an iteration's window
+// fires about 64.  Items are fired events.
+static void BM_SimulatorHold(benchmark::State& state) {
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  sim::Rng rng(1);
+  std::vector<double> gaps(4096);
+  for (double& gap : gaps)
+    gap = rng.exponential_mean(static_cast<double>(depth));
+  struct Holder {
+    sim::Simulator* simulator;
+    const std::vector<double>* gaps;
+    std::size_t* next;
+    void fire() {
+      const double gap = (*gaps)[(*next)++ % gaps->size()];
+      (void)simulator->after(gap, [this] { fire(); });
+    }
+  };
+  sim::Simulator s;
+  std::size_t next = 0;
+  std::vector<Holder> holders(depth, Holder{&s, &gaps, &next});
+  for (Holder& holder : holders) holder.fire();
+  for (auto _ : state) {
+    s.run_until(s.now() + 64.0);
+    benchmark::DoNotOptimize(next);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(s.events_fired()));
+}
+BENCHMARK(BM_SimulatorHold)->Arg(32)->Arg(1024);
 
 // FairShare::rerate's pattern under load churn: each busy host's load flip
 // schedules the next flip, then cancels the host's completion event and

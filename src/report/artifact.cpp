@@ -6,7 +6,6 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -305,12 +304,6 @@ void read_stamped(const JsonValue& doc, const std::string& kind, T& body,
   read(doc, kind + ":", stamped);
 }
 
-/// Event-dense runs write millions of timeline events, so their rule text
-/// is only built on failure.
-[[noreturn]] void bad_event(std::size_t i, const std::string& rule) {
-  fail("timeline: traceEvents[" + std::to_string(i) + "] " + rule);
-}
-
 TimelineModel parse_timeline(const JsonValue& doc, obs::Provenance& meta) {
   const std::vector<JsonValue>* list = nullptr;
   read(doc, "timeline:", [&](auto& v) {
@@ -323,56 +316,10 @@ TimelineModel parse_timeline(const JsonValue& doc, obs::Provenance& meta) {
   });
   // No event at all is valid: a sweep interrupted before its first cell, or
   // one whose every cell was quarantined, has nothing to trace.
-  const std::vector<JsonValue>& events = *list;
-
-  TimelineModel model;
-  std::set<std::uint64_t> pids;
-  std::set<std::uint64_t> named;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const JsonValue& ev = events[i];
-    if (ev.kind != JsonKind::kObject) bad_event(i, "is not an object");
-    const JsonValue* ph = ev.find("ph");
-    const std::string_view phase =
-        ph != nullptr && ph->kind == JsonKind::kString
-            ? std::string_view(ph->string)
-            : std::string_view();
-    if (phase != "M" && phase != "X" && phase != "i")
-      bad_event(i, "has unknown phase '" + std::string(phase) + "'");
-    const JsonValue* pid_value = ev.find("pid");
-    const std::uint64_t pid =
-        pid_value != nullptr ? pid_value->to_uint64().value_or(0) : 0;
-    if (pid < 1) bad_event(i, "pid must be an integer >= 1");
-    pids.insert(pid);
-    const JsonValue* name = ev.find("name");
-    const std::string_view label =
-        name != nullptr && name->kind == JsonKind::kString
-            ? std::string_view(name->string)
-            : std::string_view();
-    if (phase == "M") {
-      if (label != "process_name" && label != "thread_name")
-        bad_event(i, "metadata name must be process_name or thread_name");
-      if (label == "process_name") named.insert(pid);
-      continue;
-    }
-    if (label.empty()) bad_event(i, "name must be a non-empty string");
-    const JsonValue* ts = ev.find("ts");
-    if (ts == nullptr || ts->kind != JsonKind::kNumber || ts->as_double() < 0.0)
-      bad_event(i, "ts must be a non-negative number");
-    if (phase == "X") {
-      const JsonValue* dur = ev.find("dur");
-      if (dur == nullptr || dur->kind != JsonKind::kNumber ||
-          dur->as_double() < 0.0)
-        bad_event(i, "dur must be a non-negative number");
-      model.span_us =
-          std::max(model.span_us, ts->as_double() + dur->as_double());
-    }
-  }
-  for (const std::uint64_t pid : pids)
-    if (named.count(pid) == 0)
-      fail("timeline: pid " + std::to_string(pid) + " has no process_name");
-  model.events = events.size();
-  model.processes = pids.size();
-  return model;
+  resilience::TraceFacts facts;
+  const std::string rule = resilience::check_trace_events(*list, facts);
+  if (!rule.empty()) fail("timeline: " + rule);
+  return TimelineModel{list->size(), facts.processes, facts.span_us};
 }
 
 /// One JSON value per non-empty line of a JSONL artifact.

@@ -23,14 +23,38 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "resilience/json_read.hpp"
 #include "resilience/quarantine.hpp"
 
 namespace simsweep::resilience {
+
+/// What a valid list of trace events spans.
+struct TraceFacts {
+  std::size_t processes = 0;  ///< distinct pids
+  double span_us = 0.0;       ///< max(ts + dur) over spans
+};
+
+/// The rules every event of a simsweep timeline keeps, as
+/// obs::TimelineTracer writes it: phase "M", "X" or "i"; an integer
+/// pid >= 1; a metadata event is named process_name or thread_name, any
+/// other has a non-empty name and a number ts >= 0, and a span a number
+/// dur >= 0; every pid has a process_name.  Returns the first rule `events`
+/// breaks ("traceEvents[i] <rule>" or "pid <n> has no process_name"), or an
+/// empty string after filling `facts`.  report::parse_timeline checks a
+/// timeline file's events with it, and a journal record's walk the
+/// fragment that sweep --resume splices into its timeline.
+[[nodiscard]] std::string check_trace_events(
+    const std::vector<JsonValue>& events, TraceFacts& facts);
+
+/// check_trace_events over a journal record's timeline: the comma-joined
+/// events obs::TimelineTracer::write_chrome_fragment wrote, at least one.
+[[nodiscard]] std::string check_timeline_fragment(std::string_view fragment);
 
 /// The journal's first line: which sweep the records belong to.
 struct JournalHeader {
@@ -103,6 +127,12 @@ void walk(V& v, JournalRecord& r, const JournalHeader& header) {
   v.section("stats", r.stats);
   v.embedded("metrics", r.metrics);
   v("timeline", r.timeline, obs::Accept::kNonEmpty);
+  if constexpr (V::kReading) {
+    if (r.timeline) {
+      const std::string rule = check_timeline_fragment(*r.timeline);
+      if (!rule.empty()) v.fail("timeline: " + rule);
+    }
+  }
 }
 
 class JournalWriter {

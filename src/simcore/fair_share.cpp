@@ -26,8 +26,8 @@ std::shared_ptr<FairShare::Member> FairShare::create(double work,
   if (!std::isfinite(work) || work < 0.0)
     throw std::invalid_argument(std::string(layer_) +
                                 ": work must be finite and non-negative");
-  return std::shared_ptr<Member>(
-      new Member(*this, work, std::move(done), simulator_.now()));
+  return std::make_shared<Member>(Member::Key{}, *this, work, std::move(done),
+                                  simulator_.now());
 }
 
 void FairShare::join(const std::shared_ptr<Member>& member) {

@@ -49,6 +49,19 @@ class FairShare {
    public:
     using Completion = std::function<void()>;
 
+    /// Only FairShare makes a Key, so only create() builds members; the
+    /// constructor is public for std::make_shared, which puts the member
+    /// and its control block in one allocation.
+    class Key {
+      friend class FairShare;
+      Key() = default;
+    };
+
+    Member(Key /*key*/, FairShare& owner, double work, Completion done,
+           SimTime now)
+        : owner_(&owner), remaining_(work), work_(work),
+          done_(std::move(done)), started_(now) {}
+
     /// Work still to do as of the last pass; 0 once complete.
     [[nodiscard]] double remaining() const noexcept;
 
@@ -67,9 +80,6 @@ class FairShare {
 
    private:
     friend class FairShare;
-    Member(FairShare& owner, double work, Completion done, SimTime now)
-        : owner_(&owner), remaining_(work), work_(work),
-          done_(std::move(done)), started_(now) {}
 
     [[nodiscard]] bool in_set() const noexcept { return joined_ && active_; }
 

@@ -115,18 +115,23 @@ class Simulator {
     return timeline_;
   }
 
-  /// Schedules `cb` at absolute time `at` (must not be in the past).
-  EventHandle at(SimTime at, Callback cb) {
+  /// Schedules `cb` at absolute time `at` (must not be in the past).  The
+  /// queue builds the callback in its slot: an rvalue moves in, an lvalue
+  /// (a std::function the caller keeps) is copied.
+  template <typename F>
+  EventHandle at(SimTime at, F&& cb) {
     if (at < now_ - kTimeEpsilon)
       throw std::invalid_argument("Simulator::at: scheduling in the past");
-    return queue_.schedule(at < now_ ? now_ : at, std::move(cb));
+    return queue_.schedule(at < now_ ? now_ : at, std::forward<F>(cb));
   }
 
-  /// Schedules `cb` after `delay` seconds of simulated time.
-  EventHandle after(SimDuration delay, Callback cb) {
+  /// Schedules `cb` after `delay` seconds of simulated time; `cb` is taken
+  /// as by at().
+  template <typename F>
+  EventHandle after(SimDuration delay, F&& cb) {
     if (delay < 0.0)
       throw std::invalid_argument("Simulator::after: negative delay");
-    return queue_.schedule(now_ + delay, std::move(cb));
+    return queue_.schedule(now_ + delay, std::forward<F>(cb));
   }
 
   /// Runs until the event queue drains or stop() is called.
@@ -162,8 +167,9 @@ class Simulator {
         throw RunCancelled();
       auto [t, cb] = queue_.pop();
       if (auditor_ != nullptr && auditor_->enabled()) audit_pop(t);
-      // size_bound() is an upper bound (buried cancelled entries count),
-      // which is exactly the memory-pressure quantity worth watching.
+      // size_bound() is an upper bound (buried cancelled entries count,
+      // the root pop() left vacant does not), which is exactly the
+      // memory-pressure quantity worth watching.
       if (metrics_ != nullptr) {
         const std::size_t depth = queue_.size_bound();
         depth_sum_ += static_cast<double>(depth);

@@ -1348,6 +1348,12 @@ TEST(ReportCli, ValidateRejectsOneFixturePerCheckFamily) {
            R"("trials":2,"label":"NONE","outcome":"ok","stats":{)" + stats +
            "}}\n",
        "journal: line 2: seed differs from header"},
+      // A journal record whose timeline fragment has an unknown phase.
+      {header + R"("cells":1})" + "\n" +
+           R"({"kind":"cell","index":0,"key":"0123456789abcdef","seed":1,)"
+           R"("trials":2,"label":"NONE","outcome":"ok","stats":{)" + stats +
+           R"(},"timeline":"{\"ph\":\"Q\"}"})" + "\n",
+       "journal: line 2: timeline: traceEvents[0] has unknown phase 'Q'"},
       // A quarantine record with outcome "exploded".
       {R"({"meta":)" + meta + R"(,"quarantined":[{"index":0,)"
        R"("key":"0123456789abcdef","seed":1,"trials":2,"label":"NONE",)"
@@ -1420,6 +1426,92 @@ TEST(ReportCli, ValidateRejectsOneFixturePerCheckFamily) {
           << e.what();
     }
   }
+}
+
+TEST(JournalTimeline, FragmentKeepsTheTimelineRules) {
+  // A record's timeline is spliced verbatim between other cells' events,
+  // so it must be a non-empty list of events that keep the timeline file's
+  // rules on its own.
+  const std::string process =
+      R"({"name":"process_name","ph":"M","pid":3,"tid":0,"args":{}})";
+  const std::string span =
+      R"({"name":"run","cat":"app","ph":"X","ts":5,"dur":2,"pid":3,"tid":0})";
+  EXPECT_EQ(res::check_timeline_fragment(process + "," + span), "");
+  const struct {
+    std::string fragment;
+    std::string rule;
+  } cases[] = {
+      {R"({"ph":"Q"})", "traceEvents[0] has unknown phase 'Q'"},
+      {process + R"(,{"name":"run","ph":"X","ts":5,"pid":3})",
+       "traceEvents[1] dur must be a non-negative number"},
+      {R"({"name":"run","ph":"i","ts":1,"pid":0})",
+       "traceEvents[0] pid must be an integer >= 1"},
+      {span, "pid 3 has no process_name"},
+      {" ", "has no trace event"},
+      {process + "],[" + span,
+       "not a list of trace events (json: trailing data at byte "},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.fragment);
+    EXPECT_EQ(res::check_timeline_fragment(c.fragment).rfind(c.rule, 0), 0u)
+        << res::check_timeline_fragment(c.fragment);
+  }
+}
+
+TEST(ReportCli, ResumeRefusesAJournalWhoseTimelineBreaksTheRules) {
+  // sweep --resume splices each record's timeline into its --timeline
+  // file, so what report validate accepts must splice into a valid one.
+  const std::string binary = SIMSWEEP_BINARY_PATH;
+  const std::string sweep = binary +
+                            " sweep --points=0,0.1 --trials=2 --iters=5 "
+                            "--hosts=8 --active=4 --jobs=1 --timeline=";
+  TempPath journal("jt_journal");
+  TempPath timeline("jt_timeline");
+  int exit_code = -1;
+  std::string output = run_command(
+      sweep + timeline.str() + " --journal=" + journal.str(), exit_code);
+  ASSERT_EQ(exit_code, 0) << output;
+  expect_valid({{journal.str(), "journal"}, {timeline.str(), "timeline"}});
+
+  // A clean journal resumes every cell into the same, valid timeline.
+  TempPath clean("jt_clean");
+  TempPath resumed("jt_resumed");
+  write_file(clean.str(), read_file(journal.str()));
+  output = run_command(sweep + resumed.str() + " --resume=" + clean.str(),
+                       exit_code);
+  ASSERT_EQ(exit_code, 0) << output;
+  EXPECT_NE(output.find("resumed 8 of 8 cell(s)"), std::string::npos)
+      << output;
+  expect_valid({{resumed.str(), "timeline"}});
+  EXPECT_EQ(read_file(resumed.str()), read_file(timeline.str()));
+
+  // Record 1's timeline (the last key of line 2) becomes {"ph":"Q"}.
+  std::string text = read_file(journal.str());
+  const std::string key = R"("timeline":")";
+  const std::size_t line_end = text.find('\n', text.find('\n') + 1);
+  const std::size_t open = text.rfind(key, line_end) + key.size();
+  ASSERT_GT(open, text.find('\n'));
+  text.replace(open, line_end - 2 - open, R"({\"ph\":\"Q\"})");
+  TempPath bad("jt_bad");
+  write_file(bad.str(), text);
+  const std::string rule =
+      "journal: line 2: timeline: traceEvents[0] has unknown phase 'Q'";
+  output = run_command(binary + " report validate " + bad.str(), exit_code);
+  EXPECT_EQ(exit_code, 1);
+  EXPECT_EQ(output, "FAIL " + bad.str() + ": " + rule + "\n");
+
+  // The resume stops on the record before any cell runs.
+  TempPath refused("jt_refused");
+  output = run_command(sweep + refused.str() + " --resume=" + bad.str() +
+                           " --journal=" + bad.str(),
+                       exit_code);
+  EXPECT_EQ(exit_code, 1);
+  EXPECT_NE(output.find("'" + bad.str() + "': " + rule), std::string::npos)
+      << output;
+  EXPECT_EQ(output.find("std::"), std::string::npos) << output;
+  EXPECT_EQ(output.find("resumed"), std::string::npos) << output;
+  EXPECT_EQ(read_file(bad.str()), text);
+  EXPECT_FALSE(std::filesystem::exists(refused.str()));
 }
 
 TEST(ReportCli, SummaryWritesNothingWhenAnyFileFails) {

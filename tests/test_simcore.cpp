@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -12,12 +13,14 @@
 #include <optional>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "audit/auditor.hpp"
+#include "obs/metrics.hpp"
 #include "simcore/event_queue.hpp"
 #include "simcore/fair_share.hpp"
 #include "simcore/rng.hpp"
@@ -347,6 +350,265 @@ TEST(Simulator, SchedulingInThePastThrows) {
   s.run();
   EXPECT_THROW((void)s.at(1.0, [] {}), std::invalid_argument);
   EXPECT_THROW((void)s.after(-1.0, [] {}), std::invalid_argument);
+}
+
+// The hold path: pop() leaves the root vacant, the next schedule() refills
+// it, and peek() settles a root nothing refilled.
+
+/// One fired event's steps, drawn from its own stream so a run and its
+/// reference draw alike: one to six steps, each one schedules a child (at
+/// most two, on a quarter-second grid with many ties), cancels any handle
+/// issued so far (fired, cancelled or pending) or calls idle().
+template <typename Ops>
+void hold_steps(std::uint64_t seed, std::uint64_t seq, Ops& ops) {
+  sim::Rng rng(seed, seq);
+  int children = 0;
+  const std::int64_t steps = rng.uniform_int(1, 6);
+  for (std::int64_t step = 0; step < steps; ++step) {
+    const std::int64_t kind = rng.uniform_int(0, 9);
+    if (kind <= 5) {
+      const double delay = 0.25 * static_cast<double>(rng.uniform_int(0, 8));
+      if (children < 2 && ops.issued() < 3000) {
+        ++children;
+        ops.schedule(delay);
+      }
+    } else if (kind <= 7) {
+      ops.cancel(static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(ops.issued()) - 1)));
+    } else {
+      ops.idle();
+    }
+  }
+}
+
+TEST(Simulator, HoldPathMatchesAReferenceUnderNestedScheduleCancelAndIdle) {
+  // The reference keeps every (time, seq) entry, cancelled or not, and
+  // drops cancelled entries from the front where the simulator does: at
+  // run_until's peek and in idle().  Its size right after a pop is the
+  // depth sample size_bound() must give, so the depth statistics match
+  // bit for bit only if the vacant root is left out.
+  using Key = std::pair<double, std::uint64_t>;
+  struct Run {
+    sim::Simulator& s;
+    std::uint64_t seed;
+    std::vector<sim::EventHandle> handles;
+    std::vector<std::uint64_t> fired;
+    [[nodiscard]] std::size_t issued() const { return handles.size(); }
+    void schedule(double delay) {
+      const std::uint64_t seq = handles.size();
+      handles.push_back(s.after(delay, [this, seq] {
+        fired.push_back(seq);
+        hold_steps(seed, seq, *this);
+      }));
+    }
+    void cancel(std::size_t seq) { handles[seq].cancel(); }
+    void idle() { (void)s.idle(); }
+  };
+  struct Reference {
+    std::uint64_t seed = 0;
+    double now = 0.0;
+    std::set<Key> entries;
+    std::vector<bool> cancelled;  // by seq
+    std::vector<bool> done;       // fired or cancelled, by seq
+    std::vector<std::uint64_t> fired;
+    std::uint64_t idles = 0;
+    std::uint64_t cancels = 0;
+    double depth_sum = 0.0;
+    std::size_t depth_max = 0;
+    [[nodiscard]] std::size_t issued() const { return cancelled.size(); }
+    void schedule(double delay) {
+      entries.insert({now + delay, cancelled.size()});
+      cancelled.push_back(false);
+      done.push_back(false);
+    }
+    void cancel(std::size_t seq) {
+      if (done[seq]) return;
+      cancelled[seq] = true;
+      done[seq] = true;
+      ++cancels;
+    }
+    void drop() {
+      while (!entries.empty() && cancelled[entries.begin()->second])
+        entries.erase(entries.begin());
+    }
+    void idle() {
+      ++idles;
+      drop();
+    }
+    void run() {
+      for (drop(); !entries.empty(); drop()) {
+        const Key top = *entries.begin();
+        entries.erase(entries.begin());
+        done[top.second] = true;
+        now = top.first;
+        depth_sum += static_cast<double>(entries.size());
+        depth_max = std::max(depth_max, entries.size());
+        fired.push_back(top.second);
+        hold_steps(seed, top.second, *this);
+      }
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    simsweep::obs::MetricsRegistry metrics;
+    sim::Simulator s;
+    s.set_metrics(&metrics);
+    Run run{s, seed, {}, {}};
+    Reference reference;
+    reference.seed = seed;
+    sim::Rng initial(seed);
+    for (int i = 0; i < 48; ++i) {
+      const double delay = 0.25 * static_cast<double>(initial.uniform_int(0, 16));
+      run.schedule(delay);
+      reference.schedule(delay);
+    }
+    s.run();
+    reference.run();
+    ASSERT_EQ(run.fired, reference.fired);
+    EXPECT_EQ(s.events_fired(), reference.fired.size());
+    EXPECT_EQ(s.scheduled_total(), reference.issued());
+    EXPECT_EQ(s.queue_depth_samples(), reference.fired.size());
+    EXPECT_EQ(s.queue_depth_max(), reference.depth_max);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(s.queue_depth_mean()),
+              std::bit_cast<std::uint64_t>(
+                  reference.depth_sum /
+                  static_cast<double>(reference.fired.size())));
+    // The draws reach every path: long runs, live cancels and idle() calls
+    // from inside callbacks.
+    EXPECT_GT(reference.fired.size(), 1000u);
+    EXPECT_GT(reference.cancels, 100u);
+    EXPECT_GT(reference.idles, 1000u);
+  }
+}
+
+TEST(EventQueue, VacantRootRefillSiftsToItsPlace) {
+  // After a pop, the next schedule writes into the vacant root: due before
+  // the runner-up it stays there; due after every other event it sifts
+  // down to a leaf.  Either way the rest fire in (time, seq) order.
+  for (const double refill : {1.5, 9.0}) {
+    SCOPED_TRACE(testing::Message() << "refill at " << refill);
+    sim::EventQueue q;
+    std::vector<double> fired;
+    for (const double t : {1.0, 6.0, 2.0, 5.0, 3.0, 4.0, 7.0})
+      (void)q.schedule(t, [&fired, t] { fired.push_back(t); });
+    ASSERT_EQ(q.peek(), 1.0);
+    q.pop().second();
+    EXPECT_EQ(q.size_bound(), 6u);  // the vacant root does not count
+    (void)q.schedule(refill, [&fired, refill] { fired.push_back(refill); });
+    EXPECT_EQ(q.size_bound(), 7u);
+    // Hold without peek: the refilled root is the front.
+    auto [t, cb] = q.pop();
+    cb();
+    EXPECT_EQ(t, std::min(refill, 2.0));
+    while (!q.empty()) q.pop().second();
+    std::vector<double> expected{1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, refill};
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(fired, expected);
+  }
+}
+
+TEST(Simulator, ThrowingCallbackLeavesTheRestToALaterRun) {
+  // The throw leaves the popped root vacant (or refilled by what the
+  // callback scheduled first); the next run_until settles it and fires the
+  // rest in order.
+  for (const bool schedules_first : {false, true}) {
+    SCOPED_TRACE(schedules_first ? "schedules, then throws" : "throws");
+    sim::Simulator s;
+    std::vector<int> fired;
+    (void)s.after(1.0, [&] {
+      fired.push_back(1);
+      if (schedules_first) (void)s.at(4.5, [&] { fired.push_back(45); });
+      throw std::runtime_error("callback failed");
+    });
+    for (const int t : {8, 3, 6, 2, 7, 4, 5})
+      (void)s.after(static_cast<double>(t), [&fired, t] { fired.push_back(t); });
+    EXPECT_THROW(s.run(), std::runtime_error);
+    EXPECT_EQ(fired, (std::vector<int>{1}));
+    EXPECT_EQ(s.events_fired(), 1u);
+    s.run_until(4.75);
+    std::vector<int> expected{1, 2, 3, 4};
+    if (schedules_first) expected.push_back(45);
+    EXPECT_EQ(fired, expected);
+    EXPECT_FALSE(s.idle());
+    s.run();
+    for (const int t : {5, 6, 7, 8}) expected.push_back(t);
+    EXPECT_EQ(fired, expected);
+    EXPECT_TRUE(s.idle());
+  }
+}
+
+TEST(EventQueue, ThrowingCopyLeavesTheQueueUnchanged) {
+  // An lvalue is copied into its slot.  A copy that throws propagates, and
+  // the queue keeps its pending set and its count; the slot stays free, so
+  // the next event takes it with the right generation and fires.
+  struct CopyMayThrow {
+    const bool* fail;
+    int* calls;
+    CopyMayThrow(const bool* fail_copy, int* call_count)
+        : fail(fail_copy), calls(call_count) {}
+    CopyMayThrow(const CopyMayThrow& other)
+        : fail(other.fail), calls(other.calls) {
+      if (*fail) throw std::runtime_error("copy failed");
+    }
+    CopyMayThrow(CopyMayThrow&&) noexcept = default;
+    void operator()() const { ++*calls; }
+  };
+  bool fail = true;
+  int calls = 0;
+  const CopyMayThrow callable(&fail, &calls);
+  sim::EventQueue q;
+  const sim::EventHandle fired = q.schedule(0.5, [] {});
+  const sim::EventHandle other = q.schedule(2.0, [] {});
+  q.pop().second();  // frees a slot and leaves the root vacant
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    EXPECT_THROW((void)q.schedule(1.0, callable), std::runtime_error);
+    EXPECT_EQ(q.scheduled_total(), 2u);
+    EXPECT_EQ(q.size_bound(), 1u);
+    EXPECT_FALSE(fired.pending());
+    EXPECT_TRUE(other.pending());
+  }
+  EXPECT_EQ(q.peek(), 2.0);
+  EXPECT_EQ(q.size_bound(), 1u);
+  // A pool with no free slot: the new one stays on the free list.
+  sim::EventQueue full;
+  EXPECT_THROW((void)full.schedule(1.0, callable), std::runtime_error);
+  EXPECT_EQ(full.scheduled_total(), 0u);
+  EXPECT_TRUE(full.empty());
+
+  fail = false;
+  for (sim::EventQueue* queue : {&q, &full}) {
+    const sim::EventHandle next = queue->schedule(1.0, callable);
+    EXPECT_TRUE(next.pending());
+    ASSERT_EQ(queue->peek(), 1.0);
+    queue->pop().second();
+    EXPECT_FALSE(next.pending());
+  }
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(q.scheduled_total(), 3u);
+  EXPECT_EQ(full.scheduled_total(), 1u);
+  EXPECT_TRUE(other.pending());
+}
+
+TEST(Simulator, LvalueCallbackIsCopiedNotMovedFrom) {
+  // simbench's replays pass the std::function they keep (hop, start_burst)
+  // to at() and after() as lvalues, and schedule it again from inside it.
+  sim::Simulator s;
+  int ticks = 0;
+  std::function<void()> tick = [&] {
+    if (++ticks < 4) (void)s.after(1.0, tick);
+  };
+  const std::function<void()> constant = [&] { ticks += 100; };
+  (void)s.after(1.0, tick);
+  (void)s.at(10.0, constant);
+  EXPECT_TRUE(static_cast<bool>(tick));
+  EXPECT_TRUE(static_cast<bool>(constant));
+  s.run();
+  EXPECT_EQ(ticks, 104);
+  EXPECT_TRUE(static_cast<bool>(tick));
+  (void)s.at(20.0, tick);
+  s.run();
+  EXPECT_EQ(ticks, 105);
+  EXPECT_TRUE(static_cast<bool>(tick));
 }
 
 TEST(Rng, DeterministicForSameSeed) {
